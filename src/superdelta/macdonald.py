@@ -16,10 +16,14 @@ strictly right of its partner, and it reads first.  Restricting entries to
 
 Delta-prime eigenvalues are elementary symmetric evaluations on the cell
 alphabet B_mu - 1; the expansion of e_n over the H~_mu carries the scalar
-M B_mu Pi_mu / w_mu, which is certified at runtime by the forced identity
-Delta'_{e_0}(e_n) = e_n.  All those scalars are products of two-term
-factors, so sums over mu are accumulated over one shared product
-denominator and certified polynomial by a single exact division.
+M B_mu Pi_mu / w_mu, which rhs_series certifies at runtime through the
+forced identity Delta'_{e_0}(e_n) = e_n.  All those scalars are products of
+two-term factors, so sums over mu are accumulated over one shared product
+denominator L.  The products and sums are taken on Kronecker-packed ints,
+with the packing's q-degree and slot width worked out from the factors'
+degrees and coefficient sums, and each Schur coefficient is unpacked once
+and divided exactly by the two-term atoms of L one at a time, which
+certifies it polynomial.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import comb, prod
 from typing import NamedTuple
 
 from .characters import character_table, kostka
@@ -38,7 +43,7 @@ from .partitions import (
     partitions_of,
     z_mu,
 )
-from .qtz import ONE, QTZPoly, RatFun
+from .qtz import ONE, Kronecker, QTZPoly, divide_exact
 from .rationals import RAT, normalize_scalar
 from .series import FrobeniusSeries
 
@@ -355,12 +360,36 @@ def _expansion_scalar(mu: Partition) -> _ExpansionScalar:
     return _ExpansionScalar(sign, b_mu(mu), num - common, den - common)
 
 
+def _l1(p: QTZPoly) -> int:
+    return sum(abs(c) for c in p.terms.values())
+
+
+def _packed_product(factors: list[QTZPoly]) -> QTZPoly:
+    """The product of integer polynomials in q, t, multiplied packed."""
+    packing = Kronecker(1 + sum(f.degrees()[0] for f in factors), prod(map(_l1, factors)))
+    acc = 1
+    for f in factors:
+        acc *= packing.pack(f)
+    return packing.unpack(acc)
+
+
 @dataclass
 class _DeltaContext:
+    """The k-independent part of delta_prime_ek_en(n, k), packed once.
+
+    The Schur coefficient at lam is the sum over mu of
+    sbase[mu] * e_k[B_mu - 1] * <H~_mu, s_lam>, divided by L = prod(l_atoms).
+    e_(n-1) has the highest q-degree of all e_k, and e_k[B_mu - 1] has
+    comb(n-1, k) terms, all with coefficient 1; with the factors' own
+    degrees and coefficient sums these bound every numerator's q-degree and
+    coefficients, which sets the packing.
+    """
+
     n: int
-    schur: dict[Partition, dict[Partition, QTZPoly]]
-    sbase: dict[Partition, QTZPoly]  # sign * B_mu * num_atoms * (L / den_mu)
-    l_poly: QTZPoly
+    l_atoms: Counter  # the two-term factors of L, with multiplicity
+    packing: Kronecker
+    sbase: dict[Partition, int]  # sign * B_mu * num_atoms * (L / den_mu), packed
+    schur: dict[Partition, dict[Partition, int]]  # <H~_mu, s_lam>, packed
 
 
 @cache
@@ -370,51 +399,47 @@ def _delta_context(n: int) -> _DeltaContext:
     l_atoms = Counter()
     for sc in scalars.values():
         l_atoms |= sc.den_atoms
-    l_poly = ONE
-    for atom, mult in sorted(l_atoms.items(), key=lambda kv: sorted(kv[0].terms)):
-        for _ in range(mult):
-            l_poly = l_poly * atom
     sbase = {}
-    for mu in mus:
-        sc = scalars[mu]
-        acc = sc.bpoly * sc.sign
-        for atom, mult in sorted(sc.num_atoms.items(), key=lambda kv: sorted(kv[0].terms)):
-            for _ in range(mult):
-                acc = acc * atom
+    for mu, sc in scalars.items():
         missing = l_atoms - sc.den_atoms
-        for atom, mult in sorted(missing.items(), key=lambda kv: sorted(kv[0].terms)):
-            for _ in range(mult):
-                acc = acc * atom
-        sbase[mu] = acc
+        sbase[mu] = _packed_product(
+            [sc.bpoly * sc.sign, *sc.num_atoms.elements(), *missing.elements()]
+        )
     schur = {mu: htilde_schur(mu).coeffs for mu in mus}
-    return _DeltaContext(n, schur, sbase, l_poly)
+    D = 1 + max(
+        sbase[mu].degrees()[0]
+        + sum(i for i, _ in cell_alphabet(mu))
+        + max(h.degrees()[0] for h in schur[mu].values())
+        for mu in mus
+    )
+    bound = comb(n - 1, (n - 1) // 2) * max(
+        sum(_l1(sbase[mu]) * _l1(schur[mu][lam]) for mu in mus if lam in schur[mu])
+        for lam in mus
+    )
+    packing = Kronecker(D, bound)
+    sbase = {mu: packing.pack(p) for mu, p in sbase.items()}
+    schur = {mu: {lam: packing.pack(h) for lam, h in hs.items()} for mu, hs in schur.items()}
+    return _DeltaContext(n, l_atoms, packing, sbase, schur)
 
 
 def delta_prime_ek_en(n: int, k: int) -> SymFunc:
     """Delta'_{e_k} applied to e_n, in the Schur basis.
 
-    Each Schur coefficient is accumulated as one rational function over the
-    shared denominator and certified polynomial by exact division; e_0
-    recovers e_n itself, which certifies the expansion scalars.
+    Each Schur coefficient is accumulated as one packed numerator over the
+    shared denominator, unpacked, and certified polynomial by exact division
+    by each atom of the denominator in turn.
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
     ctx = _delta_context(n)
     mus = partitions_of(n)
-    sk = {mu: ctx.sbase[mu] * ek_pleth(mu, k) for mu in mus}
+    sk = {mu: ctx.sbase[mu] * ctx.packing.pack(ek_pleth(mu, k)) for mu in mus}
     out: dict[Partition, QTZPoly] = {}
     for lam in mus:
-        num = QTZPoly.zero()
-        for mu in mus:
-            h = ctx.schur[mu].get(lam)
-            if h is not None:
-                num = num + sk[mu] * h
-        if num.is_zero():
+        num = sum(sk[mu] * hs[lam] for mu, hs in ctx.schur.items() if lam in hs)
+        if not num:
             continue
-        value = RatFun(num, ctx.l_poly).to_polynomial()
-        if not value.is_integral():
-            raise ValueError(f"non-integer Schur coefficient at {lam}: {value}")
-        out[lam] = value
+        out[lam] = divide_exact(ctx.packing.unpack(num), *ctx.l_atoms.elements())
     return SymFunc("s", n, out)
 
 
@@ -425,6 +450,9 @@ def rhs_series(n: int) -> FrobeniusSeries:
     series = FrobeniusSeries(n)
     for k in range(1, n + 1):
         delta = delta_prime_ek_en(n, n - k)
+        if k == n and delta.coeffs != {(1,) * n: ONE}:
+            # Delta'_{e_0} is the identity: a wrong expansion scalar shows here
+            raise ValueError(f"Delta'_{{e_0}}(e_{n}) is {delta.coeffs}, not e_{n}")
         for lam, poly in delta.coeffs.items():
             series.set_coefficient(
                 lam, series.coefficient(lam) + poly.shift_z(k - 1)

@@ -1,16 +1,15 @@
-"""Sparse exact polynomials in q, t, z and rational functions in q, t.
+"""Sparse exact polynomials in q, t, z.
 
 Terms are dicts mapping exponent triples (dq, dt, dz) to nonzero exact
 coefficients (int where integral, RAT otherwise).  The fixed term order is
-graded lexicographic with q > t > z.  Rational functions keep a lazily
-normalized num/den pair: the denominator is made primitive with positive
-leading coefficient, but no polynomial gcd is ever computed; final results
-are certified polynomial through divide_exact.
+graded lexicographic with q > t > z.  Two tools serve sums of long products
+in q, t: `Kronecker` packs integer polynomials into Python ints, where a
+product is one big-int multiplication, and `divide_exact` divides by
+two-term factors `m1 - m2`, one pass each, raising NotDivisible when the
+quotient is not a polynomial.
 """
 
 from __future__ import annotations
-
-from math import gcd, lcm
 
 from .rationals import RAT, normalize_scalar
 
@@ -238,7 +237,6 @@ class QTZPoly:
     __repr__ = __str__
 
 
-ZERO = QTZPoly.zero()
 ONE = QTZPoly.constant(1)
 Q = QTZPoly.monomial(dq=1)
 T = QTZPoly.monomial(dt=1)
@@ -291,125 +289,96 @@ def poly_from_str(s: str) -> QTZPoly:
     return acc
 
 
-def divide_exact(num: QTZPoly, den: QTZPoly) -> QTZPoly:
-    """Return p with p*den == num, or raise NotDivisible."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if num.is_zero():
-        return QTZPoly.zero()
-    den_lead = den.leading_exponent()
-    den_lc = den.terms[den_lead]
-    rem = dict(num.terms)
-    quot: dict[Expo, object] = {}
-    while rem:
-        lead = max(rem, key=_grlex)
-        e = (lead[0] - den_lead[0], lead[1] - den_lead[1], lead[2] - den_lead[2])
-        if e[0] < 0 or e[1] < 0 or e[2] < 0:
-            raise NotDivisible(f"leading term {lead} not divisible by {den_lead}")
-        c = rem[lead]
-        if isinstance(c, int) and isinstance(den_lc, int) and c % den_lc == 0:
-            qc = c // den_lc
-        else:
-            qc = normalize_scalar(RAT(c) / den_lc)
-        quot[e] = qc
-        for (a, b, cc), x in den.terms.items():
-            key = (e[0] + a, e[1] + b, e[2] + cc)
-            s = rem.get(key, 0) - qc * x
-            if s:
-                rem[key] = s
-            elif key in rem:
-                del rem[key]
-    return QTZPoly(quot, clean=False)
+class Kronecker:
+    """Integer polynomials in q, t packed into Python ints: t = q^D, q = 2^B.
+
+    Packing evaluates at that point, so sums and products of packed ints are
+    packed sums and products.  It is injective on polynomials of q-degree
+    < D with coefficients in (-2^(B-1), 2^(B-1)), one balanced digit per
+    slot a + D*b, so a result unpacks exactly when it fits; the caller
+    guarantees that through `D` and `bound`.  Slots are whole bytes, which
+    makes packing and unpacking linear-time byte conversions.
+    """
+
+    __slots__ = ("D", "width", "half")
+
+    def __init__(self, D: int, bound: int):
+        """Slots for q-degree < D and coefficients of absolute value <= bound."""
+        self.D = D
+        self.width = (bound.bit_length() + 8) // 8  # bytes, with a spare sign bit
+        self.half = 1 << (8 * self.width - 1)
+
+    def _bias(self, slots: int) -> int:
+        """The packed value with 2^(B-1) in each of `slots` slots."""
+        return int.from_bytes(self.half.to_bytes(self.width, "little") * slots, "little")
+
+    def pack(self, p: QTZPoly) -> int:
+        """Raise ValueError unless p is integral, free of z and fits the slots."""
+        D, w, half = self.D, self.width, self.half
+        slots = max((a + D * b + 1 for a, b, _ in p.terms), default=0)
+        buf = bytearray(half.to_bytes(w, "little") * slots)
+        for (a, b, c), x in p.terms.items():
+            if c or a >= D:
+                raise ValueError(f"q^{a} t^{b} z^{c} does not fit q-degree < {D} without z")
+            if not isinstance(x, int) or not -half < x < half:
+                raise ValueError(f"coefficient {x} does not fit a {8 * w}-bit slot")
+            i = (a + D * b) * w
+            buf[i : i + w] = (x + half).to_bytes(w, "little")
+        return int.from_bytes(buf, "little") - self._bias(slots)
+
+    def unpack(self, x: int) -> QTZPoly:
+        """The polynomial that packs to x, provided one fits the slots."""
+        D, w, half = self.D, self.width, self.half
+        slots = x.bit_length() // (8 * w) + 1  # a fitting top digit is in the last slot
+        raw = (x + self._bias(slots)).to_bytes(slots * w, "little")
+        digits = (int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w))
+        return QTZPoly({(i % D, i // D, 0): c for i, c in enumerate(digits) if c}, clean=False)
 
 
-def _poly_content(p: QTZPoly):
-    """Positive rational r such that p/r is primitive (integer, gcd 1)."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        if isinstance(c, int):
-            num_gcd = gcd(num_gcd, abs(c))
-        else:
-            num_gcd = gcd(num_gcd, abs(int(c.numerator)))
-            den_lcm = lcm(den_lcm, int(c.denominator))
-    return normalize_scalar(RAT(num_gcd, den_lcm))
+def divide_exact(num: QTZPoly, *atoms: QTZPoly) -> QTZPoly:
+    """Return p in q, t with p * prod(atoms) == num, or raise NotDivisible.
+
+    Each atom is a difference m1 - m2 of two monomials in q, t, so with
+    d = m1 - m2 the quotient by it satisfies p[f] = num[f + m1] + p[f + d]:
+    one pass along each chain f, f - d, f - 2d, ... of the dense coefficient
+    grid divides by it, a whole row of the grid per step.  The division is
+    exact when no nonzero carry leaves the positive quadrant or runs off the
+    bottom of its chain.
+    """
+    dq, dt, dz = num.degrees()
+    if dz:
+        raise ValueError(f"dividend must not involve z, got {num}")
+    width, height = dq + 1, dt + 1
+    rows = [[0] * width for _ in range(height)]
+    for (a, b, _), x in num.terms.items():
+        rows[b][a] = x
+    for atom in atoms:
+        if atom.is_zero():
+            raise ZeroDivisionError("division by zero polynomial")
+        signs = {x: e for e, x in atom.terms.items()}
+        if len(atom.terms) != 2 or set(signs) != {1, -1} or signs[1][2] or signs[-1][2]:
+            raise ValueError(f"divisor must be m1 - m2 for monomials in q, t, got {atom}")
+        rows, width, height = _divide_grid(rows, width, height, signs[1], signs[-1])
+    terms = {(a, b, 0): x for b, row in enumerate(rows) for a, x in enumerate(row) if x}
+    return QTZPoly(terms)
 
 
-class RatFun:
-    """Rational function in q, t: an exact num/den pair of polynomials."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: QTZPoly, den: QTZPoly = ONE):
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if den.degrees()[2] != 0:
-            raise ValueError("denominator must not involve z")
-        if num.is_zero():
-            self.num = ZERO
-            self.den = ONE
-            return
-        scale = _poly_content(den)
-        lead = den.terms[den.leading_exponent()]
-        if lead < 0:
-            scale = -scale
-        if scale != 1:
-            inv = normalize_scalar(RAT(1) / scale)
-            den = den * inv
-            num = num * inv
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def from_scalar(cls, c) -> RatFun:
-        return cls(QTZPoly.constant(c))
-
-    @classmethod
-    def from_poly(cls, p: QTZPoly) -> RatFun:
-        return cls(p)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other) -> RatFun:
-        if isinstance(other, QTZPoly):
-            other = RatFun(other)
-        if self.den.terms == other.den.terms:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> RatFun:
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other) -> RatFun:
-        return self + (-other)
-
-    def __mul__(self, other) -> RatFun:
-        if isinstance(other, QTZPoly):
-            other = RatFun(other)
-        if not isinstance(other, RatFun):
-            return RatFun(self.num * other, self.den)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QTZPoly):
-            other = RatFun(other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
-
-    def __hash__(self):
-        raise TypeError("RatFun is unhashable (lazy normal form)")
-
-    def to_polynomial(self) -> QTZPoly:
-        """Certify the value is a polynomial and return it."""
-        return divide_exact(self.num, self.den)
-
-    def __str__(self) -> str:
-        if self.den == ONE:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
+def _divide_grid(rows, width, height, m1, m2):
+    """One exact division of a coefficient grid rows[t][q] by m1 - m2."""
+    dq, dt = m1[0] - m2[0], m1[1] - m2[1]
+    if dt:  # rows[b] += rows[b + dt] shifted by dq, walking down the chains
+        for b in range(height - 1 - dt, -1, -1) if dt > 0 else range(-dt, height):
+            above = rows[b + dt]
+            shifted = above[dq:] if dq >= 0 else [0] * -dq + above[: max(width + dq, 0)]
+            rows[b] = [x + y for x, y in zip(rows[b], shifted)] + rows[b][len(shifted):]
+    else:
+        for row in rows:
+            for a in range(width - 1 - dq, -1, -1) if dq > 0 else range(-dq, width):
+                row[a] += row[a + dq]
+    # the grid now holds p[f] at f + m1; a carry elsewhere is a remainder
+    top_q, top_t = min(width, width + dq), min(height, height + dt)
+    for b, row in enumerate(rows):
+        if any(row[: m1[0]]) or any(row[top_q:]) or (any(row) and not m1[1] <= b < top_t):
+            raise NotDivisible(f"nonzero carry off the quotient's grid at t^{b}")
+    rows = [row[m1[0] : top_q] for row in rows[m1[1] : top_t]]
+    return rows, max(top_q - m1[0], 0), max(top_t - m1[1], 0)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as RAT
 
 

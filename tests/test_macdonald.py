@@ -1,7 +1,11 @@
 import random
+from collections import Counter
+from dataclasses import replace
+from math import prod
 
 import pytest
 
+from superdelta import macdonald
 from superdelta.macdonald import (
     SymFunc,
     delta_prime_ek_en,
@@ -124,6 +128,68 @@ def test_symfunc_basis_validation():
 def test_delta_prime_identity_certificate():
     for n in range(1, 6):
         assert delta_prime_ek_en(n, 0).coeffs == {(1,) * n: ONE}
+
+
+def reference_divide(num: QTZPoly, den: QTZPoly) -> QTZPoly:
+    """Long division in graded lex order; den must have leading coefficient 1."""
+    order = lambda e: (sum(e), e)
+    lead = max(den.terms, key=order)
+    assert den.terms[lead] == 1
+    quot = QTZPoly.zero()
+    while not num.is_zero():
+        e = max(num.terms, key=order)
+        shift = tuple(x - y for x, y in zip(e, lead))
+        assert min(shift) >= 0, "not divisible"
+        term = QTZPoly.monomial(*shift, coeff=num.terms[e])
+        quot, num = quot + term, num - term * den
+    return quot
+
+
+def reference_delta_prime(n: int, k: int) -> dict:
+    """Delta'_{e_k}(e_n) from plain QTZPoly products over the expanded L."""
+    scalars = {mu: macdonald._expansion_scalar(mu) for mu in partitions_of(n)}
+    l_atoms = Counter()
+    for sc in scalars.values():
+        l_atoms |= sc.den_atoms
+    out = {}
+    for lam in partitions_of(n):
+        num = QTZPoly.zero()
+        for mu, sc in scalars.items():
+            cofactor = prod(sc.num_atoms.elements(), start=ONE) * prod(
+                (l_atoms - sc.den_atoms).elements(), start=ONE
+            )
+            h = htilde_schur(mu).coefficient(lam)
+            num = num + sc.bpoly * sc.sign * cofactor * ek_pleth(mu, k) * h
+        if not num.is_zero():
+            out[lam] = reference_divide(num, prod(l_atoms.elements(), start=ONE))
+    return out
+
+
+def test_delta_prime_matches_unpacked_reference():
+    for n in range(1, 6):
+        for k in range(n):
+            assert delta_prime_ek_en(n, k).coeffs == reference_delta_prime(n, k), (n, k)
+
+
+def test_rhs_series_certifies_expansion_scalars(monkeypatch):
+    original = macdonald._expansion_scalar
+
+    def corrupted(mu):
+        sc = original(mu)
+        if mu == (2, 1):
+            # adds the polynomial sign * num_atoms to the scalar, so every
+            # numerator stays divisible and only the e_0 identity can tell
+            sc = replace(sc, bpoly=sc.bpoly + prod(sc.den_atoms.elements(), start=ONE))
+        return sc
+
+    monkeypatch.setattr(macdonald, "_expansion_scalar", corrupted)
+    macdonald._delta_context.cache_clear()
+    try:
+        assert delta_prime_ek_en(3, 0).coeffs != {(1, 1, 1): ONE}
+        with pytest.raises(ValueError, match="e_0"):
+            rhs_series(3)
+    finally:
+        macdonald._delta_context.cache_clear()
 
 
 def test_delta_prime_examples():

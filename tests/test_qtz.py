@@ -6,9 +6,9 @@ from superdelta.qtz import (
     Q,
     T,
     Z,
+    Kronecker,
     NotDivisible,
     QTZPoly,
-    RatFun,
     divide_exact,
     poly_from_str,
 )
@@ -71,16 +71,92 @@ def test_specialization_is_homomorphism(a, b):
 
 def test_divide_exact_examples():
     assert divide_exact(ONE - Q * Q, ONE - Q) == ONE + Q
+    assert divide_exact((Q - T) * (ONE - Q * T) * 3, Q - T, ONE - Q * T) == 3
     assert divide_exact(QTZPoly.zero(), Q - T).is_zero()
+    assert divide_exact(Q + T) == Q + T
     with pytest.raises(NotDivisible):
-        divide_exact(Q, T)
+        divide_exact(Q, T - ONE)
+    with pytest.raises(NotDivisible):
+        divide_exact(ONE - Q**3, ONE - Q * Q)
     with pytest.raises(ZeroDivisionError):
         divide_exact(Q, QTZPoly.zero())
+    for bad in (T, Q + T, Q * 2 - T, Z - ONE):
+        with pytest.raises(ValueError):
+            divide_exact(Q, bad)
+    with pytest.raises(ValueError):
+        divide_exact(Z * Q - Z, ONE - Q)
 
 
-@given(small_polys(), small_polys(nonzero=True))
-def test_divide_exact_inverts_multiplication(a, b):
-    assert divide_exact(a * b, b) == a
+def atoms():
+    """The two-term factors of the delta side's denominator, in either sign:
+    1 - q^i t^j, q^a - t^b and t^l - q^(a+1)."""
+    e = st.integers(0, 3)
+    shapes = st.one_of(
+        st.tuples(e, e).filter(any).map(lambda ij: ONE - QTZPoly.monomial(*ij)),
+        st.tuples(e, e.map(lambda b: b + 1)).map(
+            lambda ab: QTZPoly.monomial(ab[0]) - QTZPoly.monomial(0, ab[1])
+        ),
+        st.tuples(e, e).map(lambda la: QTZPoly.monomial(0, la[0]) - QTZPoly.monomial(la[1] + 1)),
+    )
+    return st.tuples(shapes, st.booleans()).map(lambda ab: -ab[0] if ab[1] else ab[0])
+
+
+@given(small_polys(with_z=False), st.lists(atoms(), max_size=4))
+def test_divide_exact_inverts_multiplication(a, divisors):
+    num = a
+    for atom in divisors:
+        num = num * atom
+    assert divide_exact(num, *divisors) == a
+
+
+@given(small_polys(with_z=False), atoms(), st.integers(0, 4), st.integers(0, 4),
+       st.integers(-9, 9).filter(bool))
+def test_divide_exact_rejects_non_multiples(a, atom, i, j, c):
+    # atom vanishes at q = t = 1 and a monomial does not, so this is no multiple
+    with pytest.raises(NotDivisible):
+        divide_exact(a * atom + QTZPoly.monomial(i, j, 0, c), atom)
+
+
+@given(small_polys(with_z=False), st.integers(0, 3), st.integers(0, 200))
+def test_kronecker_roundtrip(p, extra_d, bound):
+    bound += max((abs(c) for c in p.terms.values()), default=0)
+    packing = Kronecker(p.degrees()[0] + 1 + extra_d, bound)
+    assert packing.unpack(packing.pack(p)) == p
+    assert packing.unpack(-packing.pack(p)) == -p
+
+
+@given(small_polys(with_z=False), small_polys(with_z=False), small_polys(with_z=False))
+def test_kronecker_is_a_ring_homomorphism(a, b, c):
+    # bounds for the inputs and for the result
+    degree = a.degrees()[0] + b.degrees()[0] + c.degrees()[0]
+    l1a, l1b, l1c = (sum(abs(x) for x in p.terms.values()) for p in (a, b, c))
+    packing = Kronecker(degree + 1, l1a * l1b + l1a + l1b + l1c)
+    pack = packing.pack
+    assert packing.unpack(pack(a) * pack(b) - pack(c)) == a * b - c
+
+
+def test_kronecker_slot_limits():
+    for bound in (1, 127, 128, 2**31 - 1, 2**31):
+        packing = Kronecker(4, bound)
+        top = packing.half - 1  # 2^(B-1) - 1, the largest balanced digit
+        assert top >= bound
+        for p in (
+            QTZPoly({(0, 0, 0): top, (3, 0, 0): -top, (1, 2, 0): top, (2, 1, 0): -1}),
+            QTZPoly({(3, 5, 0): -top, (0, 6, 0): -top}),
+        ):
+            assert packing.unpack(packing.pack(p)) == p
+        for c in (packing.half, -packing.half):
+            with pytest.raises(ValueError):
+                packing.pack(QTZPoly.monomial(1, 1, 0, c))
+    assert Kronecker(4, 127).half == 2**7 and Kronecker(4, 128).half == 2**15
+
+
+def test_kronecker_rejects_inputs_that_do_not_fit():
+    packing = Kronecker(3, 100)
+    assert packing.unpack(packing.pack(Q * Q * T**4)) == Q * Q * T**4
+    for bad in (Q**3, Q**3 * T + ONE, Z, Q + Z * T, QTZPoly.constant(RAT(1, 2))):
+        with pytest.raises(ValueError):
+            packing.pack(bad)
 
 
 def test_evaluate_and_slabs():
@@ -91,47 +167,3 @@ def test_evaluate_and_slabs():
     assert p.shift_z(2).coefficient_of_z(3) == T
     assert p.swap_qt() == T * T * 2 + Q * Z + ONE
     assert p.degrees() == (2, 1, 1)
-
-
-def test_ratfun_spec_examples():
-    a = RatFun(ONE, Q - T)
-    b = RatFun(ONE, T - Q)
-    assert (a + b).is_zero()
-    assert (a * (Q - T)).to_polynomial() == ONE
-    c = RatFun(Q, ONE - T) + RatFun(T, ONE - T)
-    assert c == RatFun(Q + T, ONE - T)
-    assert not c == RatFun(Q, ONE - T)
-
-
-def test_ratfun_canonical_form():
-    r = RatFun(Q, (T - Q) * 2)
-    # denominator is primitive with positive leading coefficient
-    lead = r.den.terms[r.den.leading_exponent()]
-    assert lead > 0
-    assert r == RatFun(-Q, (Q - T) * 2)
-
-
-def test_ratfun_errors():
-    with pytest.raises(ZeroDivisionError):
-        RatFun(ONE, QTZPoly.zero())
-    with pytest.raises(ValueError):
-        RatFun(ONE, Z + ONE)
-    with pytest.raises(NotDivisible):
-        RatFun(Q, T).to_polynomial()
-
-
-@given(small_polys(with_z=False), small_polys(with_z=False, nonzero=True),
-       small_polys(with_z=False, nonzero=True))
-def test_ratfun_field_axioms(a, d1, d2):
-    x = RatFun(a, d1)
-    y = RatFun(ONE, d2)
-    assert x + y == y + x
-    assert x * y == y * x
-    assert (x + y) - y == x
-    # multiplying back by the denominator recovers the numerator
-    assert (x * d1).to_polynomial() * ONE == a
-
-
-def test_ratfun_mul_cancels():
-    x = RatFun(Q * Q - T * T, Q - T)
-    assert x.to_polynomial() == Q + T
