@@ -1,9 +1,12 @@
 """The module side: quotient characters degree by degree.
 
 Each tri-degree (a, b, c) gives a finite-dimensional S_n-module: the
-quotient of the span of monomials by the ideal component.  Characters are
-traces: the signed permutation action on the ambient space minus its
-restriction to an exact echelon basis of the ideal.  Assembling
+quotient of the span of monomials by the ideal component.  The engine
+never traces the whole component.  For a few Young subgroups
+H = S_alpha x S_beta it counts the live H-orbits of monomials and
+subtracts an exact rank in orbit coordinates; by Frobenius reciprocity
+that is <F, h_alpha e_beta>, and a small integer solve turns these
+pairings into Schur multiplicities and characters.  Assembling
 sum q^a t^b z^c chi(mu) p_mu / z_mu over all degrees and converting to the
 Schur basis yields the tri-graded Frobenius characteristic.
 """
@@ -12,8 +15,10 @@ from superdelta.coinvariants import (
     component_characters,
     frobenius_module,
     ideal_component,
+    isotypic_dimension,
     support_frontier,
     trace_regular,
+    young_system,
 )
 from superdelta.partitions import partition_to_str
 from superdelta.superring import TriDegree
@@ -24,6 +29,9 @@ basis = ideal_component(n, d)
 print(f"ideal component at {tuple(d)}: ambient dim {basis.dim}, rank {basis.rank}")
 print("  basis rows (coordinates theta_1, theta_2):", basis.rows)
 
+for psi in young_system(n).characters:
+    label = f"h[{partition_to_str(psi.alpha)}] e[{partition_to_str(psi.beta)}]"
+    print(f"  <F, {label}> = dim of its psi-isotypic part:", isotypic_dimension(d, psi))
 comp = component_characters(n, d)
 print("  quotient characters:", {partition_to_str(mu): v for mu, v in comp.chars.items()})
 print("  (the quotient is the sign representation: theta_1 ~ -theta_2)")

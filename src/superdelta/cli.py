@@ -52,7 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--budget-seconds", type=float, default=None)
     p_verify.add_argument("--max-degree", type=int, default=None,
                           help="frontier budget on a+b per theta row")
-    p_verify.add_argument("--no-modular-prefilter", action="store_true")
     p_verify.add_argument("--long", action="store_true",
                           help="allow the long-running module side for n >= 5")
 
@@ -110,7 +109,6 @@ def _dispatch(parser, args) -> int:
             cache_dir=args.cache_dir,
             budget_seconds=args.budget_seconds,
             max_ab=args.max_degree,
-            use_modp=not args.no_modular_prefilter,
         )
         print(render_report(report, args.format))
         return {EQUAL: 0, DIFFER: 1, INCONCLUSIVE: 2}[report.verdict]

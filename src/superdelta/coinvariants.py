@@ -1,12 +1,44 @@
-"""The module side: ideal components, quotient characters, Frobenius series.
+"""The module side: quotient characters and Frobenius series.
 
-Each homogeneous component of the quotient is handled by exact linear
-algebra: the ideal component is spanned by generator * monomial products,
-an integer echelon basis is extracted, and the character of a permutation
-is the trace on the ambient component minus the trace restricted to the
-ideal.  A dense mod-p elimination may be used first as a one-sided
-certificate that a component is full (rank over F_p = dim forces rank over
-Q = dim); everything else is exact rational arithmetic.
+Each homogeneous component M_d = R_d / I_d (d = (a, b, c)) is a finite
+S_n-module.  Its Schur multiplicities are found from the dimensions of
+small isotypic parts, not from traces on the whole component.
+
+Isotypic ranks.  Let H = S_alpha x S_beta be a Young subgroup on
+consecutive letters and psi its character that is trivial on S_alpha and
+the sign on S_beta.  Then Ind_H^{S_n} psi has Frobenius characteristic
+h_alpha e_beta, and by Frobenius reciprocity
+
+    <F_{M_d}, h_alpha e_beta> = dim Hom_H(psi, M_d) = dim M_d^psi,
+
+the psi-isotypic part.  Over Q, e_psi = |H|^-1 sum_h psi(h) h is an
+idempotent projection onto the psi-isotypic part of any H-module.  I_d is
+S_n-stable, so e_psi(I_d) = e_psi(R_d) meet I_d and e_psi commutes with the
+quotient map, which gives M_d^psi = e_psi(R_d) / e_psi(I_d).  Both sides
+live in orbit coordinates:
+
+* e_psi(m) for a monomial m is sign * |Stab|/|H| * v_O, where v_O is the
+  signed sum over the H-orbit O of m with coefficient 1 at its canonical
+  representative (triples (x_i, y_i, [i in theta]) sorted descending
+  within each block), or 0 when some h fixing m has psi(h) * (Grassmann
+  sign) = -1 (a dead orbit).  The live v_O have disjoint supports, so they
+  are a basis of e_psi(R_d).
+* Every generator g is S_n-invariant under the signed action (a sum
+  x_1^r y_1^s theta_1^e + ... + x_n^r y_n^s theta_n^e), so h(g m) = g h(m)
+  and e_psi(I_d) is spanned by the products g * v_O.  The coefficient of
+  v_C in a vector of e_psi(R_d) is its coefficient at the representative
+  C, so each row g * v_O is read off target by target.
+
+Hence dim M_d^psi = #live orbits - rank { g * v_O }, an exact integer
+echelon rank on systems about |H| times smaller than R_d.  A fixed set of
+such psi per n whose pairing matrix K[psi, lam] = <s_lam, h_alpha e_beta>
+is invertible turns these dimensions into the multiplicities m_lam, which
+must be nonnegative integers, and chi_M(mu) = sum_lam m_lam chi^lam(mu).
+One more, dependent psi is computed as a redundancy check.
+
+The unreduced path (ideal components in monomial coordinates, their echelon
+bases, a dense mod-p full-rank certificate and the signed coordinate action)
+stays as the reference that tests compare against.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
@@ -19,15 +51,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cache, cached_property
+from math import factorial, prod
 
 from .characters import character_table
-from .linalg import Echelon, ConsistencyError
+from .linalg import Echelon, ConsistencyError, inverse
 from .partitions import (
     Partition,
     Permutation,
     cycles_of,
     partitions_of,
-    perm_of_cycle_type,
     z_mu,
 )
 from .qtz import QTZPoly
@@ -37,6 +70,7 @@ from .superring import (
     SuperMonomial,
     TriDegree,
     apply_perm_mono,
+    component_dimension,
     enumerate_monomials,
     ideal_generators,
     mono_mul,
@@ -229,8 +263,7 @@ class IdealComponentBasis:
         return not self.echelon().residual(dict(vec))
 
 
-def ideal_component(n: int, d: TriDegree, use_modp: bool = True,
-                    expect_full: bool = False) -> IdealComponentBasis:
+def ideal_component(n: int, d: TriDegree, use_modp: bool = True) -> IdealComponentBasis:
     """Basis of the span { g * m } inside the component of tri-degree d."""
     monos = enumerate_monomials(n, d)
     dim = len(monos)
@@ -238,7 +271,7 @@ def ideal_component(n: int, d: TriDegree, use_modp: bool = True,
         return IdealComponentBasis(d, monos, 0)
     index = {m: i for i, m in enumerate(monos)}
 
-    if use_modp and (expect_full or dim >= MODP_MIN_DIM):
+    if use_modp and dim >= MODP_MIN_DIM:
         vectors = list(spanning_vectors(n, d, index))
         if _modp_is_full_rank(vectors, dim):
             return IdealComponentBasis(d, monos, dim, certified_full=True)
@@ -307,6 +340,241 @@ def _theta_signed_count(lengths: list[int], c: int) -> int:
     return dp[c]
 
 
+# --- isotypic parts over Young subgroups --------------------------------------
+
+Triples = tuple[tuple[int, int, int], ...]  # (x_i, y_i, [i in theta]) for i = 1..n
+
+
+@dataclass(frozen=True)
+class YoungCharacter:
+    """psi on H = S_alpha x S_beta: trivial on S_alpha, sign on S_beta.
+
+    The blocks sit on consecutive letters, alpha's first.  An H-orbit of
+    monomials is named by its canonical representative, whose triples are
+    sorted in descending order within each block.
+    """
+
+    alpha: Partition
+    beta: Partition
+
+    @property
+    def n(self) -> int:
+        return sum(self.alpha) + sum(self.beta)
+
+    @property
+    def order(self) -> int:
+        return prod(factorial(k) for k in self.alpha + self.beta)
+
+    @property
+    def parts(self) -> list[tuple[int, bool]]:
+        """(block size, signed) for each block, alpha's first."""
+        return [(k, False) for k in self.alpha] + [(k, True) for k in self.beta]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, int, bool], ...]:
+        """(start, stop, signed) position ranges of the blocks of size > 1."""
+        out = []
+        start = 0
+        for size, signed in self.parts:
+            if size > 1:
+                out.append((start, start + size, signed))
+            start += size
+        return tuple(out)
+
+    def canonical(self, m: Triples) -> tuple[Triples, int] | None:
+        """(representative, sign) with e_psi(m) = sign * e_psi(rep); None if e_psi(m) = 0.
+
+        Sorting a block is an h in H; the sign is psi(h) times the Grassmann
+        sign of h on the thetas.  The orbit is dead when two equal triples
+        share a block and carry theta in a trivial block or no theta in a
+        sign block: their transposition fixes m and has psi * sign = -1.
+        """
+        sign = 1
+        out = list(m)
+        for lo, hi, signed in self.blocks:
+            seg = m[lo:hi]
+            for i in range(hi - lo - 1):
+                si = seg[i]
+                for sj in seg[i + 1:]:
+                    if si < sj:
+                        if signed:
+                            sign = -sign
+                        if si[2] and sj[2]:
+                            sign = -sign
+                    elif si == sj and si[2] != signed:
+                        return None
+            out[lo:hi] = sorted(seg, reverse=True)
+        return tuple(out), sign
+
+    def live_orbits(self, d: TriDegree) -> list[Triples]:
+        """Canonical representatives of the live orbits of tri-degree d, ascending.
+
+        Within a block the triples descend, and two equal neighbours must
+        carry theta exactly when the block is a sign block.
+        """
+        n = self.n
+        inner = {}  # letter -> signed, for the letters after the first of a block
+        for lo, hi, signed in self.blocks:
+            for i in range(lo + 1, hi):
+                inner[i] = signed
+        out: list[Triples] = []
+        cur: list[tuple[int, int, int]] = []
+
+        def rec(i: int, ra: int, rb: int, rc: int) -> None:
+            if i == n - 1:
+                if rc > 1:
+                    return
+                options = [(ra, rb, rc)]
+            else:
+                options = [
+                    (x, y, t)
+                    for x in range(ra + 1)
+                    for y in range(rb + 1)
+                    for t in ((0, 1) if rc else (0,))
+                ]
+            signed = inner.get(i)
+            for tr in options:
+                if signed is not None:
+                    prev = cur[-1]
+                    if tr > prev or (tr == prev and tr[2] != signed):
+                        continue
+                cur.append(tr)
+                if i == n - 1:
+                    out.append(tuple(cur))
+                elif rc - tr[2] <= n - 1 - i:
+                    rec(i + 1, ra - tr[0], rb - tr[1], rc - tr[2])
+                cur.pop()
+
+        if d.c <= n:
+            rec(0, d.a, d.b, d.c)
+        return out
+
+    @cached_property
+    def pairing(self) -> dict[Partition, int]:
+        """<s_lam, h_alpha e_beta> for every lam |- n, through the p basis."""
+        coeffs = {(): RAT(1)}
+        for size, signed in self.parts:
+            step: dict[Partition, object] = {}
+            for nu, c in coeffs.items():
+                for mu in partitions_of(size):
+                    sign = -1 if signed and (size - len(mu)) % 2 else 1
+                    key = tuple(sorted(nu + mu, reverse=True))
+                    step[key] = step.get(key, 0) + c * RAT(sign, z_mu(mu))
+            coeffs = step
+        table = character_table(self.n)
+        out = {}
+        for lam in partitions_of(self.n):
+            value = normalize_scalar(sum(c * table.value(lam, nu) for nu, c in coeffs.items()))
+            if not isinstance(value, int):
+                raise ConsistencyError(f"non-integer pairing <s_{lam}, {self}>: {value}")
+            out[lam] = value
+        return out
+
+
+def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
+    """dim M_d^psi: live H-orbits of degree d minus the rank of the rows g * v_O.
+
+    Rows are built target-side: for each live target c and each term
+    x_i^r y_i^s theta_i^e of a generator that divides c, the cofactor is
+    canonicalized, and the row (generator, cofactor orbit) gains the sign at
+    column c.  No orbit is expanded.  Ascending targets with the rows of the
+    last generators inserted first keep the fill-in low (at n = 4 this
+    ordering takes a third of the echelon time of descending targets).
+    """
+    targets = psi.live_orbits(d)
+    if not targets:
+        return 0
+    n = psi.n
+    gens = [
+        e for _name, e, _gen in ideal_generators(n)
+        if e.a <= d.a and e.b <= d.b and e.c <= d.c
+    ]
+    canon: dict[Triples, tuple[Triples, int] | None] = {}
+    ech = Echelon()
+    for r, s, e in reversed(gens):
+        rows: dict[Triples, dict[int, int]] = {}
+        for col, c in enumerate(targets):
+            before = 0  # thetas of c at letters < i: the sign of theta_i * cofactor
+            for i, (x, y, t) in enumerate(c):
+                if x >= r and y >= s and t >= e:
+                    cof = c[:i] + ((x - r, y - s, t - e),) + c[i + 1:]
+                    hit = canon.get(cof, canon)
+                    if hit is canon:
+                        hit = canon[cof] = psi.canonical(cof)
+                    if hit is not None:
+                        rep, sign = hit
+                        if e and before % 2:
+                            sign = -sign
+                        row = rows.setdefault(rep, {})
+                        row[col] = row.get(col, 0) + sign
+                before += t
+        for row in rows.values():
+            ech.insert(row)
+            if ech.rank == len(targets):
+                return 0
+    return len(targets) - ech.rank
+
+
+@dataclass(frozen=True)
+class YoungSystem:
+    """Young characters whose pairings K[psi, lam] = <s_lam, h_alpha e_beta> invert.
+
+    extra is one more, dependent character, computed as a redundancy check.
+    """
+
+    n: int
+    characters: tuple[YoungCharacter, ...]
+    extra: YoungCharacter | None
+    inverse: tuple[tuple[object, ...], ...]  # K^-1, rows indexed like partitions_of(n)
+
+    def multiplicities(self, dims: list[int]) -> dict[Partition, int]:
+        """Schur multiplicities from the isotypic dimensions; must be in N."""
+        out = {}
+        for lam, row in zip(partitions_of(self.n), self.inverse):
+            m = normalize_scalar(sum(k * v for k, v in zip(row, dims)))
+            if not isinstance(m, int) or m < 0:
+                raise ConsistencyError(f"multiplicity of s_{lam} is {m}, not in N")
+            out[lam] = m
+        return out
+
+
+def young_candidates(n: int) -> list[YoungCharacter]:
+    """Every (alpha, beta) with no part 1 in beta, by |H| descending, then (alpha, beta)."""
+    out = [
+        YoungCharacter(alpha, beta)
+        for k in range(n + 1)
+        for alpha in partitions_of(k)
+        for beta in partitions_of(n - k)
+        if 1 not in beta
+    ]
+    return sorted(out, key=lambda psi: (-psi.order, psi.alpha, psi.beta))
+
+
+@cache
+def young_system(n: int) -> YoungSystem:
+    """Greedy by |H|: take a character whenever its pairing row is independent.
+
+    The redundancy check uses the first candidate left out, the one with the
+    largest |H| outside the set.
+    """
+    lams = partitions_of(n)
+    candidates = young_candidates(n)
+    chosen: list[YoungCharacter] = []
+    ech = Echelon()
+    for psi in candidates:
+        row = {j: psi.pairing[lam] for j, lam in enumerate(lams) if psi.pairing[lam]}
+        if ech.insert(row) is not None:
+            chosen.append(psi)
+            if len(chosen) == len(lams):
+                break
+    if len(chosen) != len(lams):
+        raise ConsistencyError(f"Young characters do not span the class functions of S_{n}")
+    extra = next((psi for psi in candidates if psi not in chosen), None)
+    # columns of K are indexed by lam, rows by psi: K^-1 maps dims to multiplicities
+    matrix = [[psi.pairing[lam] for lam in lams] for psi in chosen]
+    return YoungSystem(n, tuple(chosen), extra, tuple(map(tuple, inverse(matrix))))
+
+
 @dataclass
 class ComponentCharacters:
     """Quotient character values of one tri-graded component."""
@@ -322,64 +590,50 @@ class ComponentCharacters:
         return self.dim - self.rank
 
 
-def _restricted_trace_signed(basis: IdealComponentBasis, cmap) -> object:
-    """Trace of a signed coordinate permutation on the ideal component."""
-    inverse = [None] * len(cmap)
-    for i, (j, sign) in enumerate(cmap):
-        inverse[j] = (i, sign)
-    total = 0
-    for j, row in zip(basis.pivots, basis.rows):
-        i, sign = inverse[j]
-        val = row.get(i, 0)
-        if val:
-            total += RAT(sign * val, row[j])
-    return normalize_scalar(total)
+def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
+    """All quotient character values chi_M(mu) at tri-degree d.
 
-
-def component_characters(n: int, d: TriDegree, use_modp: bool = True,
-                         expect_full: bool = False) -> ComponentCharacters:
-    """All quotient character values chi_M(mu) at tri-degree d."""
-    monos = enumerate_monomials(n, d)
-    dim = len(monos)
+    Solves K m = (dim M_d^psi) over the Young system for the Schur
+    multiplicities m, checks them against one more dependent character, and
+    evaluates chi = sum_lam m_lam chi^lam.
+    """
     mus = partitions_of(n)
+    dim = component_dimension(n, d)
     if dim == 0:
         return ComponentCharacters(n, d, 0, 0, {mu: 0 for mu in mus})
-    basis = ideal_component(n, d, use_modp=use_modp, expect_full=expect_full)
-    if basis.rank == dim:
-        return ComponentCharacters(n, d, dim, dim, {mu: 0 for mu in mus})
-    index = {m: i for i, m in enumerate(monos)}
-    chars = {}
-    for mu in mus:
-        sigma = perm_of_cycle_type(mu)
-        full = trace_regular(sigma, n, d)
-        if all(p == 1 for p in mu):
-            ideal_tr = basis.rank
-        else:
-            cmap = signed_coordinate_map(sigma, monos, index)
-            ideal_tr = _restricted_trace_signed(basis, cmap)
-        value = full - ideal_tr
-        if not isinstance(value, int):
-            if value.denominator != 1:
-                raise ConsistencyError(
-                    f"non-integer character at {d} for type {mu}: {value}"
-                )
-            value = int(value)
-        chars[mu] = value
-    if chars[(1,) * n] != dim - basis.rank:
-        raise ConsistencyError(f"identity character mismatch at {d}")
-    return ComponentCharacters(n, d, dim, basis.rank, chars)
+    system = young_system(n)
+    dims = [isotypic_dimension(d, psi) for psi in system.characters]
+    try:
+        mult = system.multiplicities(dims)
+    except ConsistencyError as exc:
+        raise ConsistencyError(f"at {d}: {exc}") from exc
+    if system.extra is not None:
+        want = sum(m * system.extra.pairing[lam] for lam, m in mult.items())
+        got = isotypic_dimension(d, system.extra)
+        if got != want:
+            raise ConsistencyError(
+                f"redundancy check at {d}: dim M^psi = {got} for {system.extra}, "
+                f"the multiplicities give {want}"
+            )
+    table = character_table(n)
+    chars = {mu: sum(m * table.value(lam, mu) for lam, m in mult.items()) for mu in mus}
+    if chars[(1,) * n] > dim:
+        raise ConsistencyError(
+            f"at {d}: the quotient dimension {chars[(1,) * n]} exceeds the ambient {dim}"
+        )
+    return ComponentCharacters(n, d, dim, dim - chars[(1,) * n], chars)
 
 
 def character_quotient(mu: Partition, n: int, d: TriDegree) -> int:
-    """chi_M(mu) at tri-degree d: ambient trace minus ideal trace."""
+    """chi_M(mu) at tri-degree d."""
     if sum(mu) != n:
         raise ValueError(f"mu must be a partition of {n}: {mu}")
     return component_characters(n, d).chars[tuple(mu)]
 
 
 def _component_worker(args) -> ComponentCharacters:
-    n, d, use_modp, expect_full = args
-    return component_characters(n, TriDegree(*d), use_modp, expect_full)
+    n, d = args
+    return component_characters(n, TriDegree(*d))
 
 
 @dataclass
@@ -467,32 +721,43 @@ def explore_theta_row(
         band += 1
 
 
-def assemble_series(n: int, components) -> FrobeniusSeries:
-    """Schur expansion from per-component characters via the p_mu pairing.
+def schur_multiplicities(n: int, chars: dict[Partition, int]) -> dict[Partition, int]:
+    """<chi, chi^lam> = sum_mu chi(mu) chi^lam(mu) / z_mu for every lam |- n.
 
-    coeff(lam) gains q^a t^b z^c * sum_mu chi(mu) chi^lam(mu) / z_mu per
-    component; every multiplicity must come out an integer.
+    chi is the character of a genuine module, so every multiplicity must be
+    a nonnegative integer; anything else raises ConsistencyError.
     """
     table = character_table(n)
     mus = partitions_of(n)
-    weights = {mu: z_mu(mu) for mu in mus}
+    out = {}
+    for lam in mus:
+        total = normalize_scalar(
+            sum(RAT(chars[mu] * table.value(lam, mu), z_mu(mu)) for mu in mus if chars[mu])
+        )
+        if not isinstance(total, int) or total < 0:
+            raise ConsistencyError(f"multiplicity of s_{lam} is {total}, not in N")
+        out[lam] = total
+    return out
+
+
+def assemble_series(n: int, components) -> FrobeniusSeries:
+    """Schur expansion from per-component characters via the p_mu pairing.
+
+    coeff(lam) gains q^a t^b z^c * <chi, chi^lam> per component; every
+    multiplicity must be a nonnegative integer.
+    """
     series = FrobeniusSeries(n)
-    acc: dict[Partition, dict] = {lam: {} for lam in mus}
+    acc: dict[Partition, dict] = {lam: {} for lam in partitions_of(n)}
     for d, comp in sorted(components.items()):
         if comp.dim_quotient == 0:
             continue
-        for lam in mus:
-            total = 0
-            for mu in mus:
-                chi = comp.chars[mu]
-                if chi:
-                    total += RAT(chi * table.value(lam, mu), weights[mu])
-            if total:
-                if not isinstance(total, int) and total.denominator != 1:
-                    raise ConsistencyError(
-                        f"non-integer multiplicity at {d} for {lam}: {total}"
-                    )
-                acc[lam][(d.a, d.b, d.c)] = int(total)
+        try:
+            mult = schur_multiplicities(n, comp.chars)
+        except ConsistencyError as exc:
+            raise ConsistencyError(f"at {d}: {exc}") from exc
+        for lam, m in mult.items():
+            if m:
+                acc[lam][(d.a, d.b, d.c)] = m
     for lam, terms in acc.items():
         if terms:
             series.set_coefficient(lam, QTZPoly(terms))
@@ -504,17 +769,14 @@ def frobenius_module(
     extra_band: int = 1,
     forced: set[TriDegree] = frozenset(),
     threads: int = 1,
-    use_modp: bool = True,
     max_ab: int | None = None,
     budget_seconds: float | None = None,
     component_cache=None,
-    expect_support: set[TriDegree] | None = None,
 ) -> ModuleSideResult:
     """Compute the qtz-graded Frobenius series of the quotient module.
 
-    expect_support only tunes the full-rank prefilter (cells outside it are
-    tried mod p first); it never influences results.  component_cache, when
-    given, must provide get(n, degree) and put(component).
+    component_cache, when given, must provide get(n, degree) and
+    put(component).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -534,8 +796,7 @@ def frobenius_module(
             if cached is not None:
                 out[i] = cached
                 continue
-            expect_full = expect_support is not None and d not in expect_support
-            jobs.append((i, (nn, d3, use_modp, expect_full)))
+            jobs.append((i, (nn, d3)))
         if pool is not None:
             results = list(pool.map(_component_worker, [args for _, args in jobs]))
         else:
@@ -574,14 +835,13 @@ def frobenius_module(
     return ModuleSideResult(n, series, components, closed, rows)
 
 
-def support_frontier(n: int, c: int, extra_band: int = 1,
-                     use_modp: bool = True) -> set[TriDegree]:
+def support_frontier(n: int, c: int, extra_band: int = 1) -> set[TriDegree]:
     """Tri-degrees with nonzero quotient at fixed theta-degree c."""
     if not 0 <= c <= n:
         raise ValueError(f"need 0 <= c <= n, got c={c}")
 
     def compute_many(specs):
-        return [component_characters(nn, TriDegree(*d3), use_modp) for nn, d3 in specs]
+        return [component_characters(nn, TriDegree(*d3)) for nn, d3 in specs]
 
     row = explore_theta_row(n, c, compute_many, extra_band=extra_band)
     return {

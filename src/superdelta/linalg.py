@@ -55,17 +55,17 @@ class Echelon:
         return len(self.pivots)
 
     def _eliminate(self, v: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
+        """am * v - bm * p with the coordinate j cancelled (zeros dropped)."""
         a, b = p[j], v[j]
         g = gcd(a, b)
         am, bm = a // g, b // g
-        new = {}
-        for c, val in v.items():
-            w = am * val - bm * p.get(c, 0)
+        new = dict(v) if am == 1 else {c: am * val for c, val in v.items()}
+        for c, val in p.items():
+            w = new.get(c, 0) - bm * val
             if w:
                 new[c] = w
-        for c, val in p.items():
-            if c not in v:
-                new[c] = -bm * val
+            else:  # only an existing coordinate can cancel, since bm * val != 0
+                del new[c]
         return new
 
     def insert(self, v: dict[int, int]) -> int | None:
@@ -212,6 +212,30 @@ def rref(m: RationalMatrix) -> RrefResult:
     basis_cols = [m.column(j) for j in sorted(pivot_cols)]
     basis = RationalMatrix.from_columns(basis_cols, m.nrows)
     return RrefResult(ech.rank, pivot_rows, pivot_cols, basis)
+
+
+def inverse(matrix: list[list[int]]) -> list[list[object]]:
+    """Exact inverse of a square integer matrix K (ValueError if singular).
+
+    The rows [K_i | e_i] go into an Echelon, whose pivots are then exactly the
+    columns of K.  Reducing [e_j | 0 | 1] against them leaves [0 | -s x | s],
+    where x K = e_j and s is the scale the fraction-free elimination applied,
+    so row j of K^-1 is -(middle block) / s.
+    """
+    size = len(matrix)
+    ech = Echelon()
+    for i, row in enumerate(matrix):
+        v = {j: val for j, val in enumerate(row) if val}
+        v[size + i] = 1
+        ech.insert(v)
+    if sorted(ech.pivots) != list(range(size)):
+        raise ValueError("matrix is singular")
+    out = []
+    for j in range(size):
+        r = ech.residual({j: 1, 2 * size: 1})
+        s = r[2 * size]
+        out.append([normalize_scalar(RAT(-r.get(size + i, 0), s)) for i in range(size)])
+    return out
 
 
 def echelon_from_vectors(vectors, reduced: bool = True, stop_rank: int | None = None) -> Echelon:

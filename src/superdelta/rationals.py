@@ -10,8 +10,12 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as RAT
+
+    RAT_BACKEND = "gmpy2"
 except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as RAT
+
+    RAT_BACKEND = "fraction"
 
 
 def normalize_scalar(c):

@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coinvariants import ComponentCharacters, frobenius_module
+from .coinvariants import ComponentCharacters, frobenius_module, schur_multiplicities
+from .linalg import ConsistencyError
 from .macdonald import rhs_series
 from .partitions import (
     Partition,
@@ -27,10 +29,11 @@ from .partitions import (
     partitions_of,
 )
 from .qtz import QTZPoly
+from .rationals import RAT_BACKEND
 from .series import FrobeniusSeries
 from .superring import TriDegree, component_dimension
 
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = "0.2.0"
 CACHE_SCHEMA_VERSION = 1
 
 EQUAL = "EQUAL"
@@ -99,7 +102,10 @@ class ComponentCache:
     """One JSON document per component under cache_dir/n=N/a_b_c.json.
 
     Writes are atomic (temp file + rename).  Entries with a stale schema or
-    engine version, or corrupt files, are treated as missing and left alone.
+    engine version, corrupt files, and entries whose characters are not
+    those of a genuine quotient component (identity value other than dim, dim
+    above the ambient dimension, or Schur multiplicities outside N) are
+    treated as missing and left alone.
     """
 
     def __init__(self, root: str | Path):
@@ -126,8 +132,17 @@ class ComponentCache:
             return None
         if entry.engine_version != ENGINE_VERSION:
             return None
+        if entry.n != n or entry.degree != tuple(d):
+            return None
         expected = sorted(partition_to_str(mu) for mu in partitions_of(entry.n))
         if sorted(entry.characters) != expected:
+            return None
+        chars = {partition_from_str(k): v for k, v in entry.characters.items()}
+        if chars[(1,) * entry.n] != entry.dim or entry.dim > component_dimension(n, d):
+            return None
+        try:
+            schur_multiplicities(entry.n, chars)
+        except ConsistencyError:
             return None
         return entry
 
@@ -228,7 +243,6 @@ def verify_conjecture(
     cache_dir: str | Path | None = None,
     budget_seconds: float | None = None,
     max_ab: int | None = None,
-    use_modp: bool = True,
 ) -> VerificationReport:
     """Compute both sides for n and compare them coefficient by coefficient."""
     if n < 1:
@@ -248,11 +262,9 @@ def verify_conjecture(
         extra_band=extra_band,
         forced=support,
         threads=threads,
-        use_modp=use_modp,
         max_ab=max_ab,
         budget_seconds=remaining,
         component_cache=cache,
-        expect_support=support,
     )
     t_module = time.monotonic() - t1
 
@@ -295,6 +307,8 @@ def verify_conjecture(
         "module_side_seconds": round(t_module, 3),
         "total_seconds": round(time.monotonic() - t0, 3),
         "threads": threads,
+        "backend": RAT_BACKEND,
+        "python": platform.python_version(),
     }
     return VerificationReport(
         n=n,

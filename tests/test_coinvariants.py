@@ -95,7 +95,7 @@ def test_character_is_class_function():
     # traces agree for any permutation of a given cycle type
     n = 3
     deg = TriDegree(1, 0, 1)
-    comp = component_characters(n, deg, use_modp=False)
+    comp = component_characters(n, deg)
     basis = ideal_component(n, deg, use_modp=False)
     monos = basis.monomials
     index = {m: i for i, m in enumerate(monos)}
@@ -171,6 +171,15 @@ def test_assemble_series_rejects_noninteger():
     comp = ComponentCharacters(
         n=2, degree=TriDegree(0, 0, 0), dim=2, rank=0,
         chars={(2,): 0, (1, 1): 1},  # not a genuine character: 1/2 multiplicities
+    )
+    with pytest.raises(ConsistencyError):
+        assemble_series(2, {TriDegree(0, 0, 0): comp})
+
+
+def test_assemble_series_rejects_negative():
+    comp = ComponentCharacters(
+        n=2, degree=TriDegree(0, 0, 0), dim=1, rank=0,
+        chars={(2,): -1, (1, 1): -1},  # minus the trivial character
     )
     with pytest.raises(ConsistencyError):
         assemble_series(2, {TriDegree(0, 0, 0): comp})

@@ -1,0 +1,189 @@
+"""The module side by isotypic ranks, checked against the unreduced computation."""
+
+import random
+from itertools import permutations, product
+
+import pytest
+
+import superdelta.coinvariants as coinvariants
+from superdelta.characters import character_table
+from superdelta.coinvariants import (
+    ComponentCharacters,
+    component_characters,
+    frobenius_module,
+    ideal_component,
+    isotypic_dimension,
+    signed_coordinate_map,
+    trace_regular,
+    young_candidates,
+    young_system,
+)
+from superdelta.linalg import ConsistencyError
+from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type
+from superdelta.rationals import RAT, normalize_scalar
+from superdelta.superring import (
+    TriDegree,
+    apply_perm_mono,
+    component_dimension,
+    enumerate_monomials,
+)
+
+
+def reference_characters(n, d):
+    """The trace method: ambient trace minus the trace on the ideal component.
+
+    The ideal component is echelonized exactly in monomial coordinates and
+    reduced, so the trace of a signed coordinate permutation restricted to
+    it is sum_j (image of row j)[j] / row_j[j] over the pivots j.
+    """
+    monos = enumerate_monomials(n, d)
+    dim = len(monos)
+    mus = partitions_of(n)
+    basis = ideal_component(n, d, use_modp=False)
+    if basis.rank == dim:
+        return ComponentCharacters(n, d, dim, dim, {mu: 0 for mu in mus})
+    index = {m: i for i, m in enumerate(monos)}
+    chars = {}
+    for mu in mus:
+        sigma = perm_of_cycle_type(mu)
+        preimage = {j: (i, sign) for i, (j, sign) in
+                    enumerate(signed_coordinate_map(sigma, monos, index))}
+        ideal_trace = 0
+        for j, row in zip(basis.pivots, basis.rows):
+            i, sign = preimage[j]
+            if row.get(i):
+                ideal_trace += RAT(sign * row[i], row[j])
+        chars[mu] = trace_regular(sigma, n, d) - normalize_scalar(ideal_trace)
+    return ComponentCharacters(n, d, dim, basis.rank, chars)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matches_trace_method_on_every_visited_component(n):
+    components = frobenius_module(n).components
+    assert components
+    for d, comp in components.items():
+        assert comp == reference_characters(n, d), d
+
+
+def test_matches_trace_method_on_sampled_n4_components():
+    candidates = sorted(
+        TriDegree(a, s - a, c)
+        for s in range(7) for a in range(s + 1) for c in range(5)
+        if 0 < component_dimension(4, TriDegree(a, s - a, c)) <= 600
+    )
+    sample = random.Random(20190109).sample(candidates, 8)
+    nonzero = 0
+    for d in sample:
+        comp = component_characters(4, d)
+        assert comp == reference_characters(4, d), d
+        nonzero += comp.dim_quotient > 0
+    assert 0 < nonzero < len(sample)  # both kinds of component are covered
+
+
+def monomial_triples(m):
+    """The per-index triples (x_i, y_i, [i in theta]) of a monomial."""
+    return tuple((x, y, int(i in m.theta))
+                 for i, (x, y) in enumerate(zip(m.xexp, m.yexp), start=1))
+
+
+def young_group(psi):
+    """All (h, psi(h)) for h in S_alpha x S_beta on consecutive letters."""
+    sizes = [(k, False) for k in psi.alpha] + [(k, True) for k in psi.beta]
+    factors = []
+    start = 1
+    for size, signed in sizes:
+        letters = list(range(start, start + size))
+        factors.append([(p, signed) for p in permutations(letters)])
+        start += size
+    for choice in product(*factors):
+        images, value = [], 1
+        for perm, signed in choice:
+            images.extend(perm)
+            if signed:
+                inversions = sum(1 for i in range(len(perm)) for j in range(i)
+                                 if perm[j] > perm[i])
+                value *= -1 if inversions % 2 else 1
+        yield tuple(images), value
+
+
+def brute_projection(psi, m):
+    """sum_h psi(h) h.m over H, as {triples: coefficient}."""
+    acc = {}
+    for h, value in young_group(psi):
+        sign, image = apply_perm_mono(h, m)
+        key = monomial_triples(image)
+        acc[key] = acc.get(key, 0) + value * sign
+    return {k: v for k, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_canonicalization_agrees_with_bruteforce_projection(n):
+    system = young_system(n)
+    degrees = [(1, 1, 1), (2, 0, 2), (0, 2, 1), (2, 1, 0), (1, 1, 2)]
+    for psi in system.characters + (system.extra,):
+        for d in map(TriDegree._make, degrees):
+            reps = set()
+            for m in enumerate_monomials(n, d):
+                projected = brute_projection(psi, m)
+                hit = psi.canonical(monomial_triples(m))
+                if hit is None:
+                    assert not projected, (psi, m)
+                    continue
+                rep, sign = hit
+                assert projected[rep] * sign > 0, (psi, m)
+                assert psi.canonical(rep) == (rep, 1)
+                reps.add(rep)
+            assert sorted(reps) == psi.live_orbits(d), (psi, d)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_young_system_inverts(n):
+    system = young_system(n)
+    lams = partitions_of(n)
+    assert len(system.characters) == len(lams)
+    kmat = [[psi.pairing[lam] for lam in lams] for psi in system.characters]
+    for i in range(len(lams)):
+        for j in range(len(lams)):
+            entry = sum(system.inverse[i][k] * kmat[k][j] for k in range(len(lams)))
+            assert entry == (1 if i == j else 0)
+    if n > 1:
+        assert system.extra is not None and system.extra not in system.characters
+        assert system.extra == next(p for p in young_candidates(n) if p not in system.characters)
+
+
+def test_pairing_is_reciprocity():
+    # <s_lam, h_alpha e_beta> = |H|^-1 sum_h psi(h) chi^lam(h), summed by brute force
+    for n in (3, 4):
+        table = character_table(n)
+        for psi in young_candidates(n):
+            for lam in partitions_of(n):
+                total = 0
+                for h, value in young_group(psi):
+                    total += value * table.value(lam, cycle_type(h))
+                assert total == psi.pairing[lam] * psi.order, (psi, lam)
+
+
+def test_wrong_isotypic_rank_is_caught(monkeypatch):
+    n, d = 3, TriDegree(1, 0, 1)
+    component_characters(n, d)  # consistent as computed
+    system = young_system(n)
+    honest = isotypic_dimension
+    for target in system.characters + (system.extra,):
+        for delta in (1, -1):
+            def patched(deg, psi, target=target, delta=delta):
+                return honest(deg, psi) + (delta if psi == target else 0)
+
+            monkeypatch.setattr(coinvariants, "isotypic_dimension", patched)
+            with pytest.raises(ConsistencyError):
+                component_characters(n, d)
+    monkeypatch.undo()
+    assert component_characters(n, d).dim_quotient == 3
+
+
+def test_quotient_above_ambient_is_caught(monkeypatch):
+    # every isotypic rank is consistent, but the ambient dimension is understated
+    n, d = 3, TriDegree(1, 0, 1)
+    assert component_characters(n, d).dim_quotient == 3
+    monkeypatch.setattr(coinvariants, "component_dimension", lambda n, d: 2)
+    with pytest.raises(ConsistencyError, match="exceeds the ambient"):
+        component_characters(n, d)

@@ -6,6 +6,7 @@ from superdelta.linalg import (
     ConsistencyError,
     Echelon,
     RationalMatrix,
+    inverse,
     restricted_trace,
     rref,
     trace_on_reduced_basis,
@@ -126,3 +127,22 @@ def test_echelon_membership():
     assert ech.residual({0: 1})
     ech.reduce_fully()
     assert trace_on_reduced_basis(ech, lambda v: dict(v)) == 2
+
+
+def test_inverse_random_and_singular():
+    rng = random.Random(11)
+    for size in range(1, 7):
+        for _ in range(10):
+            m = [[rng.randrange(-4, 5) for _ in range(size)] for _ in range(size)]
+            if rref(RationalMatrix.from_dense(m)).rank < size:
+                with pytest.raises(ValueError):
+                    inverse(m)
+                continue
+            inv = inverse(m)
+            for i in range(size):
+                for j in range(size):
+                    entry = sum(inv[i][k] * m[k][j] for k in range(size))
+                    assert entry == (1 if i == j else 0)
+    assert inverse([[2, 0], [0, 4]]) == [[RAT(1, 2), 0], [0, RAT(1, 4)]]
+    with pytest.raises(ValueError):
+        inverse([[1, 2], [2, 4]])

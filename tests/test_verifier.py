@@ -1,4 +1,5 @@
 import json
+import platform
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
 from superdelta.verifier import (
     CACHE_SCHEMA_VERSION,
+    ENGINE_VERSION,
     EQUAL,
     INCONCLUSIVE,
     CacheEntry,
@@ -23,7 +25,7 @@ from superdelta.verifier import (
 def sample_entry():
     return CacheEntry(
         schema_version=CACHE_SCHEMA_VERSION,
-        engine_version="0.1.0",
+        engine_version=ENGINE_VERSION,
         n=2,
         degree=(0, 0, 1),
         dim=1,
@@ -58,6 +60,48 @@ def test_cache_version_bump_ignored(tmp_path):
     entry2.schema_version = CACHE_SCHEMA_VERSION + 1
     cache.save_entry(entry2)
     assert cache.load_entry(2, TriDegree(0, 0, 1)) is None
+
+
+def tampered_entries():
+    """Entries that no genuine module has, each with a valid schema and version."""
+    wrong_dim = sample_entry()
+    wrong_dim.dim = 2  # the identity character says 1
+    half = sample_entry()
+    half.characters = {"2": 0, "1,1": 1}  # multiplicities 1/2 and 1/2
+    negative = sample_entry()
+    negative.dim = -1
+    negative.characters = {"2": -1, "1,1": -1}  # minus the trivial character
+    too_big = sample_entry()
+    too_big.dim = 3
+    too_big.characters = {"2": 1, "1,1": 3}  # 2 s_2 + s_11, but R_(0,0,1) has dim 2
+    return [wrong_dim, half, negative, too_big]
+
+
+def test_cache_rejects_tampered_entries(tmp_path):
+    cache = ComponentCache(tmp_path)
+    for entry in tampered_entries():
+        cache.save_entry(entry)
+        assert cache.get(2, TriDegree(0, 0, 1)) is None
+    moved = sample_entry()
+    moved.degree = (1, 0, 0)  # a valid entry filed under another degree
+    cache.save_entry(moved)
+    cache.entry_path(2, TriDegree(1, 0, 0)).rename(cache.entry_path(2, TriDegree(0, 0, 1)))
+    assert cache.get(2, TriDegree(0, 0, 1)) is None
+
+
+def test_verify_recomputes_tampered_entries(tmp_path):
+    for k, entry in enumerate(tampered_entries()):
+        cache = ComponentCache(tmp_path / str(k))
+        cache.save_entry(entry)
+        report = verify_conjecture(2, cache_dir=cache.root)
+        assert report.verdict == EQUAL
+        assert cache.load_entry(2, TriDegree(0, 0, 1)) == sample_entry()
+
+
+def test_report_timing_names_backend_and_python():
+    timing = verify_conjecture(1).timing
+    assert timing["backend"] in ("gmpy2", "fraction")
+    assert timing["python"] == platform.python_version()
 
 
 def test_cache_component_roundtrip(tmp_path):
