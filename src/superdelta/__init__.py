@@ -35,7 +35,6 @@ from .macdonald import (
 from .partitions import Partition, Permutation, cycle_type, partitions_of, z_mu
 from .characters import CharacterTable, character_table, kostka, mn_character
 from .qtz import QTZPoly, NotDivisible, divide_exact
-from .linalg import RationalMatrix, restricted_trace, rref
 from .series import FrobeniusSeries
 from .superring import (
     SuperMonomial,

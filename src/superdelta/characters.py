@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, partitions_of, syt_count
+from .partitions import Partition, partitions_of
 
 
 @cache
@@ -106,16 +106,9 @@ def kostka(lam: Partition, nu: Partition) -> int:
     return total
 
 
-def syt_count_via_character(lam: Partition) -> int:
-    """chi^lam at the identity; equals syt_count(lam)."""
-    return mn_character(lam, (1,) * sum(lam)) if lam else 1
-
-
 __all__ = [
     "CharacterTable",
     "character_table",
     "kostka",
     "mn_character",
-    "syt_count",
-    "syt_count_via_character",
 ]

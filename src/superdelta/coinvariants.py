@@ -37,7 +37,7 @@ must be nonnegative integers, and chi_M(mu) = sum_lam m_lam chi^lam(mu).
 One more, dependent psi is computed as a redundancy check.
 
 The unreduced path (ideal components in monomial coordinates, their echelon
-bases, a dense mod-p full-rank certificate and the signed coordinate action)
+bases, a sparse mod-p full-rank certificate and the signed coordinate action)
 stays as the reference that tests compare against.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
@@ -76,9 +76,7 @@ from .superring import (
     mono_mul,
 )
 
-MODP_PRIME = 1_048_573  # 20 bits: float64 block updates stay exact below 2^53
-MODP_BLOCK = 128
-MODP_MIN_DIM = 120
+MODP_PRIME = 1_048_573
 
 
 class BudgetExceeded(Exception):
@@ -108,135 +106,35 @@ def spanning_vectors(n: int, d: TriDegree, index: dict[SuperMonomial, int]):
                 yield vec
 
 
-def _modp_full_rank_core(mat, dim: int, p: int, block: int) -> bool:
-    import numpy as np
-
-    k = mat.shape[0]
-    if k < dim:
-        return False
-    # Lazy reduction: off-panel entries are only reduced when consumed.
-    # Each block update adds at most block * p^2 < 2^47 in magnitude, so with
-    # at most 63 pending blocks everything stays exact in float64.
-    lazy = (dim + block - 1) // block <= 63
-    top = 0  # rows [0, top) are retired pivot rows
-    for r0 in range(0, dim, block):
-        e = min(r0 + block, dim)
-        bb = e - r0
-        # Select bb active rows independent on the panel columns.  Candidate
-        # rows are taken in slabs; each slab is reduced against the current
-        # Gauss-Jordan panel echelon with one matrix product, then surviving
-        # rows are inserted one at a time.
-        ech = np.zeros((bb, bb), dtype=np.float64)
-        lead: list[int] = []
-        piv_abs: list[int] = []
-        start = top
-        while start < k and len(lead) < bb:
-            stop = min(k, start + 1024)
-            slab = np.mod(mat[start:stop, r0:e], p)
-            if lead:
-                factors = slab[:, lead].copy()
-                slab -= np.dot(factors, ech[: len(lead)])
-                np.mod(slab, p, out=slab)
-            fresh = len(lead)
-            for local in np.nonzero(np.any(slab, axis=1))[0]:
-                row = slab[local]
-                for s in range(fresh, len(lead)):
-                    f = row[lead[s]]
-                    if f:
-                        row = (row - f * ech[s]) % p
-                nz = np.nonzero(row)[0]
-                if nz.size == 0:
-                    continue
-                c = int(nz[0])
-                row = (row * pow(int(row[c]), p - 2, p)) % p
-                # keep the echelon reduced so slab reduction is one product
-                for s in range(len(lead)):
-                    f = ech[s, c]
-                    if f:
-                        ech[s] = (ech[s] - f * row) % p
-                ech[len(lead)] = row
-                lead.append(c)
-                piv_abs.append(start + int(local))
-                if len(lead) == bb:
-                    break
-            start = stop
-        if len(lead) < bb:
-            # A column dependency among the remaining columns: not full rank
-            # mod p (any column subset of a full-column-rank matrix is free).
-            return False
-        # piv_abs is ascending with piv_abs[j] >= top + j, so these swaps
-        # never displace a later pivot row.
-        for j, i_abs in enumerate(piv_abs):
-            pos = top + j
-            if i_abs != pos:
-                mat[[pos, i_abs]] = mat[[i_abs, pos]]
-        # Reduce the pivot block to the identity on the panel columns, then
-        # clear the panel from every remaining active row in one update.
-        new_top = top + bb
-        pivot_rows = np.mod(mat[top:new_top, r0:], p)
-        inv = _modp_inverse(pivot_rows[:, :bb], p)
-        reduced = np.dot(inv, pivot_rows)
-        np.mod(reduced, p, out=reduced)
-        mat[top:new_top, r0:] = reduced
-        rest = mat[new_top:, r0:]
-        if rest.shape[0]:
-            factors = np.mod(rest[:, :bb], p)
-            rest -= np.dot(factors, reduced)
-            rest[:, :bb] = 0.0
-            if not lazy:
-                np.mod(rest, p, out=rest)
-        top = new_top
-    return True
-
-
-def _modp_inverse(panel, p: int):
-    """Gauss-Jordan inverse of a square matrix mod p (float64, exact)."""
-    import numpy as np
-
-    bb = panel.shape[0]
-    aug = np.concatenate([panel % p, np.eye(bb)], axis=1)
-    for j in range(bb):
-        nz = np.nonzero(aug[j:, j])[0]
-        if nz.size == 0:
-            raise ConsistencyError("panel not invertible")
-        i = j + int(nz[0])
-        if i != j:
-            aug[[j, i]] = aug[[i, j]]
-        aug[j] = (aug[j] * pow(int(aug[j, j]), p - 2, p)) % p
-        for i in range(bb):
-            if i != j and aug[i, j]:
-                aug[i] = (aug[i] - aug[i, j] * aug[j]) % p
-    return aug[:, bb:]
-
-
-def _fill_matrix(vectors, dim: int, p: int):
-    import numpy as np
-
-    # column-major: the elimination works on column blocks
-    mat = np.zeros((len(vectors), dim), dtype=np.float64, order="F")
-    for r, vec in enumerate(vectors):
-        for c, val in vec.items():
-            mat[r, c] = val % p
-    return mat
-
-
-def _modp_is_full_rank(vectors: list[dict[int, int]], dim: int,
-                       p: int = MODP_PRIME, block: int = MODP_BLOCK) -> bool:
+def _modp_is_full_rank(vectors: list[dict[int, int]], dim: int) -> bool:
     """True only if the vectors certifiably span all dim coordinates.
 
-    Works modulo p, which can only lower the rank, so a full-rank answer is
-    exact; False just means "not certified".
+    Sparse elimination modulo MODP_PRIME, which can only lower the rank, so a
+    full-rank answer is exact; False just means "not certified".
     """
-    k = len(vectors)
-    if k < dim:
+    if len(vectors) < dim:
         return False
-    if k * dim > 120_000_000:
-        # memory guard for very large components: certify from a stratified
-        # sample or let exact elimination decide
-        take = min(k, 2 * dim + 16)
-        sample = [vectors[(i * k) // take] for i in range(take)]
-        return _modp_full_rank_core(_fill_matrix(sample, dim, p), dim, p, block)
-    return _modp_full_rank_core(_fill_matrix(vectors, dim, p), dim, p, block)
+    p = MODP_PRIME
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        v = {c: val % p for c, val in vec.items() if val % p}
+        while v:
+            j = min(v)
+            row = pivots.get(j)
+            if row is None:
+                inv = pow(v[j], -1, p)
+                pivots[j] = {c: val * inv % p for c, val in v.items()}
+                if len(pivots) == dim:
+                    return True
+                break
+            f = v[j]
+            for c, val in row.items():
+                w = (v.get(c, 0) - f * val) % p
+                if w:
+                    v[c] = w
+                else:
+                    v.pop(c, None)
+    return False
 
 
 @dataclass
@@ -259,28 +157,23 @@ class IdealComponentBasis:
         ech.pivots = {j: row for j, row in zip(self.pivots, self.rows)}
         return ech
 
-    def contains(self, vec: dict[int, int]) -> bool:
-        return not self.echelon().residual(dict(vec))
 
+def ideal_component(n: int, d: TriDegree) -> IdealComponentBasis:
+    """Basis of the span { g * m } inside the component of tri-degree d.
 
-def ideal_component(n: int, d: TriDegree, use_modp: bool = True) -> IdealComponentBasis:
-    """Basis of the span { g * m } inside the component of tri-degree d."""
+    A component the mod-p certificate finds full comes back without rows.
+    """
     monos = enumerate_monomials(n, d)
     dim = len(monos)
     if dim == 0:
         return IdealComponentBasis(d, monos, 0)
     index = {m: i for i, m in enumerate(monos)}
-
-    if use_modp and dim >= MODP_MIN_DIM:
-        vectors = list(spanning_vectors(n, d, index))
-        if _modp_is_full_rank(vectors, dim):
-            return IdealComponentBasis(d, monos, dim, certified_full=True)
-        source = vectors
-    else:
-        source = spanning_vectors(n, d, index)
+    vectors = list(spanning_vectors(n, d, index))
+    if _modp_is_full_rank(vectors, dim):
+        return IdealComponentBasis(d, monos, dim, certified_full=True)
 
     ech = Echelon()
-    for vec in source:
+    for vec in vectors:
         ech.insert(dict(vec))
         if ech.rank == dim:
             break
@@ -776,7 +669,9 @@ def frobenius_module(
     """Compute the qtz-graded Frobenius series of the quotient module.
 
     component_cache, when given, must provide get(n, degree) and
-    put(component).
+    put(component).  The budget is checked before each component (serial)
+    or bounds the wait for a band's components (pool), so a run stops
+    within one component of its deadline.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -788,24 +683,34 @@ def frobenius_module(
         pool = ProcessPoolExecutor(max_workers=threads)
 
     def compute_many(specs):
-        jobs = []
-        out: dict[int, ComponentCharacters] = {}
-        for i, (nn, d3) in enumerate(specs):
-            d = TriDegree(*d3)
-            cached = component_cache.get(nn, d) if component_cache is not None else None
-            if cached is not None:
-                out[i] = cached
-                continue
-            jobs.append((i, (nn, d3)))
-        if pool is not None:
-            results = list(pool.map(_component_worker, [args for _, args in jobs]))
-        else:
-            results = [_component_worker(args) for _, args in jobs]
-        for (i, _), comp in zip(jobs, results):
+        out = [
+            component_cache.get(nn, TriDegree(*d3)) if component_cache is not None else None
+            for nn, d3 in specs
+        ]
+        todo = [i for i, comp in enumerate(out) if comp is None]
+
+        def finish(i, comp):
             out[i] = comp
             if component_cache is not None:
                 component_cache.put(comp)
-        return [out[i] for i in range(len(specs))]
+
+        if pool is None:
+            for i in todo:
+                if deadline is not None and time.monotonic() > deadline:
+                    raise BudgetExceeded(f"budget exhausted before {specs[i][1]}")
+                finish(i, _component_worker(specs[i]))
+        else:
+            from concurrent.futures import wait
+
+            futures = {pool.submit(_component_worker, specs[i]): i for i in todo}
+            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+            _, pending = wait(futures, timeout=timeout)
+            for fut, i in futures.items():  # spec order; keeps what finished in time
+                if fut.done():
+                    finish(i, fut.result())
+            if pending:
+                raise BudgetExceeded(f"budget exhausted with {len(pending)} components pending")
+        return out
 
     rows: dict[int, ThetaRowResult] = {}
     try:
@@ -824,7 +729,7 @@ def frobenius_module(
         pass
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
 
     components: dict[TriDegree, ComponentCharacters] = {}
     for c, row in rows.items():

@@ -158,11 +158,6 @@ class SymFunc:
             return SymFunc("s", self.n, {(1,) * self.n: self.coefficient((self.n,))})
         raise NotImplementedError("general elementary expansions are not needed")
 
-    def to_monomial(self) -> SymFunc:
-        if self.basis == "m":
-            return self
-        return schur_to_mono(self.to_schur())
-
     def to_json_dict(self) -> dict:
         from .partitions import partition_to_str
 

@@ -121,11 +121,6 @@ def syt_count(mu: Partition) -> int:
 # --- permutations -----------------------------------------------------------
 
 
-def check_permutation(sigma: Permutation) -> None:
-    if sorted(sigma) != list(range(1, len(sigma) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(sigma)}: {sigma}")
-
-
 def identity_perm(n: int) -> Permutation:
     return tuple(range(1, n + 1))
 

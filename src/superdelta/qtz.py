@@ -93,9 +93,6 @@ class QTZPoly:
     def has_nonnegative_coeffs(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
-    def constant_term(self):
-        return self.terms.get((0, 0, 0), 0)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> QTZPoly:

@@ -33,7 +33,3 @@ def scalar_from_str(s: str):
     if "/" in s:
         return normalize_scalar(RAT(s))
     return int(s)
-
-
-def scalar_to_str(c) -> str:
-    return str(c)

@@ -166,15 +166,6 @@ class ComponentCache:
             raise
 
 
-def cache_roundtrip(entry: CacheEntry, cache: ComponentCache) -> CacheEntry:
-    """Write then re-read an entry; the result is identical."""
-    cache.save_entry(entry)
-    reread = cache.load_entry(entry.n, TriDegree(*entry.degree))
-    if reread is None:
-        raise OSError(f"cache entry did not survive a round trip: {entry.degree}")
-    return reread
-
-
 # --- comparison and report ----------------------------------------------------
 
 

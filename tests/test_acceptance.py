@@ -210,7 +210,7 @@ def _check_stability(results):
     for n in (1, 2, 3):
         perms = list(all_permutations(n))
         for d in results[n].components:
-            basis = ideal_component(n, d, use_modp=False)
+            basis = ideal_component(n, d)
             if basis.rank in (0, basis.dim):
                 continue
             index = {m: i for i, m in enumerate(basis.monomials)}
@@ -228,7 +228,7 @@ def _check_stability(results):
         if 0 < comp.dim_quotient and comp.dim <= 600
     ]
     for d, _comp in rng.sample(candidates, min(3, len(candidates))):
-        basis = ideal_component(4, d, use_modp=False)
+        basis = ideal_component(4, d)
         index = {m: i for i, m in enumerate(basis.monomials)}
         ech = basis.echelon()
         for a in rng.sample(range(1, 4), 2):

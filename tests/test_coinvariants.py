@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from superdelta.coinvariants import (
@@ -13,7 +15,7 @@ from superdelta.coinvariants import (
     support_frontier,
     trace_regular,
 )
-from superdelta.linalg import ConsistencyError
+from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.partitions import all_permutations
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
@@ -49,20 +51,36 @@ def test_trace_regular_against_bruteforce():
 
 
 def test_ideal_component_examples():
-    assert ideal_component(2, TriDegree(0, 0, 1), use_modp=False).rank == 1
-    assert ideal_component(2, TriDegree(1, 0, 1), use_modp=False).rank == 4
-    assert ideal_component(1, TriDegree(1, 0, 0), use_modp=False).rank == 1
+    assert ideal_component(2, TriDegree(0, 0, 1)).rank == 1
+    assert ideal_component(2, TriDegree(1, 0, 1)).rank == 4
+    assert ideal_component(1, TriDegree(1, 0, 0)).rank == 1
     assert ideal_component(3, TriDegree(0, 0, 4)).rank == 0
 
 
+def exact_rank(n, d):
+    monos = enumerate_monomials(n, d)
+    index = {m: i for i, m in enumerate(monos)}
+    ech = Echelon()
+    for vec in spanning_vectors(n, d, index):
+        ech.insert(vec)
+    return ech.rank
+
+
 def test_ideal_component_modp_matches_exact():
-    for n in (2, 3):
-        for d in [(0, 0, 1), (1, 0, 1), (1, 1, 0), (2, 1, 0), (2, 1, 1), (3, 0, 0)]:
-            deg = TriDegree(*d)
-            assert (
-                ideal_component(n, deg, use_modp=True).rank
-                == ideal_component(n, deg, use_modp=False).rank
-            )
+    certified = deficient = 0
+    cases = [(n, d) for n in (2, 3)
+             for d in [(0, 0, 1), (1, 0, 1), (1, 1, 0), (2, 1, 0), (2, 1, 1), (3, 0, 0)]]
+    # dim >= 120: two full components and a rank-deficient one
+    cases += [(3, (4, 3, 0)), (3, (3, 2, 1)), (4, (2, 1, 1))]
+    for n, d in cases:
+        deg = TriDegree(*d)
+        basis = ideal_component(n, deg)
+        assert basis.rank == exact_rank(n, deg), (n, d)
+        assert basis.certified_full == (basis.rank == basis.dim), (n, d)
+        if basis.dim >= 120:
+            certified += basis.certified_full
+            deficient += basis.rank < basis.dim
+    assert certified == 2 and deficient == 1
 
 
 def test_ideal_component_stability_exhaustive():
@@ -70,7 +88,7 @@ def test_ideal_component_stability_exhaustive():
     for n in (2, 3):
         for d in [(0, 0, 1), (1, 1, 0), (1, 0, 1), (2, 1, 1), (1, 1, 2)]:
             deg = TriDegree(*d)
-            basis = ideal_component(n, deg, use_modp=False)
+            basis = ideal_component(n, deg)
             if basis.rank in (0, basis.dim):
                 continue
             monos = basis.monomials
@@ -96,7 +114,7 @@ def test_character_is_class_function():
     n = 3
     deg = TriDegree(1, 0, 1)
     comp = component_characters(n, deg)
-    basis = ideal_component(n, deg, use_modp=False)
+    basis = ideal_component(n, deg)
     monos = basis.monomials
     index = {m: i for i, m in enumerate(monos)}
     ech = basis.echelon()
@@ -196,3 +214,11 @@ def test_spanning_vectors_entries():
 def test_budget_configuration():
     partial = frobenius_module(3, budget_seconds=0.0)
     assert not partial.closed
+
+
+def test_budget_pool_path_stops_early():
+    # the pool path waits only for the remaining time, then cancels
+    start = time.monotonic()
+    partial = frobenius_module(4, threads=2, budget_seconds=0.3)
+    assert not partial.closed
+    assert time.monotonic() - start < 0.3 + 2.0  # the slowest n = 4 component is ~1.4 s

@@ -39,7 +39,7 @@ def reference_characters(n, d):
     monos = enumerate_monomials(n, d)
     dim = len(monos)
     mus = partitions_of(n)
-    basis = ideal_component(n, d, use_modp=False)
+    basis = ideal_component(n, d)
     if basis.rank == dim:
         return ComponentCharacters(n, d, dim, dim, {mu: 0 for mu in mus})
     index = {m: i for i, m in enumerate(monos)}

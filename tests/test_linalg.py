@@ -2,21 +2,53 @@ import random
 
 import pytest
 
-from superdelta.linalg import (
-    ConsistencyError,
-    Echelon,
-    RationalMatrix,
-    inverse,
-    restricted_trace,
-    rref,
-    trace_on_reduced_basis,
-)
+from superdelta.coinvariants import MODP_PRIME, _modp_is_full_rank
+from superdelta.linalg import Echelon, inverse, trace_on_reduced_basis
 from superdelta.rationals import RAT
 
 
+def echelon_of(rows):
+    ech = Echelon()
+    for row in rows:
+        ech.insert({c: val for c, val in enumerate(row) if val})
+    return ech
+
+
+def transpose(rows, ncols):
+    return [[row[c] for row in rows] for c in range(ncols)]
+
+
+def random_matrix(rng, nrows, ncols, lo=-3, hi=3):
+    return [[rng.randrange(lo, hi + 1) for _ in range(ncols)] for _ in range(nrows)]
+
+
+def matrix_action(a):
+    """The dict-vector action v -> a v of a dense matrix."""
+    def act(v):
+        out = {}
+        for r, row in enumerate(a):
+            s = sum(row[c] * val for c, val in v.items())
+            if s:
+                out[r] = s
+        return out
+    return act
+
+
+def trace_on_span(vectors, action):
+    """Trace of an action restricted to the span of independent vectors."""
+    ech = echelon_of(vectors)
+    assert ech.rank == len(vectors)
+    ech.reduce_fully()
+    return trace_on_reduced_basis(ech, action)
+
+
 def test_rref_identity_and_zero():
-    assert rref(RationalMatrix.identity(4)).rank == 4
-    assert rref(RationalMatrix(3, 5)).rank == 0
+    ech = echelon_of([[int(i == j) for j in range(4)] for i in range(4)])
+    ech.reduce_fully()
+    assert ech.basis_rows() == [(j, {j: 1}) for j in range(4)]
+    zero = echelon_of([[0] * 5] * 3)
+    assert zero.rank == 0
+    assert zero.insert({0: 0, 2: 0}) is None
 
 
 def test_rref_theta_component_spanning_matrix():
@@ -30,56 +62,53 @@ def test_rref_theta_component_spanning_matrix():
         [1, 0, 1, 0],
         [0, 1, 0, 1],
     ]
-    m = RationalMatrix.from_dense(vectors).transpose()  # vectors as columns
-    result = rref(m.transpose())  # row-reduce the vectors
-    assert result.rank == 4
-    assert len(result.pivot_rows) == 4
-    assert len(result.pivot_cols) == 4
-    # basis columns span the column space of the input
-    assert result.basis.ncols == 4
+    ech = echelon_of(vectors)
+    assert ech.rank == 4
+    ech.reduce_fully()
+    assert ech.basis_rows() == [(j, {j: 1}) for j in range(4)]
 
 
 def test_rref_rank_transpose_random():
     rng = random.Random(7)
     for _ in range(25):
-        rows = rng.randrange(1, 6)
-        cols = rng.randrange(1, 6)
-        m = RationalMatrix.from_dense(
-            [[rng.randrange(-3, 4) for _ in range(cols)] for _ in range(rows)]
-        )
-        assert rref(m).rank == rref(m.transpose()).rank
+        nrows, ncols = rng.randrange(1, 6), rng.randrange(1, 6)
+        m = random_matrix(rng, nrows, ncols)
+        assert echelon_of(m).rank == echelon_of(transpose(m, ncols)).rank
 
 
 def test_rref_deterministic_and_idempotent_rank():
     rng = random.Random(11)
-    m = RationalMatrix.from_dense(
-        [[rng.randrange(-2, 3) for _ in range(6)] for _ in range(8)]
-    )
-    r1, r2 = rref(m), rref(m)
-    assert r1.rank == r2.rank
-    assert r1.pivot_cols == r2.pivot_cols
-    assert r1.pivot_rows == r2.pivot_rows
-    # reducing the extracted basis again preserves the rank
-    assert rref(r1.basis).rank == r1.rank
+    m = random_matrix(rng, 8, 6, -2, 2)
+    first, second = echelon_of(m), echelon_of(m)
+    assert first.basis_rows() == second.basis_rows()
+    # every pivot is the smallest coordinate of its row
+    assert all(j == min(row) for j, row in first.basis_rows())
+    first.reduce_fully()
+    # reduced: each row vanishes at every other pivot column
+    for j, row in first.basis_rows():
+        assert not (set(row) - {j}) & set(first.pivots)
+    # reducing the extracted basis again keeps the rank, pivots and rows
+    again = echelon_of([[row.get(c, 0) for c in range(6)] for _, row in first.basis_rows()])
+    again.reduce_fully()
+    assert again.basis_rows() == first.basis_rows()
 
 
 def test_restricted_trace_single_column_swap():
-    b = RationalMatrix.from_dense([[1], [1]])
-    swap = RationalMatrix.from_dense([[0, 1], [1, 0]])
-    assert restricted_trace(b, swap) == 1
+    swap = matrix_action([[0, 1], [1, 0]])
+    assert trace_on_span([[1, 1]], swap) == 1
 
 
 def test_restricted_trace_full_space():
-    a = RationalMatrix.from_dense([[2, 1, 0], [0, -3, 4], [1, 1, 5]])
-    assert restricted_trace(RationalMatrix.identity(3), a) == 2 - 3 + 5
+    a = [[2, 1, 0], [0, -3, 4], [1, 1, 5]]
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert trace_on_span(identity, matrix_action(a)) == 2 - 3 + 5
 
 
 def test_restricted_trace_theta_span():
     # span of t1 + t2 inside the theta-degree-1 component; the swap fixes it
-    b = RationalMatrix.from_dense([[1], [1]])
     def swap_action(v):
         return {0: v.get(1, 0), 1: v.get(0, 0)}
-    assert restricted_trace(b, swap_action) == 1
+    assert trace_on_span([[1, 1]], swap_action) == 1
 
 
 def test_restricted_trace_identity_counts_columns():
@@ -89,34 +118,19 @@ def test_restricted_trace_identity_counts_columns():
         cols = []
         ech = Echelon()
         for _ in range(rng.randrange(1, n + 1)):
-            v = {i: rng.randrange(-3, 4) for i in range(n) if rng.random() < 0.7}
-            if v and ech.insert(dict(v)) is not None:
+            v = [rng.randrange(-3, 4) if rng.random() < 0.7 else 0 for _ in range(n)]
+            if ech.insert({i: x for i, x in enumerate(v) if x}) is not None:
                 cols.append(v)
         if not cols:
             continue
-        b = RationalMatrix.from_columns(cols, n)
-        assert restricted_trace(b, lambda v: dict(v)) == len(cols)
-
-
-def test_restricted_trace_rejects_dependent_columns():
-    b = RationalMatrix.from_dense([[1, 2], [1, 2]])
-    with pytest.raises(ValueError):
-        restricted_trace(b, lambda v: dict(v))
-
-
-def test_restricted_trace_detects_unstable_subspace():
-    b = RationalMatrix.from_dense([[1], [0]])  # span of e0
-    rot = RationalMatrix.from_dense([[0, -1], [1, 0]])  # e0 -> e1: leaves span
-    with pytest.raises(ConsistencyError):
-        restricted_trace(b, rot, check=True)
+        assert trace_on_span(cols, lambda v: dict(v)) == len(cols)
 
 
 def test_restricted_trace_rational_values():
     # action scaling the basis vector by 3/2
-    b = RationalMatrix.from_dense([[2], [4]])
     def scale(v):
         return {i: RAT(3, 2) * x for i, x in v.items()}
-    assert restricted_trace(b, scale) == RAT(3, 2)
+    assert trace_on_span([[2, 4]], scale) == RAT(3, 2)
 
 
 def test_echelon_membership():
@@ -133,8 +147,8 @@ def test_inverse_random_and_singular():
     rng = random.Random(11)
     for size in range(1, 7):
         for _ in range(10):
-            m = [[rng.randrange(-4, 5) for _ in range(size)] for _ in range(size)]
-            if rref(RationalMatrix.from_dense(m)).rank < size:
+            m = random_matrix(rng, size, size, -4, 4)
+            if echelon_of(m).rank < size:
                 with pytest.raises(ValueError):
                     inverse(m)
                 continue
@@ -146,3 +160,23 @@ def test_inverse_random_and_singular():
     assert inverse([[2, 0], [0, 4]]) == [[RAT(1, 2), 0], [0, RAT(1, 4)]]
     with pytest.raises(ValueError):
         inverse([[1, 2], [2, 4]])
+
+
+def test_modp_certificate_matches_exact_full_rank():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(200):
+        nrows, ncols = rng.randrange(1, 7), rng.randrange(1, 6)
+        m = random_matrix(rng, nrows, ncols, -2, 2)
+        vectors = [{c: val for c, val in enumerate(row) if val} for row in m]
+        full = echelon_of(m).rank == ncols
+        assert _modp_is_full_rank(vectors, ncols) == full
+        outcomes.add(full)
+    assert outcomes == {True, False}
+
+
+def test_modp_certificate_is_one_sided():
+    # rank 1 over Q, rank 0 mod p: not certified, never a false "full"
+    assert echelon_of([[MODP_PRIME]]).rank == 1
+    assert not _modp_is_full_rank([{0: MODP_PRIME}], 1)
+    assert _modp_is_full_rank([{0: MODP_PRIME + 1}], 1)

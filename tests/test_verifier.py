@@ -1,10 +1,14 @@
 import json
+import os
 import platform
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import superdelta
 from superdelta.qtz import ONE, Q
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
@@ -16,7 +20,6 @@ from superdelta.verifier import (
     CacheEntry,
     ComponentCache,
     compare_series,
-    cache_roundtrip,
     render_report,
     verify_conjecture,
 )
@@ -36,7 +39,8 @@ def sample_entry():
 def test_cache_roundtrip(tmp_path):
     cache = ComponentCache(tmp_path)
     entry = sample_entry()
-    assert cache_roundtrip(entry, cache) == entry
+    cache.save_entry(entry)
+    assert cache.load_entry(2, TriDegree(0, 0, 1)) == entry
     path = cache.entry_path(2, TriDegree(0, 0, 1))
     assert path.exists()
     assert not list(path.parent.glob("*.tmp"))
@@ -141,6 +145,50 @@ def test_verify_small_equal():
 def test_verify_budget_inconclusive():
     report = verify_conjecture(2, budget_seconds=0.0)
     assert report.verdict == INCONCLUSIVE
+
+
+def test_budget_stops_within_one_component(monkeypatch):
+    import superdelta.coinvariants as coinvariants
+
+    worker = coinvariants._component_worker
+
+    def slow_worker(args):
+        time.sleep(0.2)
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", slow_worker)
+    # bands a+b = 0, 1, 2 of the c = 0 row take 1.2 s, so the deadline falls
+    # early in band 3 (four components, 0.8 s): a per-band check overruns it
+    budget = 1.3
+    start = time.monotonic()
+    report = verify_conjecture(3, threads=1, budget_seconds=budget)
+    elapsed = time.monotonic() - start
+    assert report.verdict == INCONCLUSIVE
+    assert elapsed < budget + 0.4
+
+
+NO_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now fails
+from superdelta.coinvariants import ideal_component
+from superdelta.superring import TriDegree
+from superdelta.verifier import EQUAL, verify_conjecture
+basis = ideal_component(3, TriDegree(4, 3, 0))
+assert basis.dim == 150 and basis.certified_full and basis.rank == 150
+assert verify_conjecture(3).verdict == EQUAL
+print("ok")
+"""
+
+
+def test_engine_and_reference_run_without_numpy():
+    src = str(Path(superdelta.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    ))
+    proc = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_verify_degree_budget_inconclusive():
