@@ -671,7 +671,8 @@ def frobenius_module(
     component_cache, when given, must provide get(n, degree) and
     put(component).  The budget is checked before each component (serial)
     or bounds the wait for a band's components (pool), so a run stops
-    within one component of its deadline.
+    within one component of its deadline; every component finished by then
+    is in the result, the unclosed row in progress included.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -682,15 +683,21 @@ def frobenius_module(
 
         pool = ProcessPoolExecutor(max_workers=threads)
 
+    done: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
+
     def compute_many(specs):
         out = [
             component_cache.get(nn, TriDegree(*d3)) if component_cache is not None else None
             for nn, d3 in specs
         ]
         todo = [i for i, comp in enumerate(out) if comp is None]
+        for i, comp in enumerate(out):
+            if comp is not None:
+                done[TriDegree(*specs[i][1])] = comp
 
         def finish(i, comp):
             out[i] = comp
+            done[TriDegree(*specs[i][1])] = comp
             if component_cache is not None:
                 component_cache.put(comp)
 
@@ -731,6 +738,8 @@ def frobenius_module(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
+    for d, comp in done.items():  # the row in progress when the budget ran out
+        rows.setdefault(d.c, ThetaRowResult(d.c)).components.setdefault((d.a, d.b), comp)
     components: dict[TriDegree, ComponentCharacters] = {}
     for c, row in rows.items():
         for (a, b), comp in row.components.items():

@@ -21,9 +21,11 @@ forced identity Delta'_{e_0}(e_n) = e_n.  All those scalars are products of
 two-term factors, so sums over mu are accumulated over one shared product
 denominator L.  The products and sums are taken on Kronecker-packed ints,
 with the packing's q-degree and slot width worked out from the factors'
-degrees and coefficient sums, and each Schur coefficient is unpacked once
-and divided exactly by the two-term atoms of L one at a time, which
-certifies it polynomial.
+degrees and coefficient sums.  Only the eigenvalue e_k[B_mu - 1] depends on
+k, so one pass serves every k: each product of the rest is formed once and
+e_k[B_mu - 1] is applied to it as shifted adds.  Each Schur coefficient is
+unpacked once, straight into a coefficient grid, and divided exactly by the
+two-term atoms of L one at a time, which certifies it polynomial.
 """
 
 from __future__ import annotations
@@ -368,27 +370,21 @@ def _packed_product(factors: list[QTZPoly]) -> QTZPoly:
     return packing.unpack(acc)
 
 
-@dataclass
-class _DeltaContext:
-    """The k-independent part of delta_prime_ek_en(n, k), packed once.
+@cache
+def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
+    """The Schur coefficients of Delta'_{e_k}(e_n) for k = 0..n-1, in one pass.
 
-    The Schur coefficient at lam is the sum over mu of
-    sbase[mu] * e_k[B_mu - 1] * <H~_mu, s_lam>, divided by L = prod(l_atoms).
+    The coefficient at lam is the sum over mu of
+    sbase[mu] * e_k[B_mu - 1] * <H~_mu, s_lam>, divided by L = prod(l_atoms),
+    where sbase[mu] = sign * B_mu * num_atoms * (L / den_mu).  The product
+    P = sbase[mu] * <H~_mu, s_lam> does not depend on k, so it is formed
+    once, packed, and e_k[B_mu - 1] is applied to it as shifted adds, one
+    per term; lam goes by lam, so only one lam's products are held at once.
     e_(n-1) has the highest q-degree of all e_k, and e_k[B_mu - 1] has
-    comb(n-1, k) terms, all with coefficient 1; with the factors' own
+    comb(n-1, k) terms counted with multiplicity; with the factors' own
     degrees and coefficient sums these bound every numerator's q-degree and
     coefficients, which sets the packing.
     """
-
-    n: int
-    l_atoms: Counter  # the two-term factors of L, with multiplicity
-    packing: Kronecker
-    sbase: dict[Partition, int]  # sign * B_mu * num_atoms * (L / den_mu), packed
-    schur: dict[Partition, dict[Partition, int]]  # <H~_mu, s_lam>, packed
-
-
-@cache
-def _delta_context(n: int) -> _DeltaContext:
     mus = partitions_of(n)
     scalars = {mu: _expansion_scalar(mu) for mu in mus}
     l_atoms = Counter()
@@ -407,14 +403,29 @@ def _delta_context(n: int) -> _DeltaContext:
         + max(h.degrees()[0] for h in schur[mu].values())
         for mu in mus
     )
+    l1 = {mu: _l1(p) for mu, p in sbase.items()}
     bound = comb(n - 1, (n - 1) // 2) * max(
-        sum(_l1(sbase[mu]) * _l1(schur[mu][lam]) for mu in mus if lam in schur[mu])
+        sum(l1[mu] * _l1(schur[mu][lam]) for mu in mus if lam in schur[mu])
         for lam in mus
     )
     packing = Kronecker(D, bound)
     sbase = {mu: packing.pack(p) for mu, p in sbase.items()}
-    schur = {mu: {lam: packing.pack(h) for lam, h in hs.items()} for mu, hs in schur.items()}
-    return _DeltaContext(n, l_atoms, packing, sbase, schur)
+    ek = {mu: [packing.shifts(ek_pleth(mu, k)) for k in range(n)] for mu in mus}
+    atoms = list(l_atoms.elements())
+    out: list[dict[Partition, QTZPoly]] = [{} for _ in range(n)]
+    for lam in mus:
+        nums = [0] * n
+        for mu in mus:
+            if lam not in schur[mu]:
+                continue
+            p = sbase[mu] * packing.pack(schur[mu][lam])
+            for k, terms in enumerate(ek[mu]):
+                for c, shift in terms:
+                    nums[k] += (c * p if c != 1 else p) << shift
+        for k, num in enumerate(nums):
+            if num:
+                out[k][lam] = divide_exact(packing.unpack_grid(num), *atoms)
+    return out
 
 
 def delta_prime_ek_en(n: int, k: int) -> SymFunc:
@@ -422,20 +433,12 @@ def delta_prime_ek_en(n: int, k: int) -> SymFunc:
 
     Each Schur coefficient is accumulated as one packed numerator over the
     shared denominator, unpacked, and certified polynomial by exact division
-    by each atom of the denominator in turn.
+    by each atom of the denominator in turn (see _delta_context, which does
+    this for every k at once).
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    ctx = _delta_context(n)
-    mus = partitions_of(n)
-    sk = {mu: ctx.sbase[mu] * ctx.packing.pack(ek_pleth(mu, k)) for mu in mus}
-    out: dict[Partition, QTZPoly] = {}
-    for lam in mus:
-        num = sum(sk[mu] * hs[lam] for mu, hs in ctx.schur.items() if lam in hs)
-        if not num:
-            continue
-        out[lam] = divide_exact(ctx.packing.unpack(num), *ctx.l_atoms.elements())
-    return SymFunc("s", n, out)
+    return SymFunc("s", n, _delta_context(n)[k])
 
 
 def rhs_series(n: int) -> FrobeniusSeries:

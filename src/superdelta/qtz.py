@@ -4,12 +4,17 @@ Terms are dicts mapping exponent triples (dq, dt, dz) to nonzero exact
 coefficients (int where integral, RAT otherwise).  The fixed term order is
 graded lexicographic with q > t > z.  Two tools serve sums of long products
 in q, t: `Kronecker` packs integer polynomials into Python ints, where a
-product is one big-int multiplication, and `divide_exact` divides by
-two-term factors `m1 - m2`, one pass each, raising NotDivisible when the
-quotient is not a polynomial.
+product is one big-int multiplication (or a few shifted adds by a short
+polynomial) and unpacking yields a dense coefficient grid, and
+`divide_exact` divides a polynomial or such a grid by two-term factors
+`m1 - m2`, one pass each, raising NotDivisible when the quotient is not a
+polynomial.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 from .rationals import RAT, normalize_scalar
 
@@ -309,46 +314,108 @@ class Kronecker:
         """The packed value with 2^(B-1) in each of `slots` slots."""
         return int.from_bytes(self.half.to_bytes(self.width, "little") * slots, "little")
 
+    def _slot(self, e: Expo) -> int:
+        a, b, c = e
+        if c or a >= self.D:
+            raise ValueError(f"q^{a} t^{b} z^{c} does not fit q-degree < {self.D} without z")
+        return a + self.D * b
+
     def pack(self, p: QTZPoly) -> int:
         """Raise ValueError unless p is integral, free of z and fits the slots."""
-        D, w, half = self.D, self.width, self.half
-        slots = max((a + D * b + 1 for a, b, _ in p.terms), default=0)
+        w, half = self.width, self.half
+        slots = max((self._slot(e) + 1 for e in p.terms), default=0)
         buf = bytearray(half.to_bytes(w, "little") * slots)
-        for (a, b, c), x in p.terms.items():
-            if c or a >= D:
-                raise ValueError(f"q^{a} t^{b} z^{c} does not fit q-degree < {D} without z")
+        for e, x in p.terms.items():
             if not isinstance(x, int) or not -half < x < half:
                 raise ValueError(f"coefficient {x} does not fit a {8 * w}-bit slot")
-            i = (a + D * b) * w
+            i = self._slot(e) * w
             buf[i : i + w] = (x + half).to_bytes(w, "little")
         return int.from_bytes(buf, "little") - self._bias(slots)
 
+    def shifts(self, p: QTZPoly) -> list[tuple[int, int]]:
+        """(c, s) per term c q^a t^b of p, with s = B * (a + D*b) bits.
+
+        x * pack(p) == sum(c * x << s), so a product by a short p is a few
+        shifted adds.  Raise ValueError unless p is integral, free of z and
+        of q-degree < D; its coefficients need not fit a slot.
+        """
+        bits = 8 * self.width
+        out = []
+        for e, x in p.terms.items():
+            if not isinstance(x, int):
+                raise ValueError(f"coefficient {x} is not an integer")
+            out.append((x, bits * self._slot(e)))
+        return out
+
+    def unpack_grid(self, x: int) -> list[list[int]]:
+        """The coefficients rows[t][q] (D to a row) of the polynomial that
+        packs to x, provided one fits the slots."""
+        D, w = self.D, self.width
+        slots = x.bit_length() // (8 * w) + 1  # a fitting top digit is in the last slot
+        slots += -slots % D
+        bias = self._bias(slots)
+        # + bias makes every digit d + 2^(B-1) nonnegative, ^ bias leaves d in
+        # two's complement: each slot then reads as a signed w-byte integer
+        raw = ((x + bias) ^ bias).to_bytes(slots * w, "little")
+        size = min((s for s in _SIGNED_TYPECODES if s >= w), default=None)
+        if size is None:
+            digits = [
+                int.from_bytes(raw[i : i + w], "little", signed=True)
+                for i in range(0, len(raw), w)
+            ]
+        else:
+            # each slot fills the high end of an array item, which reads as d << pad
+            buf = bytearray(size * slots)
+            for i in range(w):
+                buf[size - w + i :: size] = raw[i::w]
+            items = array(_SIGNED_TYPECODES[size], buf)
+            if sys.byteorder == "big":
+                items.byteswap()
+            pad = 8 * (size - w)
+            digits = [d >> pad for d in items] if pad else items.tolist()
+        return [digits[i : i + D] for i in range(0, slots, D)]
+
     def unpack(self, x: int) -> QTZPoly:
         """The polynomial that packs to x, provided one fits the slots."""
-        D, w, half = self.D, self.width, self.half
-        slots = x.bit_length() // (8 * w) + 1  # a fitting top digit is in the last slot
-        raw = (x + self._bias(slots)).to_bytes(slots * w, "little")
-        digits = (int.from_bytes(raw[i : i + w], "little") - half for i in range(0, len(raw), w))
-        return QTZPoly({(i % D, i // D, 0): c for i, c in enumerate(digits) if c}, clean=False)
+        return _grid_poly(self.unpack_grid(x))
 
 
-def divide_exact(num: QTZPoly, *atoms: QTZPoly) -> QTZPoly:
+# array typecodes of signed integers by item size in bytes
+_SIGNED_TYPECODES = {array(tc).itemsize: tc for tc in "qlihb"}
+
+
+def _grid_poly(rows: list[list]) -> QTZPoly:
+    return QTZPoly({(a, b, 0): x for b, row in enumerate(rows) for a, x in enumerate(row) if x})
+
+
+def divide_exact(num: QTZPoly | list[list[int]], *atoms: QTZPoly) -> QTZPoly:
     """Return p in q, t with p * prod(atoms) == num, or raise NotDivisible.
 
-    Each atom is a difference m1 - m2 of two monomials in q, t, so with
-    d = m1 - m2 the quotient by it satisfies p[f] = num[f + m1] + p[f + d]:
-    one pass along each chain f, f - d, f - 2d, ... of the dense coefficient
-    grid divides by it, a whole row of the grid per step.  The division is
-    exact when no nonzero carry leaves the positive quadrant or runs off the
-    bottom of its chain.
+    num is a polynomial or its coefficient grid rows[t][q], as from
+    `Kronecker.unpack_grid`.  Each atom is a difference m1 - m2 of two
+    monomials in q, t, so with d = m1 - m2 the quotient by it satisfies
+    p[f] = num[f + m1] + p[f + d]: one pass along each chain f, f - d,
+    f - 2d, ... of the dense coefficient grid divides by it, a whole row of
+    the grid per step.  The division is exact when no nonzero carry leaves
+    the positive quadrant or runs off the bottom of its chain.
     """
-    dq, dt, dz = num.degrees()
-    if dz:
-        raise ValueError(f"dividend must not involve z, got {num}")
-    width, height = dq + 1, dt + 1
-    rows = [[0] * width for _ in range(height)]
-    for (a, b, _), x in num.terms.items():
-        rows[b][a] = x
+    if isinstance(num, QTZPoly):
+        dq, dt, dz = num.degrees()
+        if dz:
+            raise ValueError(f"dividend must not involve z, got {num}")
+        width, height = dq + 1, dt + 1
+        rows = [[0] * width for _ in range(height)]
+        for (a, b, _), x in num.terms.items():
+            rows[b][a] = x
+    else:  # a copy cut to the box of the polynomial's degrees
+        tops = [
+            (b, len(row) - next(i for i, x in enumerate(reversed(row)) if x))
+            for b, row in enumerate(num)
+            if any(row)
+        ]
+        height = tops[-1][0] + 1 if tops else 1
+        width = max((top for _, top in tops), default=1)
+        rows = [row[:width] for row in num[:height]]
     for atom in atoms:
         if atom.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
@@ -356,8 +423,7 @@ def divide_exact(num: QTZPoly, *atoms: QTZPoly) -> QTZPoly:
         if len(atom.terms) != 2 or set(signs) != {1, -1} or signs[1][2] or signs[-1][2]:
             raise ValueError(f"divisor must be m1 - m2 for monomials in q, t, got {atom}")
         rows, width, height = _divide_grid(rows, width, height, signs[1], signs[-1])
-    terms = {(a, b, 0): x for b, row in enumerate(rows) for a, x in enumerate(row) if x}
-    return QTZPoly(terms)
+    return _grid_poly(rows)
 
 
 def _divide_grid(rows, width, height, m1, m2):

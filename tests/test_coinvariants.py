@@ -222,3 +222,25 @@ def test_budget_pool_path_stops_early():
     partial = frobenius_module(4, threads=2, budget_seconds=0.3)
     assert not partial.closed
     assert time.monotonic() - start < 0.3 + 2.0  # the slowest n = 4 component is ~1.4 s
+
+
+class RecordingCache:
+    """A component cache that never hits and records every put."""
+
+    def __init__(self):
+        self.puts = []
+
+    def get(self, n, degree):
+        return None
+
+    def put(self, comp):
+        self.puts.append(comp.degree)
+
+
+def test_budget_pool_path_keeps_finished_components():
+    # what the pool finished before the deadline is returned, even though no
+    # theta row closed
+    cache = RecordingCache()
+    partial = frobenius_module(4, threads=2, budget_seconds=1.0, component_cache=cache)
+    assert not partial.closed and cache.puts
+    assert sorted(partial.components) == sorted(cache.puts)

@@ -171,6 +171,33 @@ def test_delta_prime_matches_unpacked_reference():
             assert delta_prime_ek_en(n, k).coeffs == reference_delta_prime(n, k), (n, k)
 
 
+def test_rhs_series_matches_unpacked_reference():
+    # rhs_series takes every k from one pass over the products; the reference
+    # forms each k's numerators apart, as plain QTZPoly products
+    for n in range(1, 6):
+        want = {}
+        for k in range(1, n + 1):
+            for lam, c in reference_delta_prime(n, n - k).items():
+                want[lam] = want.get(lam, QTZPoly.zero()) + c.shift_z(k - 1)
+        assert rhs_series(n).coeffs == want, n
+
+
+def test_ek_terms_must_fit_the_packing(monkeypatch):
+    # a term of q-degree >= D would wrap into the next power of t
+    original = macdonald.ek_pleth
+
+    def too_high(mu, k):
+        return original(mu, k) + QTZPoly.monomial(10**6)
+
+    monkeypatch.setattr(macdonald, "ek_pleth", too_high)
+    macdonald._delta_context.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="q-degree"):
+            delta_prime_ek_en(3, 1)
+    finally:
+        macdonald._delta_context.cache_clear()
+
+
 def test_rhs_series_certifies_expansion_scalars(monkeypatch):
     original = macdonald._expansion_scalar
 

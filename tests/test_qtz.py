@@ -159,6 +159,67 @@ def test_kronecker_rejects_inputs_that_do_not_fit():
             packing.pack(bad)
 
 
+def grid(p: QTZPoly, width: int, height: int) -> list[list[int]]:
+    return [[p.terms.get((a, b, 0), 0) for a in range(width)] for b in range(height)]
+
+
+# slots of 1, 2, 4 and 8 bytes are array items, slots of 3 and 5 bytes are
+# padded to one, and slots wider than any item are read one by one
+@pytest.mark.parametrize("bound,width", [(127, 1), (2**15 - 1, 2), (2**20, 3),
+                                         (2**31 - 1, 4), (2**32, 5), (2**62, 8),
+                                         (2**70, 9)])
+def test_kronecker_unpack_grid(bound, width):
+    packing = Kronecker(4, bound)
+    assert packing.width == width
+    top = packing.half - 1  # 2^(B-1) - 1, the largest balanced digit
+    for p in (
+        QTZPoly({(0, 0, 0): top, (3, 0, 0): -top, (1, 2, 0): top, (2, 1, 0): -1}),
+        QTZPoly({(3, 5, 0): -top, (0, 6, 0): -top, (1, 1, 0): 1}),
+        QTZPoly({(2, 0, 0): -3}),
+        QTZPoly.zero(),
+    ):
+        for sign in (1, -1):
+            rows = packing.unpack_grid(sign * packing.pack(p))
+            height = p.degrees()[1] + 1
+            assert rows == grid(sign * p, 4, height), (p, sign)
+            assert packing.unpack(sign * packing.pack(p)) == sign * p
+
+
+@given(small_polys(with_z=False), small_polys(with_z=False))
+def test_kronecker_shifts_multiply(a, b):
+    l1a, l1b = (sum(abs(x) for x in p.terms.values()) for p in (a, b))
+    packing = Kronecker(a.degrees()[0] + b.degrees()[0] + 1, l1a * l1b)
+    x = packing.pack(a)
+    assert sum(c * x << s for c, s in packing.shifts(b)) == packing.pack(a * b)
+
+
+def test_kronecker_shifts_reject_terms_that_do_not_fit():
+    packing = Kronecker(3, 1)
+    assert packing.shifts(QTZPoly.monomial(2, 1, 0, 1000)) == [(1000, 8 * (2 + 3))]
+    for bad in (Q**3, Q**3 * T + ONE, Z, Q + Z * T, QTZPoly.constant(RAT(1, 2))):
+        with pytest.raises(ValueError):
+            packing.shifts(bad)
+
+
+@given(small_polys(with_z=False), st.lists(atoms(), max_size=4), st.integers(0, 3),
+       st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), st.integers(-9, 9))
+def test_divide_exact_on_a_grid(a, divisors, pad_q, pad_t, i, j, c):
+    num = a
+    for atom in divisors:
+        num = num * atom
+    dq, dt, _ = num.degrees()
+    rows = grid(num, dq + 1 + pad_q, dt + 1 + pad_t)
+    copy = [list(row) for row in rows]
+    assert divide_exact(rows, *divisors) == divide_exact(num, *divisors) == a
+    assert rows == copy
+    if divisors and c:
+        # an atom vanishes at q = t = 1 and a monomial does not
+        bad = num + QTZPoly.monomial(i, j, 0, c)
+        rows = grid(bad, max(dq, i) + 1 + pad_q, max(dt, j) + 1 + pad_t)
+        with pytest.raises(NotDivisible):
+            divide_exact(rows, *divisors)
+
+
 def test_evaluate_and_slabs():
     p = Q * Q * 2 + T * Z + ONE
     assert p.evaluate(1, 1, 1) == 4

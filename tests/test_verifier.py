@@ -167,6 +167,31 @@ def test_budget_stops_within_one_component(monkeypatch):
     assert elapsed < budget + 0.4
 
 
+def test_budget_keeps_the_row_in_progress(monkeypatch):
+    import superdelta.coinvariants as coinvariants
+
+    worker = coinvariants._component_worker
+    calls = []
+
+    def counted_worker(args):
+        calls.append(args)
+        time.sleep(0.1)
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
+    # the deadline falls in band a+b = 2 of the c = 0 row (21 cells, 2.1 s)
+    partial = coinvariants.frobenius_module(3, threads=1, budget_seconds=0.45)
+    assert not partial.closed and calls
+    assert len(partial.components) == len(calls)
+    assert set(partial.components) == {TriDegree(*d) for _, d in calls}
+    assert partial.rows[0].components and not partial.rows[0].closed
+
+    calls.clear()
+    report = verify_conjecture(3, threads=1, budget_seconds=0.45)
+    assert report.verdict == INCONCLUSIVE
+    assert calls and report.stats["components_computed"] == len(calls)
+
+
 NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now fails
