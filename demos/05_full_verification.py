@@ -5,8 +5,9 @@ module-side work beyond the independent frontier scan, so the comparison
 is two-sided.  Exit states mirror the CLI: EQUAL only when every theta row
 closed with a verified zero band and every Schur coefficient agreed.
 
-For n = 4 this takes about a minute; n = 5 and 6 are long-running on the
-module side (the Delta side alone stays fast; see rhs_series).
+This demo verifies n = 1..3.  n = 4 takes a few seconds (superdelta verify
+--n 4); n = 5 and 6 are long-running on the module side, while the Delta
+side alone stays fast (see rhs_series).
 """
 
 import time

@@ -11,48 +11,9 @@ then compares the two Schur expansions coefficient by coefficient in
 exact rational arithmetic.
 """
 
-from .coinvariants import (
-    ComponentCharacters,
-    IdealComponentBasis,
-    character_quotient,
-    component_characters,
-    frobenius_module,
-    ideal_component,
-    support_frontier,
-    trace_regular,
-)
-from .macdonald import (
-    SymFunc,
-    delta_prime_ek_en,
-    ek_pleth,
-    hhl_htilde,
-    htilde_schur,
-    macdonald_scalars,
-    mono_to_schur,
-    rhs_series,
-    schur_to_mono,
-)
-from .partitions import Partition, Permutation, cycle_type, partitions_of, z_mu
-from .characters import CharacterTable, character_table, kostka, mn_character
-from .qtz import QTZPoly, NotDivisible, divide_exact
+from .coinvariants import ModuleSideResult, frobenius_module
+from .macdonald import rhs_series
 from .series import FrobeniusSeries
-from .superring import (
-    SuperMonomial,
-    SuperPoly,
-    TriDegree,
-    apply_perm,
-    enumerate_monomials,
-    gen_p,
-    gen_ptilde,
-    mono_mul,
-)
-from .verifier import (
-    CacheEntry,
-    ComponentCache,
-    VerificationReport,
-    compare_series,
-    render_report,
-    verify_conjecture,
-)
+from .verifier import VerificationReport, render_report, verify_conjecture
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ import argparse
 import sys
 
 from .coinvariants import component_characters, frobenius_module
-from .macdonald import htilde_schur, rhs_series
-from .partitions import partition_from_str, partition_to_str, partitions_of
+from .macdonald import HTILDE_SIZE_LIMIT, htilde_schur, rhs_series
+from .partitions import Partition, partition_from_str, partition_to_str, partitions_of
 from .superring import TriDegree
 from .verifier import (
     DIFFER,
@@ -31,11 +31,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"n must be a positive integer: {text!r}")
+    return n
+
+
 def _parse_degree(text: str) -> TriDegree:
-    parts = [int(x) for x in text.split(",")]
+    try:
+        parts = [int(x) for x in text.split(",")]
+    except ValueError:
+        parts = []
     if len(parts) != 3 or any(x < 0 for x in parts):
-        raise ValueError(f"degree must be 'a,b,c' with nonnegative entries: {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"degree must be 'a,b,c' with nonnegative entries: {text!r}"
+        )
     return TriDegree(*parts)
+
+
+def _parse_mu(text: str) -> Partition:
+    try:
+        mu = partition_from_str(text)
+    except ValueError:
+        mu = ()
+    if not mu or sum(mu) > HTILDE_SIZE_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"mu must be a nonempty partition of size at most {HTILDE_SIZE_LIMIT}, "
+            f"such as 3,1: {text!r}"
+        )
+    return mu
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="compare both sides of the identity")
-    p_verify.add_argument("--n", type=int, required=True)
+    p_verify.add_argument("--n", type=_positive_int, required=True)
     p_verify.add_argument("--extra-band", type=int, default=1)
     p_verify.add_argument("--threads", type=int, default=1)
     p_verify.add_argument("--cache-dir", default=None)
@@ -56,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="allow the long-running module side for n >= 5")
 
     p_frob = sub.add_parser("frobenius", help="print one side's Schur expansion")
-    p_frob.add_argument("--n", type=int, required=True)
+    p_frob.add_argument("--n", type=_positive_int, required=True)
     p_frob.add_argument("--side", required=True, choices=["module", "delta"])
     p_frob.add_argument("--spec", default=None, choices=["z=0", "t=0", "q=t=1"])
     p_frob.add_argument("--threads", type=int, default=1)
@@ -64,17 +92,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_frob.add_argument("--long", action="store_true")
 
     p_hilb = sub.add_parser("hilbert", help="module-side dimensions per tri-degree")
-    p_hilb.add_argument("--n", type=int, required=True)
+    p_hilb.add_argument("--n", type=_positive_int, required=True)
     p_hilb.add_argument("--threads", type=int, default=1)
     p_hilb.add_argument("--cache-dir", default=None)
     p_hilb.add_argument("--long", action="store_true")
 
     p_mac = sub.add_parser("macdonald", help="Schur expansion of one H~_mu")
-    p_mac.add_argument("--mu", required=True, help='partition such as "3,1"')
+    p_mac.add_argument("--mu", type=_parse_mu, required=True,
+                       help='partition such as "3,1"')
 
     p_char = sub.add_parser("character", help="quotient characters of one component")
-    p_char.add_argument("--n", type=int, required=True)
-    p_char.add_argument("--degree", required=True, help="tri-degree a,b,c")
+    p_char.add_argument("--n", type=_positive_int, required=True)
+    p_char.add_argument("--degree", type=_parse_degree, required=True,
+                        help="tri-degree a,b,c")
     return parser
 
 
@@ -135,18 +165,12 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if args.command == "macdonald":
-        mu = partition_from_str(args.mu)
-        if not mu:
-            parser.error("mu must be a nonempty partition")
-        h = htilde_schur(mu)
-        for lam in partitions_of(sum(mu)):
-            c = h.coefficient(lam)
-            if not c.is_zero():
-                print(f"s({partition_to_str(lam)}): {c}")
+        for line in htilde_schur(args.mu).pretty_lines():
+            print(line)
         return 0
 
     if args.command == "character":
-        degree = _parse_degree(args.degree)
+        degree = args.degree
         comp = component_characters(args.n, degree)
         print(f"component ({degree.a},{degree.b},{degree.c}): "
               f"ambient dim {comp.dim}, ideal rank {comp.rank}, "

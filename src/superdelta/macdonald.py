@@ -1,5 +1,6 @@
 """The symmetric-function side: modified Macdonald polynomials and the
-Delta-prime operator applied to e_n.
+Delta-prime operator applied to e_n.  Schur expansions are FrobeniusSeries,
+the type the module side returns; monomial expansions are plain dicts.
 
 H~_mu comes from the combinatorial filling formula: over fillings of the
 diagram with positive integers,
@@ -36,17 +37,9 @@ from functools import cache
 from math import comb, prod
 from typing import NamedTuple
 
-from .characters import character_table, kostka
-from .partitions import (
-    Partition,
-    arm,
-    cells,
-    leg,
-    partitions_of,
-    z_mu,
-)
+from .characters import kostka
+from .partitions import Partition, arm, cells, leg, partitions_of
 from .qtz import ONE, Kronecker, QTZPoly, divide_exact
-from .rationals import RAT, normalize_scalar
 from .series import FrobeniusSeries
 
 
@@ -87,11 +80,7 @@ def _m_factors() -> list[QTZPoly]:
 
 
 def b_mu(mu: Partition) -> QTZPoly:
-    return QTZPoly({(i, j, 0): 1 for i, j in cells_exponents(mu)})
-
-
-def cells_exponents(mu: Partition) -> list[tuple[int, int]]:
-    return [(i, j) for j, i in cells(mu)]
+    return QTZPoly({(i, j, 0): 1 for j, i in cells(mu)})
 
 
 def macdonald_scalars(mu: Partition) -> MacdonaldScalars:
@@ -104,8 +93,8 @@ def macdonald_scalars(mu: Partition) -> MacdonaldScalars:
     w = ONE
     for f in _w_factors(mu):
         w = w * f
-    m = _m_factors()[0] * _m_factors()[1]
-    return MacdonaldScalars(b_mu(mu), pi, w, m)
+    m1, m2 = _m_factors()
+    return MacdonaldScalars(b_mu(mu), pi, w, m1 * m2)
 
 
 def ek_pleth(mu: Partition, k: int) -> QTZPoly:
@@ -121,82 +110,19 @@ def ek_pleth(mu: Partition, k: int) -> QTZPoly:
     return dp[k]
 
 
-# --- symmetric functions ------------------------------------------------------
+# --- Schur expansions ---------------------------------------------------------
 
 
-@dataclass
-class SymFunc:
-    """Homogeneous symmetric function with exact q,t,z coefficients."""
-
-    basis: str  # 'm', 's', 'p' or 'e'
-    n: int
-    coeffs: dict[Partition, QTZPoly]
-
-    def __post_init__(self):
-        if self.basis not in ("m", "s", "p", "e"):
-            raise ValueError(f"unknown basis {self.basis!r}")
-        self.coeffs = {lam: c for lam, c in self.coeffs.items() if not c.is_zero()}
-
-    def coefficient(self, lam: Partition) -> QTZPoly:
-        return self.coeffs.get(lam, QTZPoly.zero())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        if self.basis != other.basis or self.n != other.n:
-            return False
-        lams = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(l) == other.coefficient(l) for l in lams)
-
-    def to_schur(self) -> SymFunc:
-        if self.basis == "s":
-            return self
-        if self.basis == "m":
-            return mono_to_schur(self)
-        if self.basis == "p":
-            return power_to_schur(self)
-        if self.n >= 1 and set(self.coeffs) <= {(self.n,)}:
-            # e_n = s_(1^n)
-            return SymFunc("s", self.n, {(1,) * self.n: self.coefficient((self.n,))})
-        raise NotImplementedError("general elementary expansions are not needed")
-
-    def to_json_dict(self) -> dict:
-        from .partitions import partition_to_str
-
-        return {
-            "basis": self.basis,
-            "n": self.n,
-            "coeffs": {
-                partition_to_str(lam): str(c)
-                for lam, c in sorted(self.coeffs.items(), reverse=True)
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> SymFunc:
-        from .partitions import partition_from_str
-        from .qtz import poly_from_str
-
-        return cls(
-            data["basis"],
-            int(data["n"]),
-            {
-                partition_from_str(key): poly_from_str(text)
-                for key, text in data["coeffs"].items()
-            },
-        )
-
-
-def mono_to_schur(f: SymFunc) -> SymFunc:
+def mono_to_schur(n: int, coeffs: dict[Partition, QTZPoly]) -> FrobeniusSeries:
     """Invert the unitriangular Kostka system by dominance back-substitution."""
-    remaining = dict(f.coeffs)
+    remaining = dict(coeffs)
     out: dict[Partition, QTZPoly] = {}
-    for lam in partitions_of(f.n):  # reverse-lex extends dominance, top first
+    for lam in partitions_of(n):  # reverse-lex extends dominance, top first
         c = remaining.pop(lam, QTZPoly.zero())
         if c.is_zero():
             continue
         out[lam] = c
-        for nu in partitions_of(f.n):
+        for nu in partitions_of(n):
             if nu == lam:
                 continue
             k = kostka(lam, nu)
@@ -205,47 +131,7 @@ def mono_to_schur(f: SymFunc) -> SymFunc:
     leftover = {nu: c for nu, c in remaining.items() if not c.is_zero()}
     if leftover:
         raise ValueError(f"inconsistent monomial expansion: {leftover}")
-    return SymFunc("s", f.n, out)
-
-
-def schur_to_mono(f: SymFunc) -> SymFunc:
-    out: dict[Partition, QTZPoly] = {}
-    for lam, c in f.coeffs.items():
-        for nu in partitions_of(f.n):
-            k = kostka(lam, nu)
-            if k:
-                out[nu] = out.get(nu, QTZPoly.zero()) + c * k
-    return SymFunc("m", f.n, out)
-
-
-def power_to_schur(f: SymFunc) -> SymFunc:
-    table = character_table(f.n)
-    out: dict[Partition, QTZPoly] = {}
-    for lam in partitions_of(f.n):
-        acc = QTZPoly.zero()
-        for mu, c in f.coeffs.items():
-            chi = table.value(lam, mu)
-            if chi:
-                acc = acc + c * chi
-        if not acc.is_zero():
-            out[lam] = acc
-    return SymFunc("s", f.n, out)
-
-
-def schur_to_power(f: SymFunc) -> SymFunc:
-    """Expansion over p_mu / 1 with rational coefficients."""
-    table = character_table(f.n)
-    out: dict[Partition, QTZPoly] = {}
-    for mu in partitions_of(f.n):
-        acc = QTZPoly.zero()
-        zm = z_mu(mu)
-        for lam, c in f.coeffs.items():
-            chi = table.value(lam, mu)
-            if chi:
-                acc = acc + c * normalize_scalar(RAT(chi, zm))
-        if not acc.is_zero():
-            out[mu] = acc
-    return SymFunc("p", f.n, out)
+    return FrobeniusSeries(n, out)
 
 
 # --- the filling formula ------------------------------------------------------
@@ -273,8 +159,8 @@ HTILDE_SIZE_LIMIT = 8  # the filling formula enumerates about n! * p(n) terms
 
 
 @cache
-def hhl_htilde(mu: Partition) -> SymFunc:
-    """Modified Macdonald polynomial H~_mu in the monomial basis."""
+def hhl_htilde(mu: Partition) -> dict[Partition, QTZPoly]:
+    """The monomial coefficients of the modified Macdonald polynomial H~_mu."""
     n = sum(mu)
     if n == 0:
         raise ValueError("mu must be nonempty")
@@ -312,12 +198,13 @@ def hhl_htilde(mu: Partition) -> SymFunc:
             key = (inv, maj, 0)
             acc[key] = acc.get(key, 0) + 1
         coeffs[nu] = QTZPoly(acc)
-    return SymFunc("m", n, coeffs)
+    return coeffs
 
 
 @cache
-def htilde_schur(mu: Partition) -> SymFunc:
-    return hhl_htilde(mu).to_schur()
+def htilde_schur(mu: Partition) -> FrobeniusSeries:
+    """H~_mu in the Schur basis."""
+    return mono_to_schur(sum(mu), hhl_htilde(mu))
 
 
 # --- Delta-prime applied to e_n ----------------------------------------------
@@ -428,7 +315,7 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     return out
 
 
-def delta_prime_ek_en(n: int, k: int) -> SymFunc:
+def delta_prime_ek_en(n: int, k: int) -> FrobeniusSeries:
     """Delta'_{e_k} applied to e_n, in the Schur basis.
 
     Each Schur coefficient is accumulated as one packed numerator over the
@@ -438,7 +325,7 @@ def delta_prime_ek_en(n: int, k: int) -> SymFunc:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    return SymFunc("s", n, _delta_context(n)[k])
+    return FrobeniusSeries(n, dict(_delta_context(n)[k]))
 
 
 def rhs_series(n: int) -> FrobeniusSeries:
@@ -457,6 +344,3 @@ def rhs_series(n: int) -> FrobeniusSeries:
             )
     return series
 
-
-def elementary_en(n: int) -> SymFunc:
-    return SymFunc("s", n, {(1,) * n: ONE})

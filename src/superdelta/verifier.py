@@ -89,13 +89,20 @@ class CacheEntry:
     @classmethod
     def from_json_dict(cls, data: dict) -> CacheEntry:
         return cls(
-            schema_version=int(data["schema_version"]),
+            schema_version=_json_int(data["schema_version"]),
             engine_version=str(data["engine_version"]),
-            n=int(data["n"]),
-            degree=tuple(int(x) for x in data["degree"]),
-            dim=int(data["dim"]),
-            characters={str(k): int(v) for k, v in data["characters"].items()},
+            n=_json_int(data["n"]),
+            degree=tuple(_json_int(x) for x in data["degree"]),
+            dim=_json_int(data["dim"]),
+            characters={str(k): _json_int(v) for k, v in data["characters"].items()},
         )
+
+
+def _json_int(value) -> int:
+    """value if it is a JSON integer; a float, bool or string raises TypeError."""
+    if type(value) is not int:
+        raise TypeError(f"not a JSON integer: {value!r}")
+    return value
 
 
 class ComponentCache:

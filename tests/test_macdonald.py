@@ -6,22 +6,19 @@ from math import prod
 import pytest
 
 from superdelta import macdonald
+from superdelta.characters import kostka
 from superdelta.macdonald import (
-    SymFunc,
     delta_prime_ek_en,
     ek_pleth,
-    elementary_en,
     hhl_htilde,
     htilde_schur,
     macdonald_scalars,
     mono_to_schur,
-    power_to_schur,
     rhs_series,
-    schur_to_mono,
-    schur_to_power,
 )
 from superdelta.partitions import conjugate, partitions_of, syt_count
 from superdelta.qtz import ONE, Q, QTZPoly, T, Z
+from superdelta.series import FrobeniusSeries
 
 
 def test_macdonald_scalars_single_box():
@@ -67,8 +64,8 @@ def test_htilde_small():
 
 def test_htilde_monomial_coefficients():
     m = hhl_htilde((2,))
-    assert m.coefficient((2,)) == ONE
-    assert m.coefficient((1, 1)) == ONE + Q
+    assert m[(2,)] == ONE
+    assert m[(1, 1)] == ONE + Q
 
 
 def test_macdonald_property_suite():
@@ -85,10 +82,20 @@ def test_macdonald_property_suite():
 
 
 def test_mono_to_schur_examples():
-    m2 = SymFunc("m", 2, {(2,): ONE})
-    assert mono_to_schur(m2).coeffs == {(2,): ONE, (1, 1): -ONE}
-    f = SymFunc("m", 2, {(2,): ONE, (1, 1): QTZPoly.constant(2)})
-    assert mono_to_schur(f).coeffs == {(2,): ONE, (1, 1): ONE}
+    assert mono_to_schur(2, {(2,): ONE}).coeffs == {(2,): ONE, (1, 1): -ONE}
+    f = {(2,): ONE, (1, 1): QTZPoly.constant(2)}
+    assert mono_to_schur(2, f).coeffs == {(2,): ONE, (1, 1): ONE}
+
+
+def schur_to_mono(f: FrobeniusSeries) -> dict:
+    """The monomial coefficients of a Schur expansion, through Kostka numbers."""
+    out = {}
+    for lam, c in f.coeffs.items():
+        for nu in partitions_of(f.n):
+            k = kostka(lam, nu)
+            if k:
+                out[nu] = out.get(nu, QTZPoly.zero()) + c * k
+    return out
 
 
 def test_schur_mono_roundtrip():
@@ -100,29 +107,8 @@ def test_schur_mono_roundtrip():
                 coeffs[lam] = QTZPoly.monomial(
                     rng.randrange(3), rng.randrange(3), 0, rng.randrange(-3, 4)
                 )
-        f = SymFunc("s", n, coeffs)
-        assert mono_to_schur(schur_to_mono(f)) == f
-
-
-def test_power_schur_roundtrip():
-    rng = random.Random(17)
-    for n in range(1, 6):
-        coeffs = {
-            mu: QTZPoly.constant(rng.randrange(-4, 5)) for mu in partitions_of(n)
-        }
-        f = SymFunc("p", n, coeffs)
-        assert schur_to_power(power_to_schur(f)) == f
-    # p_n expands with hook-shaped signs; spot-check n = 2
-    p2 = power_to_schur(SymFunc("p", 2, {(2,): ONE}))
-    assert p2.coeffs == {(2,): ONE, (1, 1): -ONE}
-
-
-def test_symfunc_basis_validation():
-    with pytest.raises(ValueError):
-        SymFunc("x", 2, {})
-    e = SymFunc("e", 3, {(3,): ONE})
-    assert e.to_schur().coeffs == {(1, 1, 1): ONE}
-    assert elementary_en(4).coeffs == {(1, 1, 1, 1): ONE}
+        f = FrobeniusSeries(n, coeffs)
+        assert mono_to_schur(n, schur_to_mono(f)) == f
 
 
 def test_delta_prime_identity_certificate():
@@ -169,6 +155,11 @@ def test_delta_prime_matches_unpacked_reference():
     for n in range(1, 6):
         for k in range(n):
             assert delta_prime_ek_en(n, k).coeffs == reference_delta_prime(n, k), (n, k)
+
+
+def test_delta_prime_result_is_a_copy():
+    delta_prime_ek_en(3, 1).coeffs.clear()  # must not reach the cached pass
+    assert delta_prime_ek_en(3, 1).coeffs == reference_delta_prime(3, 1)
 
 
 def test_rhs_series_matches_unpacked_reference():
@@ -256,7 +247,7 @@ def test_rhs_series_positive():
 
 def test_symfunc_json_roundtrip():
     h = htilde_schur((2, 1))
-    assert SymFunc.from_json_dict(h.to_json_dict()) == h
+    assert FrobeniusSeries.from_json_dict(h.to_json_dict()) == h
 
 
 def test_htilde_size_limit():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import superdelta
+from superdelta.cli import main as cli_main
 from superdelta.qtz import ONE, Q
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
@@ -78,7 +79,19 @@ def tampered_entries():
     too_big = sample_entry()
     too_big.dim = 3
     too_big.characters = {"2": 1, "1,1": 3}  # 2 s_2 + s_11, but R_(0,0,1) has dim 2
-    return [wrong_dim, half, negative, too_big]
+    # values that are not JSON integers, though int() would turn them into the
+    # valid entry
+    fractional = sample_entry()
+    fractional.dim = 1.5
+    fractional.characters = {"2": -1, "1,1": 1.5}
+    boolean = sample_entry()
+    boolean.dim = True
+    boolean.characters = {"2": -1, "1,1": True}
+    text = sample_entry()
+    text.n = "2"
+    text.degree = ("0", "0", "1")
+    text.dim = "1"
+    return [wrong_dim, half, negative, too_big, fractional, boolean, text]
 
 
 def test_cache_rejects_tampered_entries(tmp_path):
@@ -298,8 +311,22 @@ def test_cli_subcommands():
     assert rc == 0 and "s(1,1): t + q" in out
     rc, out, _ = run_cli("hilbert", "--n", "2")
     assert rc == 0 and "0 0 0 1" in out
-    rc, _, _ = run_cli("character", "--n", "2", "--degree", "0,0")
-    assert rc == 4  # malformed degree surfaces as an error exit > 2
+    # malformed input is a usage error, exit 3, caught before any computation
+    for args in [
+        ("character", "--n", "2", "--degree", "0,0"),
+        ("character", "--n", "2", "--degree", "1,0"),
+        ("character", "--n", "2", "--degree", "a,b,c"),
+        ("character", "--n", "0", "--degree", "0,0,0"),
+        ("verify", "--n", "0"),
+        ("frobenius", "--n", "0", "--side", "delta"),
+        ("hilbert", "--n", "0"),
+        ("macdonald", "--mu", "1,3"),
+        ("macdonald", "--mu", "0"),
+        ("macdonald", "--mu", "9"),
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli_main(list(args))
+        assert exc.value.code == 3, args
 
 
 def test_cli_verify_json_and_cache(tmp_path):
