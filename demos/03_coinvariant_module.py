@@ -6,9 +6,9 @@ never traces the whole component.  For a few Young subgroups
 H = S_alpha x S_beta it counts the live H-orbits of monomials and
 subtracts an exact rank in orbit coordinates; by Frobenius reciprocity
 that is <F, h_alpha e_beta>, and a small integer solve turns these
-pairings into Schur multiplicities and characters.  Assembling
-sum q^a t^b z^c chi(mu) p_mu / z_mu over all degrees and converting to the
-Schur basis yields the tri-graded Frobenius characteristic.
+pairings into the Schur multiplicities m_lam of the component; its
+characters are sum_lam m_lam chi^lam.  Summing q^a t^b z^c m_lam s_lam
+over all degrees yields the tri-graded Frobenius characteristic.
 """
 
 from superdelta.coinvariants import (
@@ -33,6 +33,7 @@ for psi in young_system(n).characters:
     label = f"h[{partition_to_str(psi.alpha)}] e[{partition_to_str(psi.beta)}]"
     print(f"  <F, {label}> = dim of its psi-isotypic part:", isotypic_dimension(d, psi))
 comp = component_characters(n, d)
+print("  Schur multiplicities:", {partition_to_str(lam): m for lam, m in comp.mult.items()})
 print("  quotient characters:", {partition_to_str(mu): v for mu, v in comp.chars.items()})
 print("  (the quotient is the sign representation: theta_1 ~ -theta_2)")
 

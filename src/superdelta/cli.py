@@ -31,14 +31,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"n must be a positive integer: {text!r}")
-    return n
+def _at_least(low: int, kind=int):
+    """An argparse type: a number of the given kind (int or float), at least low."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = low - 1
+        if not value >= low:  # also rejects nan
+            noun = "an integer" if kind is int else "a number"
+            raise argparse.ArgumentTypeError(f"must be {noun} >= {low}: {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_degree(text: str) -> TriDegree:
@@ -71,29 +77,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="compare both sides of the identity")
-    p_verify.add_argument("--n", type=_positive_int, required=True)
-    p_verify.add_argument("--extra-band", type=int, default=1)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--n", type=_at_least(1), required=True)
+    p_verify.add_argument("--extra-band", type=_at_least(0), default=1)
+    p_verify.add_argument("--threads", type=_at_least(1), default=1)
     p_verify.add_argument("--cache-dir", default=None)
     p_verify.add_argument("--format", default="text",
                           choices=["json", "csv", "latex", "text"])
-    p_verify.add_argument("--budget-seconds", type=float, default=None)
-    p_verify.add_argument("--max-degree", type=int, default=None,
+    p_verify.add_argument("--budget-seconds", type=_at_least(0, float), default=None)
+    p_verify.add_argument("--max-degree", type=_at_least(0), default=None,
                           help="frontier budget on a+b per theta row")
     p_verify.add_argument("--long", action="store_true",
                           help="allow the long-running module side for n >= 5")
 
     p_frob = sub.add_parser("frobenius", help="print one side's Schur expansion")
-    p_frob.add_argument("--n", type=_positive_int, required=True)
+    p_frob.add_argument("--n", type=_at_least(1), required=True)
     p_frob.add_argument("--side", required=True, choices=["module", "delta"])
     p_frob.add_argument("--spec", default=None, choices=["z=0", "t=0", "q=t=1"])
-    p_frob.add_argument("--threads", type=int, default=1)
+    p_frob.add_argument("--threads", type=_at_least(1), default=1)
     p_frob.add_argument("--cache-dir", default=None)
     p_frob.add_argument("--long", action="store_true")
 
     p_hilb = sub.add_parser("hilbert", help="module-side dimensions per tri-degree")
-    p_hilb.add_argument("--n", type=_positive_int, required=True)
-    p_hilb.add_argument("--threads", type=int, default=1)
+    p_hilb.add_argument("--n", type=_at_least(1), required=True)
+    p_hilb.add_argument("--threads", type=_at_least(1), default=1)
     p_hilb.add_argument("--cache-dir", default=None)
     p_hilb.add_argument("--long", action="store_true")
 
@@ -102,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help='partition such as "3,1"')
 
     p_char = sub.add_parser("character", help="quotient characters of one component")
-    p_char.add_argument("--n", type=_positive_int, required=True)
+    p_char.add_argument("--n", type=_at_least(1), required=True)
     p_char.add_argument("--degree", type=_parse_degree, required=True,
                         help="tri-degree a,b,c")
     return parser
@@ -118,6 +124,10 @@ def _require_long(parser: argparse.ArgumentParser, n: int, long_flag: bool) -> N
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # verify and frobenius --side delta need H~_mu for |mu| = n
+    delta_side = getattr(args, "side", args.command) in ("verify", "delta")
+    if delta_side and args.n > HTILDE_SIZE_LIMIT:
+        parser.error(f"the delta side needs n <= {HTILDE_SIZE_LIMIT}, the H~ filling limit")
     try:
         return _dispatch(parser, args)
     except BrokenPipeError:

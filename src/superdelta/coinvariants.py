@@ -33,8 +33,11 @@ Hence dim M_d^psi = #live orbits - rank { g * v_O }, an exact integer
 echelon rank on systems about |H| times smaller than R_d.  A fixed set of
 such psi per n whose pairing matrix K[psi, lam] = <s_lam, h_alpha e_beta>
 is invertible turns these dimensions into the multiplicities m_lam, which
-must be nonnegative integers, and chi_M(mu) = sum_lam m_lam chi^lam(mu).
-One more, dependent psi is computed as a redundancy check.
+must be nonnegative integers.  A component is stored as these m_lam: the
+quotient dimension is sum_lam m_lam f^lam, the series gains
+q^a t^b z^c m_lam at s_lam, and the characters chi_M(mu) =
+sum_lam m_lam chi^lam(mu) are derived on demand.  One more, dependent psi
+is computed as a redundancy check.
 
 The unreduced path (ideal components in monomial coordinates, their echelon
 bases, a sparse mod-p full-rank certificate and the signed coordinate action)
@@ -470,30 +473,42 @@ def young_system(n: int) -> YoungSystem:
 
 @dataclass
 class ComponentCharacters:
-    """Quotient character values of one tri-graded component."""
+    """Schur multiplicities of the quotient at one tri-graded component."""
 
     n: int
     degree: TriDegree
     dim: int  # ambient component dimension
-    rank: int  # ideal component rank
-    chars: dict[Partition, int] = field(default_factory=dict)
+    mult: dict[Partition, int]  # m_lam for every lam |- n
 
     @property
     def dim_quotient(self) -> int:
-        return self.dim - self.rank
+        table = character_table(self.n)
+        return sum(m * table.dimension(lam) for lam, m in self.mult.items())
+
+    @property
+    def rank(self) -> int:
+        """Rank of the ideal component."""
+        return self.dim - self.dim_quotient
+
+    @property
+    def chars(self) -> dict[Partition, int]:
+        """Quotient character values chi_M(mu) = sum_lam m_lam chi^lam(mu)."""
+        table = character_table(self.n)
+        return {
+            mu: sum(m * table.value(lam, mu) for lam, m in self.mult.items())
+            for mu in partitions_of(self.n)
+        }
 
 
 def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
-    """All quotient character values chi_M(mu) at tri-degree d.
+    """The Schur multiplicities of the quotient at tri-degree d.
 
-    Solves K m = (dim M_d^psi) over the Young system for the Schur
-    multiplicities m, checks them against one more dependent character, and
-    evaluates chi = sum_lam m_lam chi^lam.
+    Solves K m = (dim M_d^psi) over the Young system for the multiplicities
+    m and checks them against one more dependent character.
     """
-    mus = partitions_of(n)
     dim = component_dimension(n, d)
     if dim == 0:
-        return ComponentCharacters(n, d, 0, 0, {mu: 0 for mu in mus})
+        return ComponentCharacters(n, d, 0, {lam: 0 for lam in partitions_of(n)})
     system = young_system(n)
     dims = [isotypic_dimension(d, psi) for psi in system.characters]
     try:
@@ -508,20 +523,12 @@ def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
                 f"redundancy check at {d}: dim M^psi = {got} for {system.extra}, "
                 f"the multiplicities give {want}"
             )
-    table = character_table(n)
-    chars = {mu: sum(m * table.value(lam, mu) for lam, m in mult.items()) for mu in mus}
-    if chars[(1,) * n] > dim:
+    comp = ComponentCharacters(n, d, dim, mult)
+    if comp.dim_quotient > dim:
         raise ConsistencyError(
-            f"at {d}: the quotient dimension {chars[(1,) * n]} exceeds the ambient {dim}"
+            f"at {d}: the quotient dimension {comp.dim_quotient} exceeds the ambient {dim}"
         )
-    return ComponentCharacters(n, d, dim, dim - chars[(1,) * n], chars)
-
-
-def character_quotient(mu: Partition, n: int, d: TriDegree) -> int:
-    """chi_M(mu) at tri-degree d."""
-    if sum(mu) != n:
-        raise ValueError(f"mu must be a partition of {n}: {mu}")
-    return component_characters(n, d).chars[tuple(mu)]
+    return comp
 
 
 def _component_worker(args) -> ComponentCharacters:
@@ -530,19 +537,12 @@ def _component_worker(args) -> ComponentCharacters:
 
 
 @dataclass
-class ThetaRowResult:
-    c: int
-    components: dict[tuple[int, int], ComponentCharacters] = field(default_factory=dict)
-    closed: bool = False
-
-
-@dataclass
 class ModuleSideResult:
     n: int
     series: FrobeniusSeries
     components: dict[TriDegree, ComponentCharacters]
     closed: bool
-    rows: dict[int, ThetaRowResult]
+    rows: dict[int, bool]  # c -> closed; False for a row a budget cut short
 
     def hilbert(self) -> dict[TriDegree, int]:
         return {
@@ -560,18 +560,18 @@ def explore_theta_row(
     forced: set[tuple[int, int]] = frozenset(),
     max_ab: int | None = None,
     deadline: float | None = None,
-) -> ThetaRowResult:
+) -> bool:
     """Explore the (a, b) lattice at fixed theta-degree c.
 
     A cell is computed when it is forced, is the origin, or sits within
     extra_band steps above a computed zero bordering the nonzero support.
     Finding a nonzero component strictly beyond a zero predecessor would
     contradict the monotone vanishing law and raises ConsistencyError.
+    Returns whether the row closed.
     """
     if max_ab is None:
         max_ab = n * (n - 1) + 2
-    row = ThetaRowResult(c)
-    reach: dict[tuple[int, int], int] = {}
+    reach: dict[tuple[int, int], int] = {}  # computed cell -> -1 if nonzero, else its level
     max_forced = max((a + b for (a, b) in forced), default=-1)
     band = 0
     while True:
@@ -580,33 +580,22 @@ def explore_theta_row(
         cells = []
         for a in range(band + 1):
             b = band - a
-            lvl = None
-            if (a, b) == (0, 0):
-                lvl = 0
-            else:
-                for pred in ((a - 1, b), (a, b - 1)):
-                    if pred[0] < 0 or pred[1] < 0 or pred not in row.components:
-                        continue
-                    p_lvl = 0 if row.components[pred].dim_quotient > 0 else reach[pred] + 1
-                    lvl = p_lvl if lvl is None else min(lvl, p_lvl)
-            if (a, b) in forced:
-                lvl = 0
+            levels = [reach[p] + 1 for p in ((a - 1, b), (a, b - 1)) if p in reach]
+            lvl = 0 if (a, b) == (0, 0) or (a, b) in forced else min(levels, default=None)
             if lvl is not None and lvl <= extra_band:
                 cells.append(((a, b), lvl))
         if not cells:
             if band > max_forced:
-                row.closed = True
-                return row
+                return True
             band += 1
             continue
         if band > max_ab:
-            return row  # not closed: budget on degree exhausted
+            return False  # budget on degree exhausted
         computed = compute_many(
             [(n, (ab[0], ab[1], c)) for ab, _ in cells]
         )
         for (ab, lvl), comp in zip(cells, computed):
-            row.components[ab] = comp
-            reach[ab] = 0 if comp.dim_quotient > 0 else lvl
+            reach[ab] = -1 if comp.dim_quotient > 0 else lvl
             if comp.dim_quotient > 0 and lvl > 0 and ab not in forced:
                 raise ConsistencyError(
                     f"nonzero component beyond the zero frontier at {ab}, c={c}"
@@ -614,41 +603,17 @@ def explore_theta_row(
         band += 1
 
 
-def schur_multiplicities(n: int, chars: dict[Partition, int]) -> dict[Partition, int]:
-    """<chi, chi^lam> = sum_mu chi(mu) chi^lam(mu) / z_mu for every lam |- n.
-
-    chi is the character of a genuine module, so every multiplicity must be
-    a nonnegative integer; anything else raises ConsistencyError.
-    """
-    table = character_table(n)
-    mus = partitions_of(n)
-    out = {}
-    for lam in mus:
-        total = normalize_scalar(
-            sum(RAT(chars[mu] * table.value(lam, mu), z_mu(mu)) for mu in mus if chars[mu])
-        )
-        if not isinstance(total, int) or total < 0:
-            raise ConsistencyError(f"multiplicity of s_{lam} is {total}, not in N")
-        out[lam] = total
-    return out
-
-
 def assemble_series(n: int, components) -> FrobeniusSeries:
-    """Schur expansion from per-component characters via the p_mu pairing.
+    """Schur expansion: coeff(lam) gains q^a t^b z^c m_lam per component.
 
-    coeff(lam) gains q^a t^b z^c * <chi, chi^lam> per component; every
-    multiplicity must be a nonnegative integer.
+    Every multiplicity must be a nonnegative integer.
     """
     series = FrobeniusSeries(n)
     acc: dict[Partition, dict] = {lam: {} for lam in partitions_of(n)}
     for d, comp in sorted(components.items()):
-        if comp.dim_quotient == 0:
-            continue
-        try:
-            mult = schur_multiplicities(n, comp.chars)
-        except ConsistencyError as exc:
-            raise ConsistencyError(f"at {d}: {exc}") from exc
-        for lam, m in mult.items():
+        for lam, m in comp.mult.items():
+            if type(m) is not int or m < 0:
+                raise ConsistencyError(f"at {d}: multiplicity of s_{lam} is {m}, not in N")
             if m:
                 acc[lam][(d.a, d.b, d.c)] = m
     for lam, terms in acc.items():
@@ -676,6 +641,10 @@ def frobenius_module(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if extra_band < 0:
+        raise ValueError(f"extra_band must be >= 0, got {extra_band}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     pool = None
     if threads > 1:
@@ -683,21 +652,19 @@ def frobenius_module(
 
         pool = ProcessPoolExecutor(max_workers=threads)
 
-    done: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
+    components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
 
     def compute_many(specs):
-        out = [
-            component_cache.get(nn, TriDegree(*d3)) if component_cache is not None else None
-            for nn, d3 in specs
-        ]
+        degrees = [TriDegree(*d3) for _, d3 in specs]
+        out = [component_cache.get(n, d) if component_cache is not None else None
+               for d in degrees]
         todo = [i for i, comp in enumerate(out) if comp is None]
-        for i, comp in enumerate(out):
+        for d, comp in zip(degrees, out):
             if comp is not None:
-                done[TriDegree(*specs[i][1])] = comp
+                components[d] = comp
 
         def finish(i, comp):
-            out[i] = comp
-            done[TriDegree(*specs[i][1])] = comp
+            out[i] = components[degrees[i]] = comp
             if component_cache is not None:
                 component_cache.put(comp)
 
@@ -719,7 +686,7 @@ def frobenius_module(
                 raise BudgetExceeded(f"budget exhausted with {len(pending)} components pending")
         return out
 
-    rows: dict[int, ThetaRowResult] = {}
+    rows: dict[int, bool] = {}
     try:
         for c in range(n + 1):
             forced_ab = {(d.a, d.b) for d in forced if d.c == c}
@@ -738,13 +705,9 @@ def frobenius_module(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    for d, comp in done.items():  # the row in progress when the budget ran out
-        rows.setdefault(d.c, ThetaRowResult(d.c)).components.setdefault((d.a, d.b), comp)
-    components: dict[TriDegree, ComponentCharacters] = {}
-    for c, row in rows.items():
-        for (a, b), comp in row.components.items():
-            components[TriDegree(a, b, c)] = comp
-    closed = len(rows) == n + 1 and all(row.closed for row in rows.values())
+    for d in components:  # the row in progress when the budget ran out
+        rows.setdefault(d.c, False)
+    closed = len(rows) == n + 1 and all(rows.values())
     series = assemble_series(n, components)
     return ModuleSideResult(n, series, components, closed, rows)
 
@@ -753,13 +716,12 @@ def support_frontier(n: int, c: int, extra_band: int = 1) -> set[TriDegree]:
     """Tri-degrees with nonzero quotient at fixed theta-degree c."""
     if not 0 <= c <= n:
         raise ValueError(f"need 0 <= c <= n, got c={c}")
+    found: set[TriDegree] = set()
 
     def compute_many(specs):
-        return [component_characters(nn, TriDegree(*d3)) for nn, d3 in specs]
+        out = [component_characters(nn, TriDegree(*d3)) for nn, d3 in specs]
+        found.update(comp.degree for comp in out if comp.dim_quotient > 0)
+        return out
 
-    row = explore_theta_row(n, c, compute_many, extra_band=extra_band)
-    return {
-        TriDegree(a, b, c)
-        for (a, b), comp in row.components.items()
-        if comp.dim_quotient > 0
-    }
+    explore_theta_row(n, c, compute_many, extra_band=extra_band)
+    return found

@@ -19,8 +19,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coinvariants import ComponentCharacters, frobenius_module, schur_multiplicities
-from .linalg import ConsistencyError
+from .coinvariants import ComponentCharacters, frobenius_module
 from .macdonald import rhs_series
 from .partitions import (
     Partition,
@@ -34,7 +33,7 @@ from .series import FrobeniusSeries
 from .superring import TriDegree, component_dimension
 
 ENGINE_VERSION = "0.2.0"
-CACHE_SCHEMA_VERSION = 1
+CACHE_SCHEMA_VERSION = 2
 
 EQUAL = "EQUAL"
 DIFFER = "DIFFER"
@@ -51,7 +50,7 @@ class CacheEntry:
     n: int
     degree: tuple[int, int, int]
     dim: int  # quotient dimension at this degree
-    characters: dict[str, int]  # cycle type string -> character value
+    multiplicities: dict[str, int]  # partition string -> Schur multiplicity
 
     @classmethod
     def from_component(cls, comp: ComponentCharacters) -> CacheEntry:
@@ -61,20 +60,13 @@ class CacheEntry:
             n=comp.n,
             degree=tuple(comp.degree),
             dim=comp.dim_quotient,
-            characters={partition_to_str(mu): v for mu, v in sorted(comp.chars.items())},
+            multiplicities={partition_to_str(lam): m for lam, m in sorted(comp.mult.items())},
         )
 
     def to_component(self) -> ComponentCharacters:
         degree = TriDegree(*self.degree)
-        ambient = component_dimension(self.n, degree)
-        chars = {partition_from_str(k): v for k, v in self.characters.items()}
-        return ComponentCharacters(
-            n=self.n,
-            degree=degree,
-            dim=ambient,
-            rank=ambient - self.dim,
-            chars=chars,
-        )
+        mult = {partition_from_str(k): m for k, m in self.multiplicities.items()}
+        return ComponentCharacters(self.n, degree, component_dimension(self.n, degree), mult)
 
     def to_json_dict(self) -> dict:
         return {
@@ -83,7 +75,7 @@ class CacheEntry:
             "n": self.n,
             "degree": list(self.degree),
             "dim": self.dim,
-            "characters": self.characters,
+            "multiplicities": self.multiplicities,
         }
 
     @classmethod
@@ -94,7 +86,7 @@ class CacheEntry:
             n=_json_int(data["n"]),
             degree=tuple(_json_int(x) for x in data["degree"]),
             dim=_json_int(data["dim"]),
-            characters={str(k): _json_int(v) for k, v in data["characters"].items()},
+            multiplicities={str(k): _json_int(v) for k, v in data["multiplicities"].items()},
         )
 
 
@@ -109,10 +101,10 @@ class ComponentCache:
     """One JSON document per component under cache_dir/n=N/a_b_c.json.
 
     Writes are atomic (temp file + rename).  Entries with a stale schema or
-    engine version, corrupt files, and entries whose characters are not
-    those of a genuine quotient component (identity value other than dim, dim
-    above the ambient dimension, or Schur multiplicities outside N) are
-    treated as missing and left alone.
+    engine version, corrupt files, and entries that are not a genuine
+    quotient component (multiplicities not one nonnegative integer per
+    partition of n, sum_lam m_lam f^lam other than dim, or dim above the
+    ambient dimension) are treated as missing and left alone.
     """
 
     def __init__(self, root: str | Path):
@@ -141,15 +133,13 @@ class ComponentCache:
             return None
         if entry.n != n or entry.degree != tuple(d):
             return None
-        expected = sorted(partition_to_str(mu) for mu in partitions_of(entry.n))
-        if sorted(entry.characters) != expected:
+        expected = sorted(partition_to_str(lam) for lam in partitions_of(n))
+        if sorted(entry.multiplicities) != expected:
             return None
-        chars = {partition_from_str(k): v for k, v in entry.characters.items()}
-        if chars[(1,) * entry.n] != entry.dim or entry.dim > component_dimension(n, d):
+        if any(m < 0 for m in entry.multiplicities.values()):
             return None
-        try:
-            schur_multiplicities(entry.n, chars)
-        except ConsistencyError:
+        comp = entry.to_component()
+        if comp.dim_quotient != entry.dim or comp.rank < 0:  # dim above the ambient
             return None
         return entry
 
@@ -284,8 +274,8 @@ def verify_conjecture(
         "t0_delta_series": rhs.specialize(t=0).to_json_dict()["coeffs"],
     }
     rows = {
-        str(c): {"closed": row.closed, "components": len(row.components)}
-        for c, row in sorted(module.rows.items())
+        str(c): {"closed": closed, "components": sum(d.c == c for d in module.components)}
+        for c, closed in sorted(module.rows.items())
     }
     stats = {
         "components_computed": len(module.components),

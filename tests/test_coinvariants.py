@@ -1,4 +1,5 @@
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -6,7 +7,6 @@ from superdelta.coinvariants import (
     ComponentCharacters,
     apply_signed_map,
     assemble_series,
-    character_quotient,
     component_characters,
     frobenius_module,
     ideal_component,
@@ -102,11 +102,11 @@ def test_ideal_component_stability_exhaustive():
 
 
 def test_character_quotient_examples():
-    assert character_quotient((1, 1), 2, TriDegree(0, 0, 1)) == 1
-    assert character_quotient((2,), 2, TriDegree(0, 0, 1)) == -1
-    assert character_quotient((1,), 1, TriDegree(0, 0, 0)) == 1
-    with pytest.raises(ValueError):
-        character_quotient((2,), 3, TriDegree(0, 0, 0))
+    assert component_characters(2, TriDegree(0, 0, 1)).chars[(1, 1)] == 1
+    assert component_characters(2, TriDegree(0, 0, 1)).chars[(2,)] == -1
+    assert component_characters(1, TriDegree(0, 0, 0)).chars[(1,)] == 1
+    with pytest.raises(KeyError):  # (2,) is not a cycle type of S_3
+        component_characters(3, TriDegree(0, 0, 0)).chars[(2,)]
 
 
 def test_character_is_class_function():
@@ -187,8 +187,8 @@ def test_frobenius_module_threads_deterministic():
 
 def test_assemble_series_rejects_noninteger():
     comp = ComponentCharacters(
-        n=2, degree=TriDegree(0, 0, 0), dim=2, rank=0,
-        chars={(2,): 0, (1, 1): 1},  # not a genuine character: 1/2 multiplicities
+        n=2, degree=TriDegree(0, 0, 0), dim=2,
+        mult={(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)},  # not a genuine module
     )
     with pytest.raises(ConsistencyError):
         assemble_series(2, {TriDegree(0, 0, 0): comp})
@@ -196,8 +196,8 @@ def test_assemble_series_rejects_noninteger():
 
 def test_assemble_series_rejects_negative():
     comp = ComponentCharacters(
-        n=2, degree=TriDegree(0, 0, 0), dim=1, rank=0,
-        chars={(2,): -1, (1, 1): -1},  # minus the trivial character
+        n=2, degree=TriDegree(0, 0, 0), dim=1,
+        mult={(2,): -1, (1, 1): 0},  # minus the trivial representation
     )
     with pytest.raises(ConsistencyError):
         assemble_series(2, {TriDegree(0, 0, 0): comp})

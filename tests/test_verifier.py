@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import superdelta
-from superdelta.cli import main as cli_main
+from superdelta.cli import build_parser, main as cli_main
+from superdelta.coinvariants import frobenius_module
+from superdelta.macdonald import HTILDE_SIZE_LIMIT
 from superdelta.qtz import ONE, Q
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
@@ -33,7 +35,7 @@ def sample_entry():
         n=2,
         degree=(0, 0, 1),
         dim=1,
-        characters={"2": -1, "1,1": 1},
+        multiplicities={"2": 0, "1,1": 1},  # the sign representation
     )
 
 
@@ -70,28 +72,35 @@ def test_cache_version_bump_ignored(tmp_path):
 def tampered_entries():
     """Entries that no genuine module has, each with a valid schema and version."""
     wrong_dim = sample_entry()
-    wrong_dim.dim = 2  # the identity character says 1
+    wrong_dim.dim = 2  # the multiplicities say 1
     half = sample_entry()
-    half.characters = {"2": 0, "1,1": 1}  # multiplicities 1/2 and 1/2
+    half.multiplicities = {"2": 0.5, "1,1": 0.5}  # multiplicities 1/2 and 1/2
     negative = sample_entry()
     negative.dim = -1
-    negative.characters = {"2": -1, "1,1": -1}  # minus the trivial character
+    negative.multiplicities = {"2": -1, "1,1": 0}  # minus the trivial representation
+    signed = sample_entry()
+    signed.multiplicities = {"2": -1, "1,1": 2}  # dimension 1, but not a module
     too_big = sample_entry()
     too_big.dim = 3
-    too_big.characters = {"2": 1, "1,1": 3}  # 2 s_2 + s_11, but R_(0,0,1) has dim 2
+    too_big.multiplicities = {"2": 2, "1,1": 1}  # 2 s_2 + s_11, but R_(0,0,1) has dim 2
+    missing = sample_entry()
+    missing.multiplicities = {"1,1": 1}  # no multiplicity of s_2
+    stray = sample_entry()
+    stray.multiplicities = {"2": 0, "1,1": 1, "1": 0}  # (1) is not a partition of 2
     # values that are not JSON integers, though int() would turn them into the
     # valid entry
     fractional = sample_entry()
     fractional.dim = 1.5
-    fractional.characters = {"2": -1, "1,1": 1.5}
+    fractional.multiplicities = {"2": 0, "1,1": 1.5}
     boolean = sample_entry()
     boolean.dim = True
-    boolean.characters = {"2": -1, "1,1": True}
+    boolean.multiplicities = {"2": 0, "1,1": True}
     text = sample_entry()
     text.n = "2"
     text.degree = ("0", "0", "1")
     text.dim = "1"
-    return [wrong_dim, half, negative, too_big, fractional, boolean, text]
+    return [wrong_dim, half, negative, signed, too_big, missing, stray, fractional,
+            boolean, text]
 
 
 def test_cache_rejects_tampered_entries(tmp_path):
@@ -113,6 +122,29 @@ def test_verify_recomputes_tampered_entries(tmp_path):
         report = verify_conjecture(2, cache_dir=cache.root)
         assert report.verdict == EQUAL
         assert cache.load_entry(2, TriDegree(0, 0, 1)) == sample_entry()
+
+
+def schema_1_entry(cache):
+    """Write the entry of n = 2, degree (0, 0, 1) as cache schema 1 stored it:
+    valid character values instead of multiplicities."""
+    path = cache.entry_path(2, TriDegree(0, 0, 1))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "schema_version": 1, "engine_version": ENGINE_VERSION, "n": 2,
+        "degree": [0, 0, 1], "dim": 1, "characters": {"2": -1, "1,1": 1},
+    }))
+
+
+def test_schema_1_entry_is_a_miss_and_verify_rewrites_it(tmp_path):
+    cache = ComponentCache(tmp_path)
+    schema_1_entry(cache)
+    assert cache.get(2, TriDegree(0, 0, 1)) is None
+    report = verify_conjecture(2, cache_dir=tmp_path)
+    assert report.verdict == EQUAL
+    assert cache.load_entry(2, TriDegree(0, 0, 1)) == sample_entry()
+    data = json.loads(cache.entry_path(2, TriDegree(0, 0, 1)).read_text())
+    assert data["schema_version"] == CACHE_SCHEMA_VERSION == 2
+    assert data["multiplicities"] == {"2": 0, "1,1": 1} and "characters" not in data
 
 
 def test_report_timing_names_backend_and_python():
@@ -197,7 +229,7 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
     assert not partial.closed and calls
     assert len(partial.components) == len(calls)
     assert set(partial.components) == {TriDegree(*d) for _, d in calls}
-    assert partial.rows[0].components and not partial.rows[0].closed
+    assert any(d.c == 0 for d in partial.components) and partial.rows[0] is False
 
     calls.clear()
     report = verify_conjecture(3, threads=1, budget_seconds=0.45)
@@ -323,10 +355,43 @@ def test_cli_subcommands():
         ("macdonald", "--mu", "1,3"),
         ("macdonald", "--mu", "0"),
         ("macdonald", "--mu", "9"),
+        ("verify", "--n", "2", "--extra-band", "-1"),
+        ("verify", "--n", "2", "--max-degree", "-1"),
+        ("verify", "--n", "2", "--budget-seconds", "-1"),
+        ("verify", "--n", "2", "--budget-seconds", "nan"),
+        ("verify", "--n", "2", "--threads", "0"),
+        ("verify", "--n", "2", "--threads", "-1"),
+        ("frobenius", "--n", "2", "--side", "module", "--threads", "0"),
+        ("hilbert", "--n", "2", "--threads", "-1"),
+        # n above the filling-formula limit of the delta side
+        ("frobenius", "--n", str(HTILDE_SIZE_LIMIT + 1), "--side", "delta"),
+        ("verify", "--n", str(HTILDE_SIZE_LIMIT + 1), "--long"),
     ]:
         with pytest.raises(SystemExit) as exc:
             cli_main(list(args))
         assert exc.value.code == 3, args
+
+
+def test_cli_accepts_zero_bounds_and_names_the_delta_limit(capsys):
+    args = build_parser().parse_args(
+        ["verify", "--n", "2", "--extra-band", "0", "--max-degree", "0",
+         "--budget-seconds", "0"])
+    assert (args.extra_band, args.max_degree, args.budget_seconds) == (0, 0, 0.0)
+    assert cli_main(["verify", "--n", "1", "--extra-band", "0"]) == 0
+    assert "frontier closed: True" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["frobenius", "--n", str(HTILDE_SIZE_LIMIT + 1), "--side", "delta"])
+    assert exc.value.code == 3
+    assert f"n <= {HTILDE_SIZE_LIMIT}" in capsys.readouterr().err
+
+
+def test_frobenius_module_rejects_negative_band_and_threads():
+    with pytest.raises(ValueError):
+        frobenius_module(2, extra_band=-1)
+    for threads in (0, -1):
+        with pytest.raises(ValueError):
+            frobenius_module(2, threads=threads)
+    assert frobenius_module(2, extra_band=0).closed
 
 
 def test_cli_verify_json_and_cache(tmp_path):
