@@ -16,7 +16,6 @@ from superdelta.coinvariants import (
     frobenius_module,
     ideal_component,
     isotypic_dimension,
-    support_frontier,
     trace_regular,
     young_system,
 )
@@ -41,9 +40,10 @@ print("  (the quotient is the sign representation: theta_1 ~ -theta_2)")
 print("\ntrace of swap on the full component (0,0,2):",
       trace_regular((2, 1), 2, TriDegree(0, 0, 2)))
 
-# frontier exploration: degrees with nonzero quotient at fixed theta-degree
+# the frontier scan finds the degrees with nonzero quotient, row by theta-degree
+hilbert2 = frobenius_module(2).hilbert()
 for c in range(3):
-    cells = sorted(tuple(x) for x in support_frontier(2, c))
+    cells = [tuple(d) for d in hilbert2 if d.c == c]
     print(f"support of M_2 at theta-degree {c}: {cells}")
 
 # the full tri-graded Frobenius characteristic

@@ -7,8 +7,8 @@ independently the Delta-prime operator series
 
     Delta'_{e_(n-1) + z e_(n-2) + ... + z^(n-1)}(e_n),
 
-then compares the two Schur expansions coefficient by coefficient in
-exact rational arithmetic.
+then compares the two Schur expansions, whose coefficients are integer
+polynomials in q, t, z, coefficient by coefficient.
 """
 
 from .coinvariants import ModuleSideResult, frobenius_module

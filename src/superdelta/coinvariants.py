@@ -67,7 +67,7 @@ from .partitions import (
     z_mu,
 )
 from .qtz import QTZPoly
-from .rationals import RAT, normalize_scalar
+from .rationals import RAT
 from .series import FrobeniusSeries
 from .superring import (
     SuperMonomial,
@@ -360,10 +360,10 @@ class YoungCharacter:
         table = character_table(self.n)
         out = {}
         for lam in partitions_of(self.n):
-            value = normalize_scalar(sum(c * table.value(lam, nu) for nu, c in coeffs.items()))
-            if not isinstance(value, int):
+            value = sum(c * table.value(lam, nu) for nu, c in coeffs.items())
+            if value.denominator != 1:
                 raise ConsistencyError(f"non-integer pairing <s_{lam}, {self}>: {value}")
-            out[lam] = value
+            out[lam] = int(value)
         return out
 
 
@@ -421,16 +421,16 @@ class YoungSystem:
     n: int
     characters: tuple[YoungCharacter, ...]
     extra: YoungCharacter | None
-    inverse: tuple[tuple[object, ...], ...]  # K^-1, rows indexed like partitions_of(n)
+    inverse: tuple[tuple[int | RAT, ...], ...]  # K^-1, rows indexed like partitions_of(n)
 
     def multiplicities(self, dims: list[int]) -> dict[Partition, int]:
         """Schur multiplicities from the isotypic dimensions; must be in N."""
         out = {}
         for lam, row in zip(partitions_of(self.n), self.inverse):
-            m = normalize_scalar(sum(k * v for k, v in zip(row, dims)))
-            if not isinstance(m, int) or m < 0:
+            m = sum(k * v for k, v in zip(row, dims))
+            if m.denominator != 1 or m < 0:
                 raise ConsistencyError(f"multiplicity of s_{lam} is {m}, not in N")
-            out[lam] = m
+            out[lam] = int(m)
         return out
 
 
@@ -466,9 +466,11 @@ def young_system(n: int) -> YoungSystem:
     if len(chosen) != len(lams):
         raise ConsistencyError(f"Young characters do not span the class functions of S_{n}")
     extra = next((psi for psi in candidates if psi not in chosen), None)
-    # columns of K are indexed by lam, rows by psi: K^-1 maps dims to multiplicities
+    # columns of K are indexed by lam, rows by psi: K^-1 maps dims to multiplicities;
+    # integral entries (all for n <= 7) become ints, so each solve is int arithmetic
     matrix = [[psi.pairing[lam] for lam in lams] for psi in chosen]
-    return YoungSystem(n, tuple(chosen), extra, tuple(map(tuple, inverse(matrix))))
+    inv = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in inverse(matrix))
+    return YoungSystem(n, tuple(chosen), extra, inv)
 
 
 @dataclass
@@ -622,6 +624,16 @@ def assemble_series(n: int, components) -> FrobeniusSeries:
     return series
 
 
+def check_module_arguments(n: int, extra_band: int, threads: int) -> None:
+    """Raise ValueError for arguments frobenius_module cannot run with."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if extra_band < 0:
+        raise ValueError(f"extra_band must be >= 0, got {extra_band}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def frobenius_module(
     n: int,
     extra_band: int = 1,
@@ -639,12 +651,7 @@ def frobenius_module(
     within one component of its deadline; every component finished by then
     is in the result, the unclosed row in progress included.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if extra_band < 0:
-        raise ValueError(f"extra_band must be >= 0, got {extra_band}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    check_module_arguments(n, extra_band, threads)
     deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
     pool = None
     if threads > 1:
@@ -711,17 +718,3 @@ def frobenius_module(
     series = assemble_series(n, components)
     return ModuleSideResult(n, series, components, closed, rows)
 
-
-def support_frontier(n: int, c: int, extra_band: int = 1) -> set[TriDegree]:
-    """Tri-degrees with nonzero quotient at fixed theta-degree c."""
-    if not 0 <= c <= n:
-        raise ValueError(f"need 0 <= c <= n, got c={c}")
-    found: set[TriDegree] = set()
-
-    def compute_many(specs):
-        out = [component_characters(nn, TriDegree(*d3)) for nn, d3 in specs]
-        found.update(comp.degree for comp in out if comp.dim_quotient > 0)
-        return out
-
-    explore_theta_row(n, c, compute_many, extra_band=extra_band)
-    return found

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .rationals import RAT, normalize_scalar
+from .rationals import RAT
 
 
 class ConsistencyError(Exception):
@@ -95,7 +95,7 @@ class Echelon:
         return [(j, self.pivots[j]) for j in sorted(self.pivots)]
 
 
-def inverse(matrix: list[list[int]]) -> list[list[object]]:
+def inverse(matrix: list[list[int]]) -> list[list[RAT]]:
     """Exact inverse of a square integer matrix K (ValueError if singular).
 
     The rows [K_i | e_i] go into an Echelon, whose pivots are then exactly the
@@ -115,7 +115,7 @@ def inverse(matrix: list[list[int]]) -> list[list[object]]:
     for j in range(size):
         r = ech.residual({j: 1, 2 * size: 1})
         s = r[2 * size]
-        out.append([normalize_scalar(RAT(-r.get(size + i, 0), s)) for i in range(size)])
+        out.append([RAT(-r.get(size + i, 0), s) for i in range(size)])
     return out
 
 
@@ -131,4 +131,4 @@ def trace_on_reduced_basis(ech: Echelon, apply_action):
         val = apply_action(row).get(j, 0)
         if val:
             total += RAT(val, row[j])
-    return normalize_scalar(total)
+    return total

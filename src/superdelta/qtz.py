@@ -1,7 +1,7 @@
 """Sparse exact polynomials in q, t, z.
 
-Terms are dicts mapping exponent triples (dq, dt, dz) to nonzero exact
-coefficients (int where integral, RAT otherwise).  The fixed term order is
+Terms are dicts mapping exponent triples (dq, dt, dz) to nonzero int
+coefficients; scalar operands are ints too.  The fixed term order is
 graded lexicographic with q > t > z.  Two tools serve sums of long products
 in q, t: `Kronecker` packs integer polynomials into Python ints, where a
 product is one big-int multiplication (or a few shifted adds by a short
@@ -16,11 +16,7 @@ from __future__ import annotations
 import sys
 from array import array
 
-from .rationals import RAT, normalize_scalar
-
 Expo = tuple[int, int, int]
-
-_SCALAR_TYPES = (int, type(RAT(1)))
 
 
 class NotDivisible(Exception):
@@ -38,11 +34,7 @@ class QTZPoly:
         if terms is None:
             self.terms = {}
         elif clean:
-            self.terms = {}
-            for e, c in terms.items():
-                c = normalize_scalar(c)
-                if c:
-                    self.terms[e] = c
+            self.terms = {e: c for e, c in terms.items() if c}
         else:
             self.terms = terms
 
@@ -54,12 +46,10 @@ class QTZPoly:
 
     @classmethod
     def constant(cls, c) -> QTZPoly:
-        c = normalize_scalar(c)
         return cls({(0, 0, 0): c} if c else {}, clean=False)
 
     @classmethod
     def monomial(cls, dq: int = 0, dt: int = 0, dz: int = 0, coeff=1) -> QTZPoly:
-        coeff = normalize_scalar(coeff)
         return cls({(dq, dt, dz): coeff} if coeff else {}, clean=False)
 
     # -- structure ------------------------------------------------------
@@ -71,14 +61,14 @@ class QTZPoly:
         return not self.terms
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, int):
             other = QTZPoly.constant(other)
         if not isinstance(other, QTZPoly):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset((e, str(c)) for e, c in self.terms.items()))
+        return hash(frozenset(self.terms.items()))
 
     def leading_exponent(self) -> Expo:
         if not self.terms:
@@ -101,13 +91,13 @@ class QTZPoly:
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other) -> QTZPoly:
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, int):
             other = QTZPoly.constant(other)
         acc = dict(self.terms)
         for e, c in other.terms.items():
             s = acc.get(e, 0) + c
             if s:
-                acc[e] = normalize_scalar(s)
+                acc[e] = s
             elif e in acc:
                 del acc[e]
         return QTZPoly(acc, clean=False)
@@ -118,7 +108,7 @@ class QTZPoly:
         return QTZPoly({e: -c for e, c in self.terms.items()}, clean=False)
 
     def __sub__(self, other) -> QTZPoly:
-        if isinstance(other, _SCALAR_TYPES):
+        if isinstance(other, int):
             other = QTZPoly.constant(other)
         return self + (-other)
 
@@ -126,14 +116,10 @@ class QTZPoly:
         return (-self) + other
 
     def __mul__(self, other) -> QTZPoly:
-        if isinstance(other, _SCALAR_TYPES):
-            other = normalize_scalar(other)
+        if isinstance(other, int):
             if not other:
                 return QTZPoly.zero()
-            return QTZPoly(
-                {e: normalize_scalar(c * other) for e, c in self.terms.items()},
-                clean=False,
-            )
+            return QTZPoly({e: c * other for e, c in self.terms.items()}, clean=False)
         if not isinstance(other, QTZPoly):
             return NotImplemented
         acc: dict[Expo, object] = {}
@@ -146,8 +132,6 @@ class QTZPoly:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
-        for e, c in acc.items():
-            acc[e] = normalize_scalar(c)
         return QTZPoly(acc, clean=False)
 
     __rmul__ = __mul__
@@ -182,7 +166,7 @@ class QTZPoly:
             e = (a, b, c)
             s = acc.get(e, 0) + x
             if s:
-                acc[e] = normalize_scalar(s)
+                acc[e] = s
             elif e in acc:
                 del acc[e]
         return QTZPoly(acc, clean=False)
@@ -191,7 +175,7 @@ class QTZPoly:
         total = 0
         for (a, b, c), x in self.terms.items():
             total += x * q**a * t**b * z**c
-        return normalize_scalar(total)
+        return total
 
     def swap_qt(self) -> QTZPoly:
         return QTZPoly({(b, a, c): x for (a, b, c), x in self.terms.items()}, clean=False)
@@ -247,8 +231,6 @@ Z = QTZPoly.monomial(dz=1)
 
 def poly_from_str(s: str) -> QTZPoly:
     """Parse the report text form back into a polynomial."""
-    from .rationals import scalar_from_str
-
     s = s.strip()
     if s in ("", "0"):
         return QTZPoly.zero()
@@ -256,7 +238,7 @@ def poly_from_str(s: str) -> QTZPoly:
     chunks = []
     current = ""
     for ch in s:
-        if ch in "+-" and current and current[-1] not in "+-/^*":
+        if ch in "+-" and current and current[-1] not in "+-^*":
             chunks.append(current)
             current = ch if ch == "-" else ""
         else:
@@ -286,7 +268,7 @@ def poly_from_str(s: str) -> QTZPoly:
                 else:
                     raise ValueError(f"unknown variable {name!r}")
             else:
-                coeff = coeff * scalar_from_str(factor)
+                coeff = coeff * int(factor)
         acc = acc + QTZPoly.monomial(dq, dt, dz, coeff)
     return acc
 

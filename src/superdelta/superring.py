@@ -14,7 +14,6 @@ from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
-from .rationals import normalize_scalar
 from .partitions import Permutation
 
 
@@ -100,11 +99,7 @@ class SuperPoly:
         if terms is None:
             self.terms = {}
         elif clean:
-            self.terms = {}
-            for m, c in terms.items():
-                c = normalize_scalar(c)
-                if c:
-                    self.terms[m] = c
+            self.terms = {m: c for m, c in terms.items() if c}
         else:
             self.terms = terms
 
@@ -125,7 +120,7 @@ class SuperPoly:
         for m, c in other.terms.items():
             s = acc.get(m, 0) + c
             if s:
-                acc[m] = normalize_scalar(s)
+                acc[m] = s
             elif m in acc:
                 del acc[m]
         return SuperPoly(self.n, acc, clean=False)
@@ -137,7 +132,6 @@ class SuperPoly:
         return self + (-other)
 
     def scaled(self, coeff) -> SuperPoly:
-        coeff = normalize_scalar(coeff)
         if not coeff:
             return SuperPoly(self.n)
         return SuperPoly(self.n, {m: c * coeff for m, c in self.terms.items()}, clean=False)

@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coinvariants import ComponentCharacters, frobenius_module
+from .coinvariants import ComponentCharacters, check_module_arguments, frobenius_module
 from .macdonald import rhs_series
 from .partitions import (
     Partition,
@@ -28,7 +28,6 @@ from .partitions import (
     partitions_of,
 )
 from .qtz import QTZPoly
-from .rationals import RAT_BACKEND
 from .series import FrobeniusSeries
 from .superring import TriDegree, component_dimension
 
@@ -233,8 +232,7 @@ def verify_conjecture(
     max_ab: int | None = None,
 ) -> VerificationReport:
     """Compute both sides for n and compare them coefficient by coefficient."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_module_arguments(n, extra_band, threads)
     t0 = time.monotonic()
     rhs = rhs_series(n)
     t_rhs = time.monotonic() - t0
@@ -295,7 +293,6 @@ def verify_conjecture(
         "module_side_seconds": round(t_module, 3),
         "total_seconds": round(time.monotonic() - t0, 3),
         "threads": threads,
-        "backend": RAT_BACKEND,
         "python": platform.python_version(),
     }
     return VerificationReport(

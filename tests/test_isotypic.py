@@ -8,6 +8,7 @@ import pytest
 import superdelta.coinvariants as coinvariants
 from superdelta.characters import character_table
 from superdelta.coinvariants import (
+    YoungSystem,
     component_characters,
     frobenius_module,
     ideal_component,
@@ -19,7 +20,7 @@ from superdelta.coinvariants import (
 )
 from superdelta.linalg import ConsistencyError
 from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type
-from superdelta.rationals import RAT, normalize_scalar
+from superdelta.rationals import RAT
 from superdelta.superring import (
     TriDegree,
     apply_perm_mono,
@@ -53,7 +54,7 @@ def reference_characters(n, d):
             i, sign = preimage[j]
             if row.get(i):
                 ideal_trace += RAT(sign * row[i], row[j])
-        chars[mu] = trace_regular(sigma, n, d) - normalize_scalar(ideal_trace)
+        chars[mu] = trace_regular(sigma, n, d) - ideal_trace
     return dim, basis.rank, chars
 
 
@@ -187,3 +188,14 @@ def test_quotient_above_ambient_is_caught(monkeypatch):
     monkeypatch.setattr(coinvariants, "component_dimension", lambda n, d: 2)
     with pytest.raises(ConsistencyError, match="exceeds the ambient"):
         component_characters(n, d)
+
+
+def test_fractional_inverse_gives_int_multiplicities_or_fails():
+    # K^-1 is integral for n <= 7; a Fraction entry must still give int
+    # multiplicities (assemble_series takes ints only) or a ConsistencyError
+    system = young_system(2)
+    halved = YoungSystem(2, system.characters, None, ((RAT(1, 2), 0), (0, 1)))
+    mult = halved.multiplicities([2, 3])
+    assert mult == {(2,): 1, (1, 1): 3} and all(type(m) is int for m in mult.values())
+    with pytest.raises(ConsistencyError, match="1/2"):
+        halved.multiplicities([1, 3])

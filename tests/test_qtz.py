@@ -46,10 +46,12 @@ def test_str_spec_example():
 
 
 def test_parse_roundtrip():
-    for text in ["0", "1 + q*t + 2*z*q^2", "-t^2 + q^2", "3/4*q - t^3", "q"]:
+    for text in ["0", "1 + q*t + 2*z*q^2", "-t^2 + q^2", "3*q - t^3", "q"]:
         assert str(poly_from_str(text)) == str(poly_from_str(str(poly_from_str(text))))
     p = ONE + Q * T * 5 - T**3
     assert poly_from_str(str(p)) == p
+    with pytest.raises(ValueError):  # coefficients are integers
+        poly_from_str("3/4*q")
 
 
 @given(small_polys(), small_polys(), small_polys())

@@ -147,10 +147,43 @@ def test_schema_1_entry_is_a_miss_and_verify_rewrites_it(tmp_path):
     assert data["multiplicities"] == {"2": 0, "1,1": 1} and "characters" not in data
 
 
-def test_report_timing_names_backend_and_python():
+def test_report_timing_names_python():
     timing = verify_conjecture(1).timing
-    assert timing["backend"] in ("gmpy2", "fraction")
     assert timing["python"] == platform.python_version()
+
+
+FAKE_GMPY2 = """
+import fractions, sys, types
+gmpy2 = types.ModuleType("gmpy2")
+def mpq(*args):
+    raise AssertionError("gmpy2.mpq called")
+gmpy2.mpq = mpq
+sys.modules["gmpy2"] = gmpy2
+import superdelta.rationals
+from superdelta.verifier import EQUAL, verify_conjecture
+assert superdelta.rationals.RAT is fractions.Fraction
+assert verify_conjecture(3).verdict == EQUAL
+print("ok")
+"""
+
+
+def test_engine_ignores_an_installed_gmpy2():
+    proc = run_python(FAKE_GMPY2)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_verify_checks_arguments_before_the_delta_side(monkeypatch):
+    import superdelta.verifier as verifier
+
+    def no_delta_side(n):
+        raise AssertionError("rhs_series ran before the arguments were checked")
+
+    monkeypatch.setattr(verifier, "rhs_series", no_delta_side)
+    with pytest.raises(ValueError, match="extra_band"):
+        verify_conjecture(3, extra_band=-1)
+    with pytest.raises(ValueError, match="threads"):
+        verify_conjecture(3, threads=0)
 
 
 def test_cache_component_roundtrip(tmp_path):
@@ -250,13 +283,18 @@ print("ok")
 """
 
 
-def test_engine_and_reference_run_without_numpy():
+def run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     src = str(Path(superdelta.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
-    proc = subprocess.run([sys.executable, "-c", NO_NUMPY], capture_output=True,
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=300, env=env)
+
+
+def test_engine_and_reference_run_without_numpy():
+    proc = run_python(NO_NUMPY)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
 
