@@ -373,41 +373,49 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
     Rows are built target-side: for each live target c and each term
     x_i^r y_i^s theta_i^e of a generator that divides c, the cofactor is
     canonicalized, and the row (generator, cofactor orbit) gains the sign at
-    column c.  No orbit is expanded.  Ascending targets with the rows of the
-    last generators inserted first keep the fill-in low (at n = 4 this
-    ordering takes a third of the echelon time of descending targets).
+    column c.  No orbit is expanded.  The target columns are labelled in
+    descending orbit order, every row is built first, and the rows go in by
+    descending last column, sparsest first within one (a stable sort, so
+    ties keep the last generators' rows first).  Against inserting each
+    generator's rows as they are built, the stored integers stay small, n = 5's
+    (6,6,0) takes 28 s, not 351 s, and frobenius_module(4) half the time.
     """
-    targets = psi.live_orbits(d)
+    targets = psi.live_orbits(d)[::-1]
     if not targets:
         return 0
-    n = psi.n
-    gens = [
-        e for _name, e, _gen in ideal_generators(n)
-        if e.a <= d.a and e.b <= d.b and e.c <= d.c
-    ]
+    gens = [e for _name, e, _gen in ideal_generators(psi.n)
+            if e.a <= d.a and e.b <= d.b and e.c <= d.c]
     canon: dict[Triples, tuple[Triples, int] | None] = {}
+    quotients: dict[tuple[int, int, int], list] = {}  # triple -> (generator, quotient, e)
+    rows: list[dict[Triples, dict[int, int]]] = [{} for _ in gens]
+    for col, c in enumerate(targets):
+        before = 0  # thetas of c at letters < i: the sign of theta_i * cofactor
+        for i, tr in enumerate(c):
+            quos = quotients.get(tr)
+            if quos is None:
+                x, y, t = tr
+                quos = quotients[tr] = [
+                    (k, (x - r, y - s, t - e), e)
+                    for k, (r, s, e) in enumerate(gens) if x >= r and y >= s and t >= e
+                ]
+            for k, quo, e in quos:
+                cof = c[:i] + (quo,) + c[i + 1:]
+                hit = canon.get(cof, canon)
+                if hit is canon:
+                    hit = canon[cof] = psi.canonical(cof)
+                if hit is not None:
+                    rep, sign = hit
+                    if e and before % 2:
+                        sign = -sign
+                    row = rows[k].setdefault(rep, {})
+                    row[col] = row.get(col, 0) + sign
+            before += tr[2]
     ech = Echelon()
-    for r, s, e in reversed(gens):
-        rows: dict[Triples, dict[int, int]] = {}
-        for col, c in enumerate(targets):
-            before = 0  # thetas of c at letters < i: the sign of theta_i * cofactor
-            for i, (x, y, t) in enumerate(c):
-                if x >= r and y >= s and t >= e:
-                    cof = c[:i] + ((x - r, y - s, t - e),) + c[i + 1:]
-                    hit = canon.get(cof, canon)
-                    if hit is canon:
-                        hit = canon[cof] = psi.canonical(cof)
-                    if hit is not None:
-                        rep, sign = hit
-                        if e and before % 2:
-                            sign = -sign
-                        row = rows.setdefault(rep, {})
-                        row[col] = row.get(col, 0) + sign
-                before += t
-        for row in rows.values():
-            ech.insert(row)
-            if ech.rank == len(targets):
-                return 0
+    for row in sorted((row for part in reversed(rows) for row in part.values()),
+                      key=lambda row: (-max(row), len(row))):
+        ech.insert(row)
+        if ech.rank == len(targets):
+            return 0
     return len(targets) - ech.rank
 
 

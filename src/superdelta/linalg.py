@@ -32,7 +32,11 @@ def _strip_content(v: dict[int, int], lead: int) -> dict[int, int]:
 
 
 class Echelon:
-    """Incremental integer row echelon form, rows keyed by pivot column."""
+    """Incremental integer row echelon form, rows keyed by pivot column.
+
+    insert and residual copy the incoming row once, dropping its zeros, and
+    then reduce that copy in place; the caller's dict is never changed.
+    """
 
     def __init__(self):
         self.pivots: dict[int, dict[int, int]] = {}
@@ -41,44 +45,45 @@ class Echelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _eliminate(self, v: dict[int, int], p: dict[int, int], j: int) -> dict[int, int]:
-        """am * v - bm * p with the coordinate j cancelled (zeros dropped)."""
+    def _eliminate(self, v: dict[int, int], p: dict[int, int], j: int) -> None:
+        """v <- am * v - bm * p in place, with the coordinate j cancelled (zeros dropped)."""
         a, b = p[j], v[j]
         g = gcd(a, b)
         am, bm = a // g, b // g
-        new = dict(v) if am == 1 else {c: am * val for c, val in v.items()}
+        if am != 1:
+            for c in v:
+                v[c] *= am
         for c, val in p.items():
-            w = new.get(c, 0) - bm * val
+            w = v.get(c, 0) - bm * val
             if w:
-                new[c] = w
+                v[c] = w
             else:  # only an existing coordinate can cancel, since bm * val != 0
-                del new[c]
-        return new
+                del v[c]
 
     def insert(self, v: dict[int, int]) -> int | None:
         """Reduce v against the current rows; store the remainder if nonzero.
 
         Returns the new pivot column, or None if v reduced to zero.
         """
-        if any(val == 0 for val in v.values()):
-            v = {c: val for c, val in v.items() if val}
+        v = {c: val for c, val in v.items() if val}
         while v:
             j = min(v)
             p = self.pivots.get(j)
             if p is None:
                 self.pivots[j] = _strip_content(v, j)
                 return j
-            v = self._eliminate(v, p, j)
+            self._eliminate(v, p, j)
         return None
 
     def residual(self, v: dict[int, int]) -> dict[int, int]:
         """Reduce v without inserting; empty iff v lies in the row space."""
+        v = {c: val for c, val in v.items() if val}
         while v:
             j = min(v)
             p = self.pivots.get(j)
             if p is None:
                 return v
-            v = self._eliminate(v, p, j)
+            self._eliminate(v, p, j)
         return {}
 
     def reduce_fully(self) -> None:
@@ -87,7 +92,7 @@ class Echelon:
             row = self.pivots[j]
             others = [c for c in row if c != j and c in self.pivots]
             for c in sorted(others):
-                row = self._eliminate(row, self.pivots[c], c)
+                self._eliminate(row, self.pivots[c], c)
             self.pivots[j] = _strip_content(row, j)
 
     def basis_rows(self) -> list[tuple[int, dict[int, int]]]:

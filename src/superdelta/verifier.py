@@ -79,6 +79,8 @@ class CacheEntry:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CacheEntry:
+        if type(data["multiplicities"]) is not dict:
+            raise TypeError(f"not a JSON object: {data['multiplicities']!r}")
         return cls(
             schema_version=_json_int(data["schema_version"]),
             engine_version=str(data["engine_version"]),

@@ -8,6 +8,7 @@ import pytest
 import superdelta.coinvariants as coinvariants
 from superdelta.characters import character_table
 from superdelta.coinvariants import (
+    YoungCharacter,
     YoungSystem,
     component_characters,
     frobenius_module,
@@ -18,7 +19,7 @@ from superdelta.coinvariants import (
     young_candidates,
     young_system,
 )
-from superdelta.linalg import ConsistencyError
+from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type
 from superdelta.rationals import RAT
 from superdelta.superring import (
@@ -26,6 +27,7 @@ from superdelta.superring import (
     apply_perm_mono,
     component_dimension,
     enumerate_monomials,
+    ideal_generators,
 )
 
 
@@ -79,6 +81,84 @@ def test_matches_trace_method_on_sampled_n4_components():
         assert (comp.dim, comp.rank, comp.chars) == reference_characters(4, d), d
         nonzero += comp.dim_quotient > 0
     assert 0 < nonzero < len(sample)  # both kinds of component are covered
+
+
+def reference_isotypic_dimension(d, psi):
+    """isotypic_dimension with the earlier insertion order: ascending target
+    columns, the rows of each generator inserted as soon as they are built
+    (last generator first), and an exit once the rank is full."""
+    targets = psi.live_orbits(d)
+    if not targets:
+        return 0
+    gens = [e for _name, e, _gen in ideal_generators(psi.n)
+            if e.a <= d.a and e.b <= d.b and e.c <= d.c]
+    ech = Echelon()
+    for r, s, e in reversed(gens):
+        rows = {}
+        for col, c in enumerate(targets):
+            before = 0
+            for i, (x, y, t) in enumerate(c):
+                if x >= r and y >= s and t >= e:
+                    hit = psi.canonical(c[:i] + ((x - r, y - s, t - e),) + c[i + 1:])
+                    if hit is not None:
+                        rep, sign = hit
+                        if e and before % 2:
+                            sign = -sign
+                        row = rows.setdefault(rep, {})
+                        row[col] = row.get(col, 0) + sign
+                before += t
+        for row in rows.values():
+            ech.insert(row)
+            if ech.rank == len(targets):
+                return 0
+    return len(targets) - ech.rank
+
+
+def isotypic_dimensions(n, d, isotypic):
+    system = young_system(n)
+    psis = system.characters + ((system.extra,) if system.extra else ())
+    return [isotypic(d, psi) for psi in psis]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_insertion_order_matches_reference_on_every_visited_component(n):
+    for d in frobenius_module(n).components:
+        want = isotypic_dimensions(n, d, reference_isotypic_dimension)
+        assert isotypic_dimensions(n, d, isotypic_dimension) == want, d
+
+
+def test_insertion_order_matches_reference_on_sampled_n4_components():
+    zero_band = [TriDegree(5, 0, 2), TriDegree(7, 0, 1)]  # dims 336 and 480, quotient 0
+    candidates = sorted(
+        TriDegree(a, s - a, c)
+        for s in range(8) for a in range(s + 1) for c in range(5)
+        if 0 < component_dimension(4, TriDegree(a, s - a, c)) <= 600
+    )
+    sample = zero_band + random.Random(20190110).sample(candidates, 8)
+    assert [component_dimension(4, d) for d in zero_band] == [336, 480]
+    for d in sample:
+        got = isotypic_dimensions(4, d, isotypic_dimension)
+        assert got == isotypic_dimensions(4, d, reference_isotypic_dimension), d
+        if d in zero_band:
+            assert got == [0] * len(got)
+
+
+def test_row_order_keeps_the_integers_small(monkeypatch):
+    # the sign character of S_3 x S_2 at n = 5: inserted sparsest first alone,
+    # its stored rows reach 33-bit entries here (109 bits at (5,5,0)), and in
+    # the earlier per-generator order 22; the last-column-first order keeps 7
+    echelons = []
+
+    class Recorded(Echelon):
+        def __init__(self):
+            super().__init__()
+            echelons.append(self)
+
+    monkeypatch.setattr(coinvariants, "Echelon", Recorded)
+    assert isotypic_dimension(TriDegree(5, 4, 0), YoungCharacter((), (3, 2))) == 2
+    (ech,) = echelons
+    assert ech.rank == 505 - 2
+    assert max(abs(v).bit_length() for row in ech.pivots.values() for v in row.values()) <= 12
 
 
 def monomial_triples(m):

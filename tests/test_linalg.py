@@ -143,6 +143,42 @@ def test_echelon_membership():
     assert trace_on_reduced_basis(ech, lambda v: dict(v)) == 2
 
 
+def test_insert_and_residual_leave_the_callers_row():
+    ech = Echelon()
+    first = {0: 2, 1: 4, 3: 0}
+    assert ech.insert(first) == 0
+    assert first == {0: 2, 1: 4, 3: 0}
+    first[1] = 99  # the stored row is a copy, not the caller's dict
+    assert ech.pivots[0] == {0: 1, 1: 2}
+    second = {0: 3, 1: 1, 2: 5}  # reduced against the first row before it is stored
+    assert ech.insert(second) == 1
+    assert second == {0: 3, 1: 1, 2: 5}
+    probe = {0: 1, 1: 7, 2: -1, 4: 0}
+    left = ech.residual(probe)
+    assert probe == {0: 1, 1: 7, 2: -1, 4: 0}
+    assert left and left is not probe and all(left.values())
+    member = {0: 1, 1: 2}
+    assert ech.residual(member) == {} and member == {0: 1, 1: 2}
+
+
+def test_rank_invariant_under_row_and_column_permutations():
+    rng = random.Random(29)
+    deficient = 0
+    for _ in range(200):
+        nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 13)
+        m = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3 else 0
+              for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:  # a dependent row: a combination of two others
+            u, w = rng.sample(m, 2)
+            m.append([2 * a - b for a, b in zip(u, w)])
+        rank = echelon_of(m).rank
+        cols = rng.sample(range(ncols), ncols)
+        assert echelon_of([[row[c] for c in cols] for row in rng.sample(m, len(m))]).rank == rank
+        assert echelon_of(sorted(m, key=lambda row: sum(map(bool, row)))).rank == rank
+        deficient += rank < min(len(m), ncols)
+    assert 0 < deficient < 200  # both full and deficient ranks are covered
+
+
 def test_inverse_random_and_singular():
     rng = random.Random(11)
     for size in range(1, 7):

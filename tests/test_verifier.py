@@ -99,8 +99,14 @@ def tampered_entries():
     text.n = "2"
     text.degree = ("0", "0", "1")
     text.dim = "1"
+    # multiplicities that are not a JSON object: a list, a string, a number, null
+    shapes = []
+    for value in ([0, 1], "2:0,1,1:1", 1, None):
+        shape = sample_entry()
+        shape.multiplicities = value
+        shapes.append(shape)
     return [wrong_dim, half, negative, signed, too_big, missing, stray, fractional,
-            boolean, text]
+            boolean, text, *shapes]
 
 
 def test_cache_rejects_tampered_entries(tmp_path):
