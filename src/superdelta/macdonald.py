@@ -12,8 +12,11 @@ where a cell is a descent when its entry exceeds the entry directly below
 inv counts attacking pairs in inversion minus the arms of descents.  Cells
 (j, i) and (j, i') attack for i < i', as do (j, i) and (j-1, i') for
 i' < i: in adjacent rows the cell farther from the corner row must sit
-strictly right of its partner, and it reads first.  Restricting entries to
-1..n suffices for the degree-n monomial coefficients.
+strictly right of its partner, and it reads first.  Reading goes by rows
+from the top (the row farthest from the corner row) down, left to right.
+Every filling standardizes to one with entries 1..n, so the n! standard
+fillings, tallied by the inverse descent set of their reading word, give
+every monomial coefficient (see hhl_htilde).
 
 Delta-prime eigenvalues are elementary symmetric evaluations on the cell
 alphabet B_mu - 1; the expansion of e_n over the H~_mu carries the scalar
@@ -24,22 +27,35 @@ denominator L.  The products and sums are taken on Kronecker-packed ints,
 with the packing's q-degree and slot width worked out from the factors'
 degrees and coefficient sums.  Only the eigenvalue e_k[B_mu - 1] depends on
 k, so one pass serves every k: each product of the rest is formed once and
-e_k[B_mu - 1] is applied to it as shifted adds.  Each Schur coefficient is
-unpacked once, straight into a coefficient grid, and divided exactly by the
-two-term atoms of L one at a time, which certifies it polynomial.
+e_k[B_mu - 1] is applied to it as shifted adds.  Each Schur coefficient's
+packed numerator is divided by the packed L in one step, through a 2-adic
+inverse computed once, and the quotient is unpacked and certified: it times
+L must rebuild the numerator and fit the packing, which is injective there,
+so the quotient is the exact polynomial one.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from math import comb, prod
+from itertools import accumulate, permutations, repeat
+from math import comb
+from operator import add, gt, mul, sub
 from typing import NamedTuple
 
 from .characters import kostka
 from .partitions import Partition, arm, cells, leg, partitions_of
-from .qtz import ONE, Kronecker, QTZPoly, divide_exact
+from .qtz import (
+    ONE,
+    Kronecker,
+    PackedDivisor,
+    QTZPoly,
+    divide_exact,
+    l1_norm,
+    packed_product,
+)
 from .series import FrobeniusSeries
 
 
@@ -137,66 +153,66 @@ def mono_to_schur(n: int, coeffs: dict[Partition, QTZPoly]) -> FrobeniusSeries:
 # --- the filling formula ------------------------------------------------------
 
 
-def _multiset_permutations(word: list[int]):
-    """Distinct permutations of a sorted multiset (Knuth's algorithm L)."""
-    seq = sorted(word)
-    n = len(seq)
-    while True:
-        yield tuple(seq)
-        k = n - 2
-        while k >= 0 and seq[k] >= seq[k + 1]:
-            k -= 1
-        if k < 0:
-            return
-        i = n - 1
-        while seq[i] <= seq[k]:
-            i -= 1
-        seq[k], seq[i] = seq[i], seq[k]
-        seq[k + 1 :] = reversed(seq[k + 1 :])
+HTILDE_SIZE_LIMIT = 8  # the filling formula enumerates n! standard fillings per mu
 
 
-HTILDE_SIZE_LIMIT = 8  # the filling formula enumerates about n! * p(n) terms
+@cache
+def _standard_fillings(n: int) -> tuple[list[array], array]:
+    """The n! standard fillings of n cells, as the entries 0..n-1 in reading
+    order, by column: columns[u][f] is filling f's entry at position u.  With
+    them, each filling's inverse descent set as a bit mask: bit i is set
+    when entry i+1 is read before entry i."""
+    columns = [array("b") for _ in range(n)]
+    keys = array("H")
+    for entries in permutations(range(n)):
+        for column, x in zip(columns, entries):
+            column.append(x)
+        read = sorted(range(n), key=entries.__getitem__)  # read[x]: where x is read
+        keys.append(sum(1 << i for i in range(n - 1) if read[i] > read[i + 1]))
+    return columns, keys
 
 
 @cache
 def hhl_htilde(mu: Partition) -> dict[Partition, QTZPoly]:
-    """The monomial coefficients of the modified Macdonald polynomial H~_mu."""
+    """The monomial coefficients of the modified Macdonald polynomial H~_mu.
+
+    A filling with content nu standardizes, ties broken in reading order
+    (rows from the top down, left to right), to a standard filling with the
+    same inv and maj.  This is a bijection onto the standard fillings whose
+    inverse descent set D lies inside the partial sums of nu, so the n!
+    standard fillings are tallied once by D, inv and maj, and [x^nu] H~_mu
+    sums the tallies of the D that fit nu.  inv and maj are counted for all
+    fillings at once, one pass over the columns per pair of cells.
+    """
     n = sum(mu)
     if n == 0:
         raise ValueError("mu must be nonempty")
     if n > HTILDE_SIZE_LIMIT:
         raise ValueError(f"|mu| = {n} exceeds the filling-formula limit {HTILDE_SIZE_LIMIT}")
-    cell_list = cells(mu)
-    index = {c: i for i, c in enumerate(cell_list)}
-    south = [index.get((j - 1, i)) for (j, i) in cell_list]
-    legs = [leg(mu, j, i) for (j, i) in cell_list]
-    arms = [arm(mu, j, i) for (j, i) in cell_list]
-    attacks: list[tuple[int, int]] = []
+    columns, keys = _standard_fillings(n)
+    order = sorted(cells(mu), key=lambda c: (-c[0], c[1]))  # reading order
+    index = {c: u for u, c in enumerate(order)}
+    inv, maj = [0] * len(keys), [0] * len(keys)
     for (j, i), u in index.items():
         for (jj, ii), v in index.items():
-            if jj == j and ii > i:
-                attacks.append((u, v))
-            elif jj == j - 1 and ii < i:
-                # adjacent rows attack with the cell away from the corner row
-                # strictly right of the other; it reads first
-                attacks.append((u, v))
+            # adjacent rows attack with the cell away from the corner row
+            # strictly right of the other; the first of a pair reads first
+            if (jj == j and ii > i) or (jj == j - 1 and ii < i):
+                inv = list(map(add, inv, map(gt, columns[u], columns[v])))
+        if (j - 1, i) in index:
+            descent = list(map(gt, columns[u], columns[index[j - 1, i]]))
+            maj = list(map(add, maj, map(mul, descent, repeat(leg(mu, j, i) + 1))))
+            inv = list(map(sub, inv, map(mul, descent, repeat(arm(mu, j, i)))))
+    tally: dict[int, dict] = {}
+    for (key, a, b), count in Counter(zip(keys, inv, maj)).items():
+        tally.setdefault(key, {})[a, b, 0] = count
     coeffs: dict[Partition, QTZPoly] = {}
     for nu in partitions_of(n):
-        word = [letter for letter, mult in enumerate(nu, start=1) for _ in range(mult)]
-        acc: dict[tuple[int, int, int], int] = {}
-        for entries in _multiset_permutations(word):
-            maj = 0
-            armsum = 0
-            for u, s in enumerate(south):
-                if s is not None and entries[u] > entries[s]:
-                    maj += legs[u] + 1
-                    armsum += arms[u]
-            inv = -armsum
-            for u, v in attacks:
-                if entries[u] > entries[v]:
-                    inv += 1
-            key = (inv, maj, 0)
-            acc[key] = acc.get(key, 0) + 1
+        cuts = sum(1 << (p - 1) for p in accumulate(nu[:-1]))
+        acc = Counter()
+        for key, terms in tally.items():
+            if not key & ~cuts:
+                acc.update(terms)
         coeffs[nu] = QTZPoly(acc)
     return coeffs
 
@@ -244,19 +260,6 @@ def _expansion_scalar(mu: Partition) -> _ExpansionScalar:
     return _ExpansionScalar(sign, b_mu(mu), num - common, den - common)
 
 
-def _l1(p: QTZPoly) -> int:
-    return sum(abs(c) for c in p.terms.values())
-
-
-def _packed_product(factors: list[QTZPoly]) -> QTZPoly:
-    """The product of integer polynomials in q, t, multiplied packed."""
-    packing = Kronecker(1 + sum(f.degrees()[0] for f in factors), prod(map(_l1, factors)))
-    acc = 1
-    for f in factors:
-        acc *= packing.pack(f)
-    return packing.unpack(acc)
-
-
 @cache
 def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     """The Schur coefficients of Delta'_{e_k}(e_n) for k = 0..n-1, in one pass.
@@ -280,7 +283,7 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     sbase = {}
     for mu, sc in scalars.items():
         missing = l_atoms - sc.den_atoms
-        sbase[mu] = _packed_product(
+        sbase[mu] = packed_product(
             [sc.bpoly * sc.sign, *sc.num_atoms.elements(), *missing.elements()]
         )
     schur = {mu: htilde_schur(mu).coeffs for mu in mus}
@@ -290,17 +293,19 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
         + max(h.degrees()[0] for h in schur[mu].values())
         for mu in mus
     )
-    l1 = {mu: _l1(p) for mu, p in sbase.items()}
+    l1 = {mu: l1_norm(p) for mu, p in sbase.items()}
     bound = comb(n - 1, (n - 1) // 2) * max(
-        sum(l1[mu] * _l1(schur[mu][lam]) for mu in mus if lam in schur[mu])
+        sum(l1[mu] * l1_norm(schur[mu][lam]) for mu in mus if lam in schur[mu])
         for lam in mus
     )
     packing = Kronecker(D, bound)
     sbase = {mu: packing.pack(p) for mu, p in sbase.items()}
     ek = {mu: [packing.shifts(ek_pleth(mu, k)) for k in range(n)] for mu in mus}
-    atoms = list(l_atoms.elements())
+    divisor = PackedDivisor(packing, list(l_atoms.elements()))
     out: list[dict[Partition, QTZPoly]] = [{} for _ in range(n)]
-    for lam in mus:
+    # lam = (1^n) and k = n-1 first: their quotients are the largest, so the
+    # divisor's inverse is lifted once, to the precision the others need too
+    for lam in reversed(mus):
         nums = [0] * n
         for mu in mus:
             if lam not in schur[mu]:
@@ -309,9 +314,9 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
             for k, terms in enumerate(ek[mu]):
                 for c, shift in terms:
                     nums[k] += (c * p if c != 1 else p) << shift
-        for k, num in enumerate(nums):
-            if num:
-                out[k][lam] = divide_exact(packing.unpack_grid(num), *atoms)
+        for k in reversed(range(n)):
+            if nums[k]:
+                out[k][lam] = divide_exact(nums[k], divisor)
     return out
 
 
@@ -319,9 +324,8 @@ def delta_prime_ek_en(n: int, k: int) -> FrobeniusSeries:
     """Delta'_{e_k} applied to e_n, in the Schur basis.
 
     Each Schur coefficient is accumulated as one packed numerator over the
-    shared denominator, unpacked, and certified polynomial by exact division
-    by each atom of the denominator in turn (see _delta_context, which does
-    this for every k at once).
+    shared denominator and divided by it exactly, which certifies it
+    polynomial (see _delta_context, which does this for every k at once).
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")

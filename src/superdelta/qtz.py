@@ -5,16 +5,18 @@ coefficients; scalar operands are ints too.  The fixed term order is
 graded lexicographic with q > t > z.  Two tools serve sums of long products
 in q, t: `Kronecker` packs integer polynomials into Python ints, where a
 product is one big-int multiplication (or a few shifted adds by a short
-polynomial) and unpacking yields a dense coefficient grid, and
-`divide_exact` divides a polynomial or such a grid by two-term factors
-`m1 - m2`, one pass each, raising NotDivisible when the quotient is not a
-polynomial.
+polynomial), and `divide_exact` divides a packed polynomial N by a product
+L of two-term factors `m1 - m2` in one step, through the 2-adic inverse of
+the odd part of the packed L.  Packing is injective on the polynomials that
+fit its slots, so a quotient Q with Q * L fitting them and packing to the
+same int as N is the exact quotient; anything else raises NotDivisible.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from math import prod
 
 Expo = tuple[int, int, int]
 
@@ -370,60 +372,98 @@ def _grid_poly(rows: list[list]) -> QTZPoly:
     return QTZPoly({(a, b, 0): x for b, row in enumerate(rows) for a, x in enumerate(row) if x})
 
 
-def divide_exact(num: QTZPoly | list[list[int]], *atoms: QTZPoly) -> QTZPoly:
-    """Return p in q, t with p * prod(atoms) == num, or raise NotDivisible.
+def l1_norm(p: QTZPoly) -> int:
+    return sum(abs(c) for c in p.terms.values())
 
-    num is a polynomial or its coefficient grid rows[t][q], as from
-    `Kronecker.unpack_grid`.  Each atom is a difference m1 - m2 of two
-    monomials in q, t, so with d = m1 - m2 the quotient by it satisfies
-    p[f] = num[f + m1] + p[f + d]: one pass along each chain f, f - d,
-    f - 2d, ... of the dense coefficient grid divides by it, a whole row of
-    the grid per step.  The division is exact when no nonzero carry leaves
-    the positive quadrant or runs off the bottom of its chain.
+
+def packed_product(factors: list[QTZPoly]) -> QTZPoly:
+    """The product of integer polynomials in q, t, multiplied packed."""
+    packing = Kronecker(1 + sum(f.degrees()[0] for f in factors), prod(map(l1_norm, factors)))
+    acc = 1
+    for f in factors:
+        acc *= packing.pack(f)
+    return packing.unpack(acc)
+
+
+class PackedDivisor:
+    """L = prod(atoms), each atom a difference m1 - m2 of two monomials in
+    q, t, as `divide_exact` divides by it under one packing.
+
+    It holds ev(L) = 2^s * o with o odd, |L|_1, deg_q L and the 2-adic
+    inverse of o, lifted by Newton's iteration only as far as a division
+    has asked for.
     """
-    if isinstance(num, QTZPoly):
-        dq, dt, dz = num.degrees()
-        if dz:
-            raise ValueError(f"dividend must not involve z, got {num}")
-        width, height = dq + 1, dt + 1
-        rows = [[0] * width for _ in range(height)]
-        for (a, b, _), x in num.terms.items():
-            rows[b][a] = x
-    else:  # a copy cut to the box of the polynomial's degrees
-        tops = [
-            (b, len(row) - next(i for i, x in enumerate(reversed(row)) if x))
-            for b, row in enumerate(num)
-            if any(row)
-        ]
-        height = tops[-1][0] + 1 if tops else 1
-        width = max((top for _, top in tops), default=1)
-        rows = [row[:width] for row in num[:height]]
-    for atom in atoms:
-        if atom.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        signs = {x: e for e, x in atom.terms.items()}
-        if len(atom.terms) != 2 or set(signs) != {1, -1} or signs[1][2] or signs[-1][2]:
-            raise ValueError(f"divisor must be m1 - m2 for monomials in q, t, got {atom}")
-        rows, width, height = _divide_grid(rows, width, height, signs[1], signs[-1])
-    return _grid_poly(rows)
+
+    __slots__ = ("packing", "shifts", "ev", "s", "odd", "q_degree", "l1", "_inverse", "_bits")
+
+    def __init__(self, packing: Kronecker, atoms: list[QTZPoly]):
+        self.packing = packing
+        self.shifts = []
+        for atom in atoms:
+            if atom.is_zero():
+                raise ZeroDivisionError("division by zero polynomial")
+            terms = sorted(packing.shifts(atom))  # rejects z and q-degree >= D
+            if [c for c, _ in terms] != [-1, 1]:
+                raise ValueError(f"divisor must be m1 - m2 for monomials in q, t, got {atom}")
+            self.shifts.append((terms[1][1], terms[0][1]))
+        self.ev = self.times(1)
+        self.s = (self.ev & -self.ev).bit_length() - 1
+        self.odd = self.ev >> self.s
+        self.q_degree = sum(atom.degrees()[0] for atom in atoms)
+        self.l1 = l1_norm(packed_product(atoms))
+        self._inverse, self._bits = 1, 1  # o * 1 == 1 mod 2
+
+    def times(self, x: int) -> int:
+        """x * ev(L), as one shift-and-subtract per atom."""
+        for plus, minus in self.shifts:
+            x = (x << plus) - (x << minus)
+        return x
+
+    def inverse(self, k: int) -> int:
+        """o^-1 mod 2^k.  Each step x <- x (2 - o x) doubles the precision,
+        so the precisions are k, ceil(k/2), ... down to the one held."""
+        steps = []
+        while k > self._bits:
+            steps.append(k)
+            k = (k + 1) // 2
+        x = self._inverse
+        for k in reversed(steps):
+            mask = (1 << k) - 1
+            x = x * (2 - (self.odd & mask) * x) & mask
+        if steps:
+            self._inverse, self._bits = x, steps[0]
+        return self._inverse
 
 
-def _divide_grid(rows, width, height, m1, m2):
-    """One exact division of a coefficient grid rows[t][q] by m1 - m2."""
-    dq, dt = m1[0] - m2[0], m1[1] - m2[1]
-    if dt:  # rows[b] += rows[b + dt] shifted by dq, walking down the chains
-        for b in range(height - 1 - dt, -1, -1) if dt > 0 else range(-dt, height):
-            above = rows[b + dt]
-            shifted = above[dq:] if dq >= 0 else [0] * -dq + above[: max(width + dq, 0)]
-            rows[b] = [x + y for x, y in zip(rows[b], shifted)] + rows[b][len(shifted):]
-    else:
-        for row in rows:
-            for a in range(width - 1 - dq, -1, -1) if dq > 0 else range(-dq, width):
-                row[a] += row[a + dq]
-    # the grid now holds p[f] at f + m1; a carry elsewhere is a remainder
-    top_q, top_t = min(width, width + dq), min(height, height + dt)
-    for b, row in enumerate(rows):
-        if any(row[: m1[0]]) or any(row[top_q:]) or (any(row) and not m1[1] <= b < top_t):
-            raise NotDivisible(f"nonzero carry off the quotient's grid at t^{b}")
-    rows = [row[m1[0] : top_q] for row in rows[m1[1] : top_t]]
-    return rows, max(top_q - m1[0], 0), max(top_t - m1[1], 0)
+def divide_exact(x: int, divisor: PackedDivisor) -> QTZPoly:
+    """Return Q with Q * L == N, where x packs N under divisor.packing, or
+    raise NotDivisible.
+
+    x must pack a polynomial N that fits the packing.  With ev(L) = 2^s o,
+    o odd, and K = bits(x) - bits(ev L) + 2, a multiple x = ev(Q) ev(L) has
+    |ev Q| < 2^(K-1), so ev(Q) is the signed residue of
+    (x >> s) * o^-1 mod 2^K: one product with the 2-adic inverse of o.  The
+    candidate Q = unpack(q) is certified by two checks: q * ev(L) == x,
+    rebuilt as shifts over the atoms, and deg_q Q + deg_q L < D with
+    |Q|_inf * |L|_1 < 2^(B-1).  Then Q * L and N both fit the slots, where
+    packing is injective, and pack to the same int, so Q * L == N.  Any
+    failed check, a remainder below 2^s included, raises NotDivisible; so
+    does a packing too narrow for the true quotient.
+    """
+    if not x:
+        return QTZPoly.zero()
+    packing = divisor.packing
+    k = x.bit_length() - divisor.ev.bit_length() + 2
+    if k < 2:
+        raise NotDivisible("the numerator is smaller than the divisor")
+    mask = (1 << k) - 1
+    q = ((x >> divisor.s) & mask) * divisor.inverse(k) & mask
+    if q >> (k - 1):
+        q -= 1 << k
+    if divisor.times(q) != x:
+        raise NotDivisible("the 2-adic quotient times the divisor is not the numerator")
+    quotient = packing.unpack(q)
+    top = max(abs(c) for c in quotient.terms.values())
+    if quotient.degrees()[0] + divisor.q_degree >= packing.D or top * divisor.l1 >= packing.half:
+        raise NotDivisible("the quotient times the divisor does not fit the packing")
+    return quotient

@@ -16,7 +16,7 @@ from superdelta.macdonald import (
     mono_to_schur,
     rhs_series,
 )
-from superdelta.partitions import conjugate, partitions_of, syt_count
+from superdelta.partitions import arm, cells, conjugate, leg, partitions_of, syt_count
 from superdelta.qtz import ONE, Q, QTZPoly, T, Z
 from superdelta.series import FrobeniusSeries
 
@@ -60,6 +60,69 @@ def test_htilde_small():
         (2, 1): Q + T,
         (1, 1, 1): Q * T,
     }
+
+
+def _multiset_permutations(word: list[int]):
+    """Distinct permutations of a sorted multiset (Knuth's algorithm L)."""
+    seq = sorted(word)
+    n = len(seq)
+    while True:
+        yield tuple(seq)
+        k = n - 2
+        while k >= 0 and seq[k] >= seq[k + 1]:
+            k -= 1
+        if k < 0:
+            return
+        i = n - 1
+        while seq[i] <= seq[k]:
+            i -= 1
+        seq[k], seq[i] = seq[i], seq[k]
+        seq[k + 1 :] = reversed(seq[k + 1 :])
+
+
+def reference_hhl_htilde(mu) -> dict:
+    """H~_mu's monomial coefficients from every filling of every content nu."""
+    n = sum(mu)
+    cell_list = cells(mu)
+    index = {c: i for i, c in enumerate(cell_list)}
+    south = [index.get((j - 1, i)) for (j, i) in cell_list]
+    legs = [leg(mu, j, i) for (j, i) in cell_list]
+    arms = [arm(mu, j, i) for (j, i) in cell_list]
+    attacks = []
+    for (j, i), u in index.items():
+        for (jj, ii), v in index.items():
+            if jj == j and ii > i:
+                attacks.append((u, v))
+            elif jj == j - 1 and ii < i:
+                # adjacent rows attack with the cell away from the corner row
+                # strictly right of the other; it reads first
+                attacks.append((u, v))
+    coeffs = {}
+    for nu in partitions_of(n):
+        word = [letter for letter, mult in enumerate(nu, start=1) for _ in range(mult)]
+        acc = {}
+        for entries in _multiset_permutations(word):
+            maj = 0
+            armsum = 0
+            for u, s in enumerate(south):
+                if s is not None and entries[u] > entries[s]:
+                    maj += legs[u] + 1
+                    armsum += arms[u]
+            inv = -armsum
+            for u, v in attacks:
+                if entries[u] > entries[v]:
+                    inv += 1
+            key = (inv, maj, 0)
+            acc[key] = acc.get(key, 0) + 1
+        coeffs[nu] = QTZPoly(acc)
+    return coeffs
+
+
+def test_hhl_htilde_matches_all_fillings():
+    # hhl_htilde tallies the n! standard fillings by inverse descent set
+    for n in range(1, 7):
+        for mu in partitions_of(n):
+            assert hhl_htilde(mu) == reference_hhl_htilde(mu), mu
 
 
 def test_htilde_monomial_coefficients():

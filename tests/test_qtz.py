@@ -8,6 +8,7 @@ from superdelta.qtz import (
     Z,
     Kronecker,
     NotDivisible,
+    PackedDivisor,
     QTZPoly,
     divide_exact,
     poly_from_str,
@@ -71,22 +72,39 @@ def test_specialization_is_homomorphism(a, b):
         assert (a + b).substitute(**sub) == a.substitute(**sub) + b.substitute(**sub)
 
 
+def divide(num: QTZPoly, *atoms: QTZPoly, bound: int = 2**20) -> QTZPoly:
+    """divide_exact on num packed in slots that fit num, the atoms and, for
+    the default bound, every quotient these tests expect."""
+    D = 1 + max(num.degrees()[0], sum(atom.degrees()[0] for atom in atoms))
+    packing = Kronecker(D, bound)
+    return divide_exact(packing.pack(num), PackedDivisor(packing, list(atoms)))
+
+
 def test_divide_exact_examples():
-    assert divide_exact(ONE - Q * Q, ONE - Q) == ONE + Q
-    assert divide_exact((Q - T) * (ONE - Q * T) * 3, Q - T, ONE - Q * T) == 3
-    assert divide_exact(QTZPoly.zero(), Q - T).is_zero()
-    assert divide_exact(Q + T) == Q + T
+    assert divide(ONE - Q * Q, ONE - Q) == ONE + Q
+    assert divide((Q - T) * (ONE - Q * T) * 3, Q - T, ONE - Q * T) == 3
+    assert divide(QTZPoly.zero(), Q - T).is_zero()
+    assert divide(Q + T) == Q + T
     with pytest.raises(NotDivisible):
-        divide_exact(Q, T - ONE)
+        divide(Q, T - ONE)
     with pytest.raises(NotDivisible):
-        divide_exact(ONE - Q**3, ONE - Q * Q)
+        divide(ONE - Q**3, ONE - Q * Q)
     with pytest.raises(ZeroDivisionError):
-        divide_exact(Q, QTZPoly.zero())
+        divide(Q, QTZPoly.zero())
     for bad in (T, Q + T, Q * 2 - T, Z - ONE):
         with pytest.raises(ValueError):
-            divide_exact(Q, bad)
+            divide(Q, bad)
     with pytest.raises(ValueError):
-        divide_exact(Z * Q - Z, ONE - Q)
+        divide(Z * Q - Z, ONE - Q)
+
+
+def test_packed_divisor_inverse():
+    packing = Kronecker(7, 1000)
+    divisor = PackedDivisor(packing, [Q - T, ONE - Q * T, T * T - Q**3, ONE - Q])
+    assert divisor.ev == packing.pack((Q - T) * (ONE - Q * T) * (T * T - Q**3) * (ONE - Q))
+    assert divisor.ev == divisor.odd << divisor.s and divisor.odd % 2 == 1
+    for k in (700, 5, 64, 1, 2000, 3):  # lifted, reused and lifted again
+        assert divisor.odd * divisor.inverse(k) % 2**k == 1
 
 
 def atoms():
@@ -108,7 +126,7 @@ def test_divide_exact_inverts_multiplication(a, divisors):
     num = a
     for atom in divisors:
         num = num * atom
-    assert divide_exact(num, *divisors) == a
+    assert divide(num, *divisors) == a
 
 
 @given(small_polys(with_z=False), atoms(), st.integers(0, 4), st.integers(0, 4),
@@ -116,7 +134,51 @@ def test_divide_exact_inverts_multiplication(a, divisors):
 def test_divide_exact_rejects_non_multiples(a, atom, i, j, c):
     # atom vanishes at q = t = 1 and a monomial does not, so this is no multiple
     with pytest.raises(NotDivisible):
-        divide_exact(a * atom + QTZPoly.monomial(i, j, 0, c), atom)
+        divide(a * atom + QTZPoly.monomial(i, j, 0, c), atom)
+
+
+@given(small_polys(with_z=False), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 2**16 - 1))
+def test_divide_exact_rejects_a_remainder_below_2_to_the_s(a, i, j, low):
+    # ev(q^i - t^j) = 2^(B i) (1 - 2^(B (D j - i))): s = B i bits of zeros
+    atom = QTZPoly.monomial(i) - QTZPoly.monomial(0, j)
+    packing = Kronecker(8, 2**10)
+    divisor = PackedDivisor(packing, [atom])
+    assert divisor.s == 8 * packing.width * i >= 16  # so 0 < low < 2^s
+    with pytest.raises(NotDivisible):
+        divide_exact(packing.pack(a * atom) + low, divisor)
+
+
+def test_divide_exact_rejects_a_packing_too_narrow_for_the_quotient():
+    # (1 - q^m)^2 has coefficients 1 and -2, its quotient by (1 - q)^2 has
+    # coefficients up to m: a 1-byte slot holds the first, not the second
+    m = 200
+    num, quotient = (ONE - Q**m) ** 2, sum((Q**i for i in range(m)), QTZPoly.zero()) ** 2
+    assert divide(num, ONE - Q, ONE - Q, bound=2**10) == quotient
+    with pytest.raises(NotDivisible):
+        divide(num, ONE - Q, ONE - Q, bound=2)
+    # with t = q^2, 1 - t packs as (1 - q)(1 + q), but (1 + q)(1 - q) needs
+    # q-degree 2: 1 - t is no multiple of 1 - q
+    packing = Kronecker(2, 2**10)
+    with pytest.raises(NotDivisible):
+        divide_exact(packing.pack(ONE - T), PackedDivisor(packing, [ONE - Q]))
+
+
+@given(small_polys(with_z=False), st.lists(atoms(), max_size=4), st.integers(1, 2**9))
+def test_divide_exact_never_returns_a_wrong_quotient(a, divisors, bound):
+    num = a
+    for atom in divisors:
+        num = num * atom
+    bound = max([bound, *(abs(c) for c in num.terms.values())])  # the slots fit num
+    D = 1 + num.degrees()[0] + sum(atom.degrees()[0] for atom in divisors)
+    packing = Kronecker(D, bound)
+    divisor = PackedDivisor(packing, divisors)
+    try:
+        assert divide_exact(packing.pack(num), divisor) == a
+    except NotDivisible:
+        # only a quotient that may not fit the slots times L is refused
+        top = max((abs(c) for c in a.terms.values()), default=0)
+        assert top * divisor.l1 >= packing.half
 
 
 @given(small_polys(with_z=False), st.integers(0, 3), st.integers(0, 200))
@@ -201,25 +263,6 @@ def test_kronecker_shifts_reject_terms_that_do_not_fit():
     for bad in (Q**3, Q**3 * T + ONE, Z, Q + Z * T, QTZPoly.constant(RAT(1, 2))):
         with pytest.raises(ValueError):
             packing.shifts(bad)
-
-
-@given(small_polys(with_z=False), st.lists(atoms(), max_size=4), st.integers(0, 3),
-       st.integers(0, 3), st.integers(0, 4), st.integers(0, 4), st.integers(-9, 9))
-def test_divide_exact_on_a_grid(a, divisors, pad_q, pad_t, i, j, c):
-    num = a
-    for atom in divisors:
-        num = num * atom
-    dq, dt, _ = num.degrees()
-    rows = grid(num, dq + 1 + pad_q, dt + 1 + pad_t)
-    copy = [list(row) for row in rows]
-    assert divide_exact(rows, *divisors) == divide_exact(num, *divisors) == a
-    assert rows == copy
-    if divisors and c:
-        # an atom vanishes at q = t = 1 and a monomial does not
-        bad = num + QTZPoly.monomial(i, j, 0, c)
-        rows = grid(bad, max(dq, i) + 1 + pad_q, max(dt, j) + 1 + pad_t)
-        with pytest.raises(NotDivisible):
-            divide_exact(rows, *divisors)
 
 
 def test_evaluate_and_slabs():

@@ -289,14 +289,19 @@ print("ok")
 """
 
 
-def run_python(code):
-    """Run code in a fresh interpreter that imports this checkout's package."""
+def checkout_env():
+    """The environment with this checkout's package first on PYTHONPATH, so a
+    fresh interpreter imports it without an installed copy."""
     src = str(Path(superdelta.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     ))
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports this checkout's package."""
     return subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=300, env=env)
+                          text=True, timeout=300, env=checkout_env())
 
 
 def test_engine_and_reference_run_without_numpy():
@@ -358,6 +363,7 @@ def run_cli(*args):
         capture_output=True,
         text=True,
         timeout=600,
+        env=checkout_env(),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
