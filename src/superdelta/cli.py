@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .coinvariants import component_characters, frobenius_module
 from .macdonald import HTILDE_SIZE_LIMIT, htilde_schur, rhs_series
@@ -72,6 +73,17 @@ def _parse_mu(text: str) -> Partition:
     return mu
 
 
+def _cache_dir(text: str) -> str:
+    """An argparse type: a nonempty directory path, created if it is absent."""
+    if not text:
+        raise argparse.ArgumentTypeError("the cache directory must be a nonempty path")
+    try:
+        Path(text).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"cannot use {text!r} as a cache directory: {exc}")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="superdelta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -80,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=_at_least(1), required=True)
     p_verify.add_argument("--extra-band", type=_at_least(0), default=1)
     p_verify.add_argument("--threads", type=_at_least(1), default=1)
-    p_verify.add_argument("--cache-dir", default=None)
+    p_verify.add_argument("--cache-dir", type=_cache_dir, default=None)
     p_verify.add_argument("--format", default="text",
                           choices=["json", "csv", "latex", "text"])
     p_verify.add_argument("--budget-seconds", type=_at_least(0, float), default=None)
@@ -94,13 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_frob.add_argument("--side", required=True, choices=["module", "delta"])
     p_frob.add_argument("--spec", default=None, choices=["z=0", "t=0", "q=t=1"])
     p_frob.add_argument("--threads", type=_at_least(1), default=1)
-    p_frob.add_argument("--cache-dir", default=None)
+    p_frob.add_argument("--cache-dir", type=_cache_dir, default=None)
     p_frob.add_argument("--long", action="store_true")
 
     p_hilb = sub.add_parser("hilbert", help="module-side dimensions per tri-degree")
     p_hilb.add_argument("--n", type=_at_least(1), required=True)
     p_hilb.add_argument("--threads", type=_at_least(1), default=1)
-    p_hilb.add_argument("--cache-dir", default=None)
+    p_hilb.add_argument("--cache-dir", type=_cache_dir, default=None)
     p_hilb.add_argument("--long", action="store_true")
 
     p_mac = sub.add_parser("macdonald", help="Schur expansion of one H~_mu")

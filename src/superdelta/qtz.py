@@ -231,50 +231,6 @@ T = QTZPoly.monomial(dt=1)
 Z = QTZPoly.monomial(dz=1)
 
 
-def poly_from_str(s: str) -> QTZPoly:
-    """Parse the report text form back into a polynomial."""
-    s = s.strip()
-    if s in ("", "0"):
-        return QTZPoly.zero()
-    s = s.replace("- ", "-").replace("+ ", "+").replace(" ", "")
-    chunks = []
-    current = ""
-    for ch in s:
-        if ch in "+-" and current and current[-1] not in "+-^*":
-            chunks.append(current)
-            current = ch if ch == "-" else ""
-        else:
-            current += ch
-    chunks.append(current)
-    acc = QTZPoly.zero()
-    for chunk in chunks:
-        chunk = chunk.lstrip("+")
-        sign = 1
-        while chunk.startswith("-"):
-            sign = -sign
-            chunk = chunk[1:]
-        coeff = sign
-        dq = dt = dz = 0
-        for factor in chunk.split("*"):
-            if not factor:
-                continue
-            if factor[0] in "qtz":
-                name, _, exp = factor.partition("^")
-                e = int(exp) if exp else 1
-                if name == "q":
-                    dq += e
-                elif name == "t":
-                    dt += e
-                elif name == "z":
-                    dz += e
-                else:
-                    raise ValueError(f"unknown variable {name!r}")
-            else:
-                coeff = coeff * int(factor)
-        acc = acc + QTZPoly.monomial(dq, dt, dz, coeff)
-    return acc
-
-
 class Kronecker:
     """Integer polynomials in q, t packed into Python ints: t = q^D, q = 2^B.
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .partitions import Partition, partition_from_str, partition_to_str, partitions_of, syt_count
-from .qtz import QTZPoly, poly_from_str
+from .partitions import Partition, partition_to_str, partitions_of, syt_count
+from .qtz import QTZPoly
 from .superring import TriDegree
 
 
@@ -100,10 +100,3 @@ class FrobeniusSeries:
                 for lam in self.sorted_partitions()
             },
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> FrobeniusSeries:
-        series = cls(int(data["n"]))
-        for key, text in data["coeffs"].items():
-            series.set_coefficient(partition_from_str(key), poly_from_str(text))
-        return series

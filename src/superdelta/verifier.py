@@ -21,12 +21,7 @@ from pathlib import Path
 
 from .coinvariants import ComponentCharacters, check_module_arguments, frobenius_module
 from .macdonald import rhs_series
-from .partitions import (
-    Partition,
-    partition_from_str,
-    partition_to_str,
-    partitions_of,
-)
+from .partitions import Partition, partition_to_str, partitions_of
 from .qtz import QTZPoly
 from .series import FrobeniusSeries
 from .superring import TriDegree, component_dimension
@@ -42,70 +37,17 @@ INCONCLUSIVE = "INCONCLUSIVE"
 # --- component cache ----------------------------------------------------------
 
 
-@dataclass
-class CacheEntry:
-    schema_version: int
-    engine_version: str
-    n: int
-    degree: tuple[int, int, int]
-    dim: int  # quotient dimension at this degree
-    multiplicities: dict[str, int]  # partition string -> Schur multiplicity
-
-    @classmethod
-    def from_component(cls, comp: ComponentCharacters) -> CacheEntry:
-        return cls(
-            schema_version=CACHE_SCHEMA_VERSION,
-            engine_version=ENGINE_VERSION,
-            n=comp.n,
-            degree=tuple(comp.degree),
-            dim=comp.dim_quotient,
-            multiplicities={partition_to_str(lam): m for lam, m in sorted(comp.mult.items())},
-        )
-
-    def to_component(self) -> ComponentCharacters:
-        degree = TriDegree(*self.degree)
-        mult = {partition_from_str(k): m for k, m in self.multiplicities.items()}
-        return ComponentCharacters(self.n, degree, component_dimension(self.n, degree), mult)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "engine_version": self.engine_version,
-            "n": self.n,
-            "degree": list(self.degree),
-            "dim": self.dim,
-            "multiplicities": self.multiplicities,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> CacheEntry:
-        if type(data["multiplicities"]) is not dict:
-            raise TypeError(f"not a JSON object: {data['multiplicities']!r}")
-        return cls(
-            schema_version=_json_int(data["schema_version"]),
-            engine_version=str(data["engine_version"]),
-            n=_json_int(data["n"]),
-            degree=tuple(_json_int(x) for x in data["degree"]),
-            dim=_json_int(data["dim"]),
-            multiplicities={str(k): _json_int(v) for k, v in data["multiplicities"].items()},
-        )
-
-
-def _json_int(value) -> int:
-    """value if it is a JSON integer; a float, bool or string raises TypeError."""
-    if type(value) is not int:
-        raise TypeError(f"not a JSON integer: {value!r}")
-    return value
-
-
 class ComponentCache:
     """One JSON document per component under cache_dir/n=N/a_b_c.json.
 
-    Writes are atomic (temp file + rename).  Entries with a stale schema or
-    engine version, corrupt files, and entries that are not a genuine
-    quotient component (multiplicities not one nonnegative integer per
-    partition of n, sum_lam m_lam f^lam other than dim, or dim above the
-    ambient dimension) are treated as missing and left alone.
+    Writes are atomic (temp file + rename).  `get` treats an entry as a
+    miss, and leaves it alone, when the file is absent, unreadable or not
+    JSON; when its schema or engine version differs from this one; when
+    `n`, `degree`, `dim` or a multiplicity is not a JSON integer; when `n`
+    or `degree` differ from the path; when the multiplicity keys are not
+    exactly the partitions of n; or when the entry is not a genuine
+    quotient component: a negative multiplicity, sum_lam m_lam f^lam other
+    than `dim`, or `dim` above the ambient dimension.
     """
 
     def __init__(self, root: str | Path):
@@ -115,42 +57,44 @@ class ComponentCache:
         return self.root / f"n={n}" / f"{d.a}_{d.b}_{d.c}.json"
 
     def get(self, n: int, d: TriDegree) -> ComponentCharacters | None:
-        entry = self.load_entry(n, d)
-        if entry is None:
-            return None
-        return entry.to_component()
-
-    def load_entry(self, n: int, d: TriDegree) -> CacheEntry | None:
-        path = self.entry_path(n, TriDegree(*d))
+        d = TriDegree(*d)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(self.entry_path(n, d), "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            entry = CacheEntry.from_json_dict(data)
-        except (OSError, ValueError, KeyError, TypeError):
+            mult = data["multiplicities"]
+            ints = [data["schema_version"], data["n"], *data["degree"], data["dim"],
+                    *mult.values()]
+            version = (data["schema_version"], data["engine_version"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
-        if entry.schema_version != CACHE_SCHEMA_VERSION:
+        if any(type(v) is not int for v in ints):  # a float, bool or string
             return None
-        if entry.engine_version != ENGINE_VERSION:
+        if version != (CACHE_SCHEMA_VERSION, ENGINE_VERSION):
             return None
-        if entry.n != n or entry.degree != tuple(d):
+        if data["n"] != n or data["degree"] != list(d):
             return None
-        expected = sorted(partition_to_str(lam) for lam in partitions_of(n))
-        if sorted(entry.multiplicities) != expected:
+        lams = {partition_to_str(lam): lam for lam in partitions_of(n)}
+        if set(mult) != set(lams):
             return None
-        if any(m < 0 for m in entry.multiplicities.values()):
+        comp = ComponentCharacters(n, d, component_dimension(n, d),
+                                   {lam: mult[key] for key, lam in lams.items()})
+        if any(m < 0 for m in comp.mult.values()):
             return None
-        comp = entry.to_component()
-        if comp.dim_quotient != entry.dim or comp.rank < 0:  # dim above the ambient
+        if comp.dim_quotient != data["dim"] or comp.rank < 0:  # dim above the ambient
             return None
-        return entry
+        return comp
 
     def put(self, comp: ComponentCharacters) -> None:
-        self.save_entry(CacheEntry.from_component(comp))
-
-    def save_entry(self, entry: CacheEntry) -> None:
-        path = self.entry_path(entry.n, TriDegree(*entry.degree))
+        path = self.entry_path(comp.n, comp.degree)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(entry.to_json_dict(), sort_keys=True, indent=1)
+        payload = json.dumps({
+            "schema_version": CACHE_SCHEMA_VERSION,
+            "engine_version": ENGINE_VERSION,
+            "n": comp.n,
+            "degree": list(comp.degree),
+            "dim": comp.dim_quotient,
+            "multiplicities": {partition_to_str(lam): m for lam, m in comp.mult.items()},
+        }, sort_keys=True, indent=1)
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -343,21 +287,12 @@ def _render_text(report: VerificationReport) -> str:
     )
     if report.verdict == EQUAL:
         lines.append("schur expansion (both sides agree):")
-        for lam in _sorted_lams(report):
-            lines.append(
-                f"  s({partition_to_str(lam)}): {report.module_series.coefficient(lam)}"
-            )
+        lines += [f"  {line}" for line in report.module_series.pretty_lines()]
     else:
         lines.append("module side:")
-        for lam in report.module_series.sorted_partitions():
-            lines.append(
-                f"  s({partition_to_str(lam)}): {report.module_series.coefficient(lam)}"
-            )
+        lines += [f"  {line}" for line in report.module_series.pretty_lines()]
         lines.append("delta side:")
-        for lam in report.delta_series.sorted_partitions():
-            lines.append(
-                f"  s({partition_to_str(lam)}): {report.delta_series.coefficient(lam)}"
-            )
+        lines += [f"  {line}" for line in report.delta_series.pretty_lines()]
         if report.diffs:
             lines.append("differences:")
             for d in report.diffs:

@@ -308,11 +308,6 @@ def test_rhs_series_positive():
         assert rhs_series(n).is_schur_positive()
 
 
-def test_symfunc_json_roundtrip():
-    h = htilde_schur((2, 1))
-    assert FrobeniusSeries.from_json_dict(h.to_json_dict()) == h
-
-
 def test_htilde_size_limit():
     with pytest.raises(ValueError):
         hhl_htilde((9,))

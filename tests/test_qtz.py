@@ -11,7 +11,6 @@ from superdelta.qtz import (
     PackedDivisor,
     QTZPoly,
     divide_exact,
-    poly_from_str,
 )
 from superdelta.rationals import RAT
 
@@ -44,15 +43,6 @@ def test_str_spec_example():
     assert str(p) == "1 + q*t + 2*z*q^2"
     assert str(QTZPoly.zero()) == "0"
     assert str(Q * Q - T * T) == "-t^2 + q^2"
-
-
-def test_parse_roundtrip():
-    for text in ["0", "1 + q*t + 2*z*q^2", "-t^2 + q^2", "3*q - t^3", "q"]:
-        assert str(poly_from_str(text)) == str(poly_from_str(str(poly_from_str(text))))
-    p = ONE + Q * T * 5 - T**3
-    assert poly_from_str(str(p)) == p
-    with pytest.raises(ValueError):  # coefficients are integers
-        poly_from_str("3/4*q")
 
 
 @given(small_polys(), small_polys(), small_polys())

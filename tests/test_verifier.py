@@ -10,7 +10,7 @@ import pytest
 
 import superdelta
 from superdelta.cli import build_parser, main as cli_main
-from superdelta.coinvariants import frobenius_module
+from superdelta.coinvariants import ComponentCharacters, frobenius_module
 from superdelta.macdonald import HTILDE_SIZE_LIMIT
 from superdelta.qtz import ONE, Q
 from superdelta.series import FrobeniusSeries
@@ -20,7 +20,6 @@ from superdelta.verifier import (
     ENGINE_VERSION,
     EQUAL,
     INCONCLUSIVE,
-    CacheEntry,
     ComponentCache,
     compare_series,
     render_report,
@@ -29,111 +28,141 @@ from superdelta.verifier import (
 
 
 def sample_entry():
-    return CacheEntry(
-        schema_version=CACHE_SCHEMA_VERSION,
-        engine_version=ENGINE_VERSION,
-        n=2,
-        degree=(0, 0, 1),
-        dim=1,
-        multiplicities={"2": 0, "1,1": 1},  # the sign representation
-    )
+    """The cache entry of n = 2, degree (0, 0, 1), as a JSON dict."""
+    return {
+        "schema_version": CACHE_SCHEMA_VERSION,
+        "engine_version": ENGINE_VERSION,
+        "n": 2,
+        "degree": [0, 0, 1],
+        "dim": 1,
+        "multiplicities": {"2": 0, "1,1": 1},  # the sign representation
+    }
+
+
+# the exact bytes a cache with schema 2 and engine 0.2.0 holds for sample_entry()
+SAMPLE_ENTRY_TEXT = """{
+ "degree": [
+  0,
+  0,
+  1
+ ],
+ "dim": 1,
+ "engine_version": "0.2.0",
+ "multiplicities": {
+  "1,1": 1,
+  "2": 0
+ },
+ "n": 2,
+ "schema_version": 2
+}"""
+
+SAMPLE_DEGREE = TriDegree(0, 0, 1)
+
+
+def write_entry(cache, entry):
+    """Write entry as the file of n = 2, degree (0, 0, 1), whatever it holds."""
+    path = cache.entry_path(2, SAMPLE_DEGREE)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(entry, sort_keys=True, indent=1))
+
+
+def read_entry(cache):
+    return json.loads(cache.entry_path(2, SAMPLE_DEGREE).read_text())
 
 
 def test_cache_roundtrip(tmp_path):
     cache = ComponentCache(tmp_path)
-    entry = sample_entry()
-    cache.save_entry(entry)
-    assert cache.load_entry(2, TriDegree(0, 0, 1)) == entry
-    path = cache.entry_path(2, TriDegree(0, 0, 1))
-    assert path.exists()
+    write_entry(cache, sample_entry())
+    comp = cache.get(2, SAMPLE_DEGREE)
+    assert comp == ComponentCharacters(2, SAMPLE_DEGREE, 2, {(2,): 0, (1, 1): 1})
+    other = ComponentCache(tmp_path / "other")
+    other.put(comp)
+    assert read_entry(other) == sample_entry()
+    path = other.entry_path(2, SAMPLE_DEGREE)
     assert not list(path.parent.glob("*.tmp"))
+
+
+def test_cache_file_format_is_pinned(tmp_path):
+    cache = ComponentCache(tmp_path)
+    path = cache.entry_path(2, SAMPLE_DEGREE)
+    path.parent.mkdir(parents=True)
+    path.write_text(SAMPLE_ENTRY_TEXT, encoding="utf-8")
+    comp = cache.get(2, SAMPLE_DEGREE)
+    assert comp is not None and comp.mult == {(2,): 0, (1, 1): 1}
+    path.unlink()
+    cache.put(comp)
+    assert path.read_bytes() == SAMPLE_ENTRY_TEXT.encode("utf-8")
 
 
 def test_cache_corruption_is_a_miss(tmp_path):
     cache = ComponentCache(tmp_path)
-    cache.save_entry(sample_entry())
-    path = cache.entry_path(2, TriDegree(0, 0, 1))
-    path.write_text("{not json")
-    assert cache.get(2, TriDegree(0, 0, 1)) is None
+    write_entry(cache, sample_entry())
+    cache.entry_path(2, SAMPLE_DEGREE).write_text("{not json")
+    assert cache.get(2, SAMPLE_DEGREE) is None
 
 
 def test_cache_version_bump_ignored(tmp_path):
     cache = ComponentCache(tmp_path)
-    entry = sample_entry()
-    entry.engine_version = "0.0.0-old"
-    cache.save_entry(entry)
-    assert cache.load_entry(2, TriDegree(0, 0, 1)) is None
-    entry2 = sample_entry()
-    entry2.schema_version = CACHE_SCHEMA_VERSION + 1
-    cache.save_entry(entry2)
-    assert cache.load_entry(2, TriDegree(0, 0, 1)) is None
+    for key, value in [("engine_version", "0.0.0-old"),
+                       ("schema_version", CACHE_SCHEMA_VERSION + 1),
+                       ("schema_version", float(CACHE_SCHEMA_VERSION))]:
+        entry = sample_entry()
+        entry[key] = value
+        write_entry(cache, entry)
+        assert cache.get(2, SAMPLE_DEGREE) is None, (key, value)
 
 
 def tampered_entries():
     """Entries that no genuine module has, each with a valid schema and version."""
-    wrong_dim = sample_entry()
-    wrong_dim.dim = 2  # the multiplicities say 1
-    half = sample_entry()
-    half.multiplicities = {"2": 0.5, "1,1": 0.5}  # multiplicities 1/2 and 1/2
-    negative = sample_entry()
-    negative.dim = -1
-    negative.multiplicities = {"2": -1, "1,1": 0}  # minus the trivial representation
-    signed = sample_entry()
-    signed.multiplicities = {"2": -1, "1,1": 2}  # dimension 1, but not a module
-    too_big = sample_entry()
-    too_big.dim = 3
-    too_big.multiplicities = {"2": 2, "1,1": 1}  # 2 s_2 + s_11, but R_(0,0,1) has dim 2
-    missing = sample_entry()
-    missing.multiplicities = {"1,1": 1}  # no multiplicity of s_2
-    stray = sample_entry()
-    stray.multiplicities = {"2": 0, "1,1": 1, "1": 0}  # (1) is not a partition of 2
-    # values that are not JSON integers, though int() would turn them into the
-    # valid entry
-    fractional = sample_entry()
-    fractional.dim = 1.5
-    fractional.multiplicities = {"2": 0, "1,1": 1.5}
-    boolean = sample_entry()
-    boolean.dim = True
-    boolean.multiplicities = {"2": 0, "1,1": True}
-    text = sample_entry()
-    text.n = "2"
-    text.degree = ("0", "0", "1")
-    text.dim = "1"
-    # multiplicities that are not a JSON object: a list, a string, a number, null
-    shapes = []
-    for value in ([0, 1], "2:0,1,1:1", 1, None):
-        shape = sample_entry()
-        shape.multiplicities = value
-        shapes.append(shape)
-    return [wrong_dim, half, negative, signed, too_big, missing, stray, fractional,
-            boolean, text, *shapes]
+
+    def edited(**fields):
+        entry = sample_entry()
+        entry.update(fields)
+        return entry
+
+    return [
+        edited(dim=2),  # the multiplicities say 1
+        edited(multiplicities={"2": 0.5, "1,1": 0.5}),  # multiplicities 1/2 and 1/2
+        edited(dim=-1, multiplicities={"2": -1, "1,1": 0}),  # minus the trivial rep
+        edited(multiplicities={"2": -1, "1,1": 2}),  # dimension 1, but not a module
+        # 2 s_2 + s_11, but R_(0,0,1) has dim 2
+        edited(dim=3, multiplicities={"2": 2, "1,1": 1}),
+        edited(multiplicities={"1,1": 1}),  # no multiplicity of s_2
+        edited(multiplicities={"2": 0, "1,1": 1, "1": 0}),  # (1) is not a partition of 2
+        # values that are not JSON integers, though int() would turn them into
+        # the valid entry
+        edited(dim=1.5, multiplicities={"2": 0, "1,1": 1.5}),
+        edited(dim=True, multiplicities={"2": 0, "1,1": True}),
+        edited(n="2", degree=["0", "0", "1"], dim="1"),
+        # multiplicities that are not a JSON object: a list, a string, a number, null
+        *(edited(multiplicities=value) for value in ([0, 1], "2:0,1,1:1", 1, None)),
+    ]
 
 
 def test_cache_rejects_tampered_entries(tmp_path):
     cache = ComponentCache(tmp_path)
     for entry in tampered_entries():
-        cache.save_entry(entry)
-        assert cache.get(2, TriDegree(0, 0, 1)) is None
+        write_entry(cache, entry)
+        assert cache.get(2, SAMPLE_DEGREE) is None
     moved = sample_entry()
-    moved.degree = (1, 0, 0)  # a valid entry filed under another degree
-    cache.save_entry(moved)
-    cache.entry_path(2, TriDegree(1, 0, 0)).rename(cache.entry_path(2, TriDegree(0, 0, 1)))
-    assert cache.get(2, TriDegree(0, 0, 1)) is None
+    moved["degree"] = [1, 0, 0]  # a valid entry filed under another degree
+    write_entry(cache, moved)
+    assert cache.get(2, SAMPLE_DEGREE) is None
 
 
 def test_verify_recomputes_tampered_entries(tmp_path):
     for k, entry in enumerate(tampered_entries()):
         cache = ComponentCache(tmp_path / str(k))
-        cache.save_entry(entry)
+        write_entry(cache, entry)
         report = verify_conjecture(2, cache_dir=cache.root)
         assert report.verdict == EQUAL
-        assert cache.load_entry(2, TriDegree(0, 0, 1)) == sample_entry()
+        assert read_entry(cache) == sample_entry()
 
 
 def schema_1_entry(cache):
     """Write the entry of n = 2, degree (0, 0, 1) as cache schema 1 stored it:
     valid character values instead of multiplicities."""
-    path = cache.entry_path(2, TriDegree(0, 0, 1))
+    path = cache.entry_path(2, SAMPLE_DEGREE)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps({
         "schema_version": 1, "engine_version": ENGINE_VERSION, "n": 2,
@@ -144,13 +173,42 @@ def schema_1_entry(cache):
 def test_schema_1_entry_is_a_miss_and_verify_rewrites_it(tmp_path):
     cache = ComponentCache(tmp_path)
     schema_1_entry(cache)
-    assert cache.get(2, TriDegree(0, 0, 1)) is None
+    assert cache.get(2, SAMPLE_DEGREE) is None
     report = verify_conjecture(2, cache_dir=tmp_path)
     assert report.verdict == EQUAL
-    assert cache.load_entry(2, TriDegree(0, 0, 1)) == sample_entry()
-    data = json.loads(cache.entry_path(2, TriDegree(0, 0, 1)).read_text())
+    data = read_entry(cache)
+    assert data == sample_entry()
     assert data["schema_version"] == CACHE_SCHEMA_VERSION == 2
     assert data["multiplicities"] == {"2": 0, "1,1": 1} and "characters" not in data
+
+
+def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
+    import superdelta.coinvariants as coinvariants
+
+    worker = coinvariants._component_worker
+    calls = []
+
+    def counted_worker(args):
+        calls.append(args)
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
+    cold = verify_conjecture(3, cache_dir=tmp_path)
+    assert cold.verdict == EQUAL and calls
+
+    def snapshot():
+        return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
+
+    before = snapshot()
+    assert len(before) == cold.stats["components_computed"] == len(calls)
+    calls.clear()
+    warm = verify_conjecture(3, cache_dir=tmp_path)
+    assert calls == []
+    assert snapshot() == before
+    assert warm.to_json_dict(include_timing=False) == cold.to_json_dict(
+        include_timing=False
+    )
 
 
 def test_report_timing_names_python():
@@ -340,8 +398,7 @@ def test_report_renderings():
 def test_report_json_roundtrip_coefficients():
     report = verify_conjecture(2)
     payload = json.loads(render_report(report, "json"))
-    series = FrobeniusSeries.from_json_dict(payload["module_series"])
-    assert series == report.module_series
+    assert payload["module_series"] == report.module_series.to_json_dict()
     assert payload["verdict"] == report.verdict
 
 
@@ -458,3 +515,17 @@ def test_cli_verify_json_and_cache(tmp_path):
     second.pop("timing")
     assert first == second
     assert (tmp_path / "n=2").exists()
+
+
+def test_cli_rejects_an_unusable_cache_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    for command in (["verify", "--n", "2"], ["hilbert", "--n", "2"],
+                    ["frobenius", "--n", "2", "--side", "module"]):
+        for cache_dir in ("", "afile/sub", "afile"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main([*command, "--cache-dir", cache_dir])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 3 and out == "", (command, cache_dir)
+            assert "--cache-dir" in err
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
