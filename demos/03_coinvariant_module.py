@@ -41,7 +41,7 @@ print("\ntrace of swap on the full component (0,0,2):",
       trace_regular((2, 1), 2, TriDegree(0, 0, 2)))
 
 # the frontier scan finds the degrees with nonzero quotient, row by theta-degree
-hilbert2 = frobenius_module(2).hilbert()
+hilbert2 = sorted(frobenius_module(2).series.hilbert())
 for c in range(3):
     cells = [tuple(d) for d in hilbert2 if d.c == c]
     print(f"support of M_2 at theta-degree {c}: {cells}")
@@ -55,5 +55,5 @@ for n in (2, 3):
     z0 = result.series.specialize(z=0)
     print(f"  z=0, q=t=1 dimension: {z0.total_dimension()} = (n+1)^(n-1)")
     print("  Hilbert series (a, b, c) -> dim:")
-    for deg, dim in sorted(result.hilbert().items()):
+    for deg, dim in sorted(result.series.hilbert().items()):
         print(f"    {tuple(deg)} -> {dim}")

@@ -33,15 +33,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(low: int, kind=int):
-    """An argparse type: a number of the given kind (int or float), at least low."""
+    """An argparse type: a finite number of the given kind (int or float), at least low."""
 
     def parse(text: str):
         try:
             value = kind(text)
         except ValueError:
             value = low - 1
-        if not value >= low:  # also rejects nan
-            noun = "an integer" if kind is int else "a number"
+        if not low <= value < float("inf"):  # also rejects nan and inf
+            noun = "an integer" if kind is int else "a finite number"
             raise argparse.ArgumentTypeError(f"must be {noun} >= {low}: {text!r}")
         return value
 
@@ -74,14 +74,20 @@ def _parse_mu(text: str) -> Partition:
 
 
 def _cache_dir(text: str) -> str:
-    """An argparse type: a nonempty directory path, created if it is absent."""
+    """An argparse type: a nonempty path; _make_cache_dir creates it when it is used."""
     if not text:
         raise argparse.ArgumentTypeError("the cache directory must be a nonempty path")
-    try:
-        Path(text).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise argparse.ArgumentTypeError(f"cannot use {text!r} as a cache directory: {exc}")
     return text
+
+
+def _make_cache_dir(parser: argparse.ArgumentParser, args) -> str | None:
+    """Create --cache-dir if it is absent; a path that cannot be one is a usage error."""
+    if args.cache_dir is not None:
+        try:
+            Path(args.cache_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            parser.error(f"argument --cache-dir: cannot use {args.cache_dir!r}: {exc}")
+    return args.cache_dir
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -158,7 +164,7 @@ def _dispatch(parser, args) -> int:
             args.n,
             extra_band=args.extra_band,
             threads=args.threads,
-            cache_dir=args.cache_dir,
+            cache_dir=_make_cache_dir(parser, args),
             budget_seconds=args.budget_seconds,
             max_ab=args.max_degree,
         )
@@ -166,7 +172,10 @@ def _dispatch(parser, args) -> int:
         return {EQUAL: 0, DIFFER: 1, INCONCLUSIVE: 2}[report.verdict]
 
     if args.command == "frobenius":
-        series = _series_for_side(parser, args)
+        if args.side == "delta":
+            series = rhs_series(args.n)
+        else:
+            series = _module_side(parser, args).series
         if args.spec == "z=0":
             series = series.specialize(z=0)
         elif args.spec == "t=0":
@@ -178,11 +187,9 @@ def _dispatch(parser, args) -> int:
         return 0
 
     if args.command == "hilbert":
-        _require_long(parser, args.n, args.long)
-        cache = ComponentCache(args.cache_dir) if args.cache_dir else None
-        result = frobenius_module(args.n, threads=args.threads, component_cache=cache)
+        hilbert = _module_side(parser, args).series.hilbert()
         print("a b c dim")
-        for d, dim in sorted(result.hilbert().items()):
+        for d, dim in sorted(hilbert.items()):
             print(f"{d.a} {d.b} {d.c} {dim}")
         return 0
 
@@ -205,12 +212,11 @@ def _dispatch(parser, args) -> int:
     return 3
 
 
-def _series_for_side(parser, args):
-    if args.side == "delta":
-        return rhs_series(args.n)
+def _module_side(parser, args):
     _require_long(parser, args.n, args.long)
-    cache = ComponentCache(args.cache_dir) if args.cache_dir else None
-    return frobenius_module(args.n, threads=args.threads, component_cache=cache).series
+    cache_dir = _make_cache_dir(parser, args)
+    cache = ComponentCache(cache_dir) if cache_dir else None
+    return frobenius_module(args.n, threads=args.threads, component_cache=cache)
 
 
 if __name__ == "__main__":

@@ -55,7 +55,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from math import factorial, prod
+from math import factorial, isfinite, prod
+from threading import TIMEOUT_MAX
 
 from .characters import character_table
 from .linalg import Echelon, ConsistencyError, inverse
@@ -554,13 +555,6 @@ class ModuleSideResult:
     closed: bool
     rows: dict[int, bool]  # c -> closed; False for a row a budget cut short
 
-    def hilbert(self) -> dict[TriDegree, int]:
-        return {
-            d: comp.dim_quotient
-            for d, comp in sorted(self.components.items())
-            if comp.dim_quotient
-        }
-
 
 def explore_theta_row(
     n: int,
@@ -632,7 +626,9 @@ def assemble_series(n: int, components) -> FrobeniusSeries:
     return series
 
 
-def check_module_arguments(n: int, extra_band: int, threads: int) -> None:
+def check_module_arguments(
+    n: int, extra_band: int, threads: int, budget_seconds: float | None = None
+) -> None:
     """Raise ValueError for arguments frobenius_module cannot run with."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -640,6 +636,8 @@ def check_module_arguments(n: int, extra_band: int, threads: int) -> None:
         raise ValueError(f"extra_band must be >= 0, got {extra_band}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if budget_seconds is not None and not isfinite(budget_seconds):
+        raise ValueError(f"budget_seconds must be finite, got {budget_seconds}")
 
 
 def frobenius_module(
@@ -659,8 +657,10 @@ def frobenius_module(
     within one component of its deadline; every component finished by then
     is in the result, the unclosed row in progress included.
     """
-    check_module_arguments(n, extra_band, threads)
-    deadline = time.monotonic() + budget_seconds if budget_seconds is not None else None
+    check_module_arguments(n, extra_band, threads, budget_seconds)
+    deadline = None  # capped: a pool's wait longer than threading.TIMEOUT_MAX overflows
+    if budget_seconds is not None:
+        deadline = time.monotonic() + min(budget_seconds, TIMEOUT_MAX)
     pool = None
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor

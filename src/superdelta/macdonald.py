@@ -22,16 +22,18 @@ Delta-prime eigenvalues are elementary symmetric evaluations on the cell
 alphabet B_mu - 1; the expansion of e_n over the H~_mu carries the scalar
 M B_mu Pi_mu / w_mu, which rhs_series certifies at runtime through the
 forced identity Delta'_{e_0}(e_n) = e_n.  All those scalars are products of
-two-term factors, so sums over mu are accumulated over one shared product
-denominator L.  The products and sums are taken on Kronecker-packed ints,
-with the packing's q-degree and slot width worked out from the factors'
-degrees and coefficient sums.  Only the eigenvalue e_k[B_mu - 1] depends on
-k, so one pass serves every k: each product of the rest is formed once and
-e_k[B_mu - 1] is applied to it as shifted adds.  Each Schur coefficient's
-packed numerator is divided by the packed L in one step, through a 2-adic
-inverse computed once, and the quotient is unpacked and certified: it times
-L must rebuild the numerator and fit the packing, which is injective there,
-so the quotient is the exact polynomial one.
+two-term factors q^a1 t^b1 - q^a2 t^b2, held as exponent pairs ((a1, b1),
+(a2, b2)) and multiplied as one packed shift-and-subtract each, so sums over
+mu are accumulated over one shared product denominator L.  The products and
+sums are taken on Kronecker-packed ints, with the packing's q-degree and
+slot width worked out from the factors' degrees and coefficient sums.  Only
+the eigenvalue e_k[B_mu - 1] depends on k, so one pass serves every k: each
+product of the rest is formed once and e_k[B_mu - 1] is applied to it as
+shifted adds.  Each Schur coefficient's packed numerator is divided by the
+packed L in one step, through a 2-adic inverse computed once, and the
+quotient is unpacked and certified: it times L must rebuild the numerator
+and fit the packing, which is injective there, so the quotient is the exact
+polynomial one.
 """
 
 from __future__ import annotations
@@ -49,12 +51,13 @@ from .characters import kostka
 from .partitions import Partition, arm, cells, leg, partitions_of
 from .qtz import (
     ONE,
+    Atom,
     Kronecker,
     PackedDivisor,
     QTZPoly,
+    atom_product,
     divide_exact,
     l1_norm,
-    packed_product,
 )
 from .series import FrobeniusSeries
 
@@ -74,25 +77,21 @@ def cell_alphabet(mu: Partition) -> list[tuple[int, int]]:
     return [(i, j) for j, i in cells(mu) if (i, j) != (0, 0)]
 
 
-def _binomial(e1: tuple[int, int], c1: int, e2: tuple[int, int], c2: int) -> QTZPoly:
-    return QTZPoly({(e1[0], e1[1], 0): c1, (e2[0], e2[1], 0): c2})
-
-
-def _w_factors(mu: Partition) -> list[QTZPoly]:
+def _w_factors(mu: Partition) -> list[Atom]:
     out = []
     for j, i in cells(mu):
         a, l = arm(mu, j, i), leg(mu, j, i)
-        out.append(_binomial((a, 0), 1, (0, l + 1), -1))  # q^a - t^(l+1)
-        out.append(_binomial((0, l), 1, (a + 1, 0), -1))  # t^l - q^(a+1)
+        out.append(((a, 0), (0, l + 1)))  # q^a - t^(l+1)
+        out.append(((0, l), (a + 1, 0)))  # t^l - q^(a+1)
     return out
 
 
-def _pi_factors(mu: Partition) -> list[QTZPoly]:
-    return [_binomial((0, 0), 1, (i, j), -1) for i, j in cell_alphabet(mu)]
+def _pi_factors(mu: Partition) -> list[Atom]:
+    return [((0, 0), e) for e in cell_alphabet(mu)]
 
 
-def _m_factors() -> list[QTZPoly]:
-    return [_binomial((0, 0), 1, (1, 0), -1), _binomial((0, 0), 1, (0, 1), -1)]
+def _m_factors() -> list[Atom]:
+    return [((0, 0), (1, 0)), ((0, 0), (0, 1))]
 
 
 def b_mu(mu: Partition) -> QTZPoly:
@@ -103,14 +102,8 @@ def macdonald_scalars(mu: Partition) -> MacdonaldScalars:
     """The expanded scalars (B_mu, Pi_mu, w_mu, M)."""
     if not mu:
         raise ValueError("mu must be nonempty")
-    pi = ONE
-    for f in _pi_factors(mu):
-        pi = pi * f
-    w = ONE
-    for f in _w_factors(mu):
-        w = w * f
-    m1, m2 = _m_factors()
-    return MacdonaldScalars(b_mu(mu), pi, w, m1 * m2)
+    factors = (_pi_factors(mu), _w_factors(mu), _m_factors())
+    return MacdonaldScalars(b_mu(mu), *(atom_product(ONE, f) for f in factors))
 
 
 def ek_pleth(mu: Partition, k: int) -> QTZPoly:
@@ -226,11 +219,11 @@ def htilde_schur(mu: Partition) -> FrobeniusSeries:
 # --- Delta-prime applied to e_n ----------------------------------------------
 
 
-def _canonical_factor(f: QTZPoly) -> tuple[int, QTZPoly]:
-    """Normalize a factor to positive leading coefficient; return the sign."""
-    lead = f.terms[f.leading_exponent()]
-    if lead < 0:
-        return -1, -f
+def _canonical_factor(f: Atom) -> tuple[int, Atom]:
+    """Order a factor m1 - m2 so that m1 leads in graded lex order; return the sign."""
+    m1, m2 = f
+    if (sum(m1), m1) < (sum(m2), m2):
+        return -1, (m2, m1)
     return 1, f
 
 
@@ -283,8 +276,8 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     sbase = {}
     for mu, sc in scalars.items():
         missing = l_atoms - sc.den_atoms
-        sbase[mu] = packed_product(
-            [sc.bpoly * sc.sign, *sc.num_atoms.elements(), *missing.elements()]
+        sbase[mu] = atom_product(
+            sc.bpoly * sc.sign, [*sc.num_atoms.elements(), *missing.elements()]
         )
     schur = {mu: htilde_schur(mu).coeffs for mu in mus}
     D = 1 + max(

@@ -6,27 +6,25 @@ graded lexicographic with q > t > z.  Two tools serve sums of long products
 in q, t: `Kronecker` packs integer polynomials into Python ints, where a
 product is one big-int multiplication (or a few shifted adds by a short
 polynomial), and `divide_exact` divides a packed polynomial N by a product
-L of two-term factors `m1 - m2` in one step, through the 2-adic inverse of
-the odd part of the packed L.  Packing is injective on the polynomials that
-fit its slots, so a quotient Q with Q * L fitting them and packing to the
-same int as N is the exact quotient; anything else raises NotDivisible.
+L of two-term factors in one step, through the 2-adic inverse of the odd
+part of the packed L.  A two-term factor, an `Atom` ((a1, b1), (a2, b2)) =
+q^a1 t^b1 - q^a2 t^b2, is only ever multiplied packed, as one
+shift-and-subtract.  Packing is injective on the polynomials that fit its
+slots, so a quotient Q with Q * L fitting them and packing to the same int
+as N is the exact quotient; anything else raises NotDivisible.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from math import prod
 
 Expo = tuple[int, int, int]
+Atom = tuple[tuple[int, int], tuple[int, int]]  # q^a1 t^b1 - q^a2 t^b2
 
 
 class NotDivisible(Exception):
     """Exact polynomial division failed; signals an internal computation bug."""
-
-
-def _grlex(e: Expo):
-    return (e[0] + e[1] + e[2], e)
 
 
 class QTZPoly:
@@ -68,14 +66,6 @@ class QTZPoly:
         if not isinstance(other, QTZPoly):
             return NotImplemented
         return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def leading_exponent(self) -> Expo:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex)
 
     def degrees(self) -> tuple[int, int, int]:
         """Componentwise maximal (deg_q, deg_t, deg_z); (0,0,0) for 0."""
@@ -254,8 +244,7 @@ class Kronecker:
         """The packed value with 2^(B-1) in each of `slots` slots."""
         return int.from_bytes(self.half.to_bytes(self.width, "little") * slots, "little")
 
-    def _slot(self, e: Expo) -> int:
-        a, b, c = e
+    def _slot(self, a: int, b: int, c: int = 0) -> int:
         if c or a >= self.D:
             raise ValueError(f"q^{a} t^{b} z^{c} does not fit q-degree < {self.D} without z")
         return a + self.D * b
@@ -263,12 +252,12 @@ class Kronecker:
     def pack(self, p: QTZPoly) -> int:
         """Raise ValueError unless p is integral, free of z and fits the slots."""
         w, half = self.width, self.half
-        slots = max((self._slot(e) + 1 for e in p.terms), default=0)
+        slots = max((self._slot(*e) + 1 for e in p.terms), default=0)
         buf = bytearray(half.to_bytes(w, "little") * slots)
         for e, x in p.terms.items():
             if not isinstance(x, int) or not -half < x < half:
                 raise ValueError(f"coefficient {x} does not fit a {8 * w}-bit slot")
-            i = self._slot(e) * w
+            i = self._slot(*e) * w
             buf[i : i + w] = (x + half).to_bytes(w, "little")
         return int.from_bytes(buf, "little") - self._bias(slots)
 
@@ -284,15 +273,18 @@ class Kronecker:
         for e, x in p.terms.items():
             if not isinstance(x, int):
                 raise ValueError(f"coefficient {x} is not an integer")
-            out.append((x, bits * self._slot(e)))
+            out.append((x, bits * self._slot(*e)))
         return out
 
-    def unpack_grid(self, x: int) -> list[list[int]]:
-        """The coefficients rows[t][q] (D to a row) of the polynomial that
-        packs to x, provided one fits the slots."""
+    def atom_shifts(self, atoms: list[Atom]) -> list[tuple[int, int]]:
+        """(s1, s2) per atom m1 - m2: x * pack(m1 - m2) == (x << s1) - (x << s2)."""
+        bits = 8 * self.width
+        return [(bits * self._slot(*m1), bits * self._slot(*m2)) for m1, m2 in atoms]
+
+    def unpack(self, x: int) -> QTZPoly:
+        """The polynomial that packs to x, provided one fits the slots."""
         D, w = self.D, self.width
         slots = x.bit_length() // (8 * w) + 1  # a fitting top digit is in the last slot
-        slots += -slots % D
         bias = self._bias(slots)
         # + bias makes every digit d + 2^(B-1) nonnegative, ^ bias leaves d in
         # two's complement: each slot then reads as a signed w-byte integer
@@ -313,37 +305,36 @@ class Kronecker:
                 items.byteswap()
             pad = 8 * (size - w)
             digits = [d >> pad for d in items] if pad else items.tolist()
-        return [digits[i : i + D] for i in range(0, slots, D)]
-
-    def unpack(self, x: int) -> QTZPoly:
-        """The polynomial that packs to x, provided one fits the slots."""
-        return _grid_poly(self.unpack_grid(x))
+        return QTZPoly({(i % D, i // D, 0): d for i, d in enumerate(digits) if d}, clean=False)
 
 
 # array typecodes of signed integers by item size in bytes
 _SIGNED_TYPECODES = {array(tc).itemsize: tc for tc in "qlihb"}
 
 
-def _grid_poly(rows: list[list]) -> QTZPoly:
-    return QTZPoly({(a, b, 0): x for b, row in enumerate(rows) for a, x in enumerate(row) if x})
-
-
 def l1_norm(p: QTZPoly) -> int:
     return sum(abs(c) for c in p.terms.values())
 
 
-def packed_product(factors: list[QTZPoly]) -> QTZPoly:
-    """The product of integer polynomials in q, t, multiplied packed."""
-    packing = Kronecker(1 + sum(f.degrees()[0] for f in factors), prod(map(l1_norm, factors)))
-    acc = 1
-    for f in factors:
-        acc *= packing.pack(f)
-    return packing.unpack(acc)
+def _times(x: int, shifts: list[tuple[int, int]]) -> int:
+    """x times the packed atoms of `shifts`, one shift-and-subtract per atom."""
+    for plus, minus in shifts:
+        x = (x << plus) - (x << minus)
+    return x
+
+
+def atom_product(base: QTZPoly, atoms: list[Atom]) -> QTZPoly:
+    """base * prod(atoms) for an integer polynomial base in q, t, packed in slots
+    for its q-degree deg_q base + sum max(a1, a2) and |.|_1 <= |base|_1 2^len(atoms)."""
+    packing = Kronecker(
+        1 + base.degrees()[0] + sum(max(m1[0], m2[0]) for m1, m2 in atoms),
+        l1_norm(base) << len(atoms),
+    )
+    return packing.unpack(_times(packing.pack(base), packing.atom_shifts(atoms)))
 
 
 class PackedDivisor:
-    """L = prod(atoms), each atom a difference m1 - m2 of two monomials in
-    q, t, as `divide_exact` divides by it under one packing.
+    """L = prod(atoms) as `divide_exact` divides by it under one packing.
 
     It holds ev(L) = 2^s * o with o odd, |L|_1, deg_q L and the 2-adic
     inverse of o, lifted by Newton's iteration only as far as a division
@@ -352,28 +343,17 @@ class PackedDivisor:
 
     __slots__ = ("packing", "shifts", "ev", "s", "odd", "q_degree", "l1", "_inverse", "_bits")
 
-    def __init__(self, packing: Kronecker, atoms: list[QTZPoly]):
+    def __init__(self, packing: Kronecker, atoms: list[Atom]):
+        if any(m1 == m2 for m1, m2 in atoms):
+            raise ZeroDivisionError("division by zero polynomial")
         self.packing = packing
-        self.shifts = []
-        for atom in atoms:
-            if atom.is_zero():
-                raise ZeroDivisionError("division by zero polynomial")
-            terms = sorted(packing.shifts(atom))  # rejects z and q-degree >= D
-            if [c for c, _ in terms] != [-1, 1]:
-                raise ValueError(f"divisor must be m1 - m2 for monomials in q, t, got {atom}")
-            self.shifts.append((terms[1][1], terms[0][1]))
-        self.ev = self.times(1)
+        self.shifts = packing.atom_shifts(atoms)  # rejects q-degree >= D
+        self.ev = _times(1, self.shifts)
         self.s = (self.ev & -self.ev).bit_length() - 1
         self.odd = self.ev >> self.s
-        self.q_degree = sum(atom.degrees()[0] for atom in atoms)
-        self.l1 = l1_norm(packed_product(atoms))
+        self.q_degree = sum(max(m1[0], m2[0]) for m1, m2 in atoms)
+        self.l1 = l1_norm(atom_product(ONE, atoms))
         self._inverse, self._bits = 1, 1  # o * 1 == 1 mod 2
-
-    def times(self, x: int) -> int:
-        """x * ev(L), as one shift-and-subtract per atom."""
-        for plus, minus in self.shifts:
-            x = (x << plus) - (x << minus)
-        return x
 
     def inverse(self, k: int) -> int:
         """o^-1 mod 2^k.  Each step x <- x (2 - o x) doubles the precision,
@@ -400,7 +380,7 @@ def divide_exact(x: int, divisor: PackedDivisor) -> QTZPoly:
     |ev Q| < 2^(K-1), so ev(Q) is the signed residue of
     (x >> s) * o^-1 mod 2^K: one product with the 2-adic inverse of o.  The
     candidate Q = unpack(q) is certified by two checks: q * ev(L) == x,
-    rebuilt as shifts over the atoms, and deg_q Q + deg_q L < D with
+    rebuilt as one shift-and-subtract per atom, and deg_q Q + deg_q L < D with
     |Q|_inf * |L|_1 < 2^(B-1).  Then Q * L and N both fit the slots, where
     packing is injective, and pack to the same int, so Q * L == N.  Any
     failed check, a remainder below 2^s included, raises NotDivisible; so
@@ -416,7 +396,7 @@ def divide_exact(x: int, divisor: PackedDivisor) -> QTZPoly:
     q = ((x >> divisor.s) & mask) * divisor.inverse(k) & mask
     if q >> (k - 1):
         q -= 1 << k
-    if divisor.times(q) != x:
+    if _times(q, divisor.shifts) != x:
         raise NotDivisible("the 2-adic quotient times the divisor is not the numerator")
     quotient = packing.unpack(q)
     top = max(abs(c) for c in quotient.terms.values())

@@ -131,7 +131,7 @@ def test_character_is_class_function():
 def test_support_frontier_examples():
     # the support the frontier scan finds, one theta-row at a time
     def support(n, c):
-        return {d for d in frobenius_module(n).hilbert() if d.c == c}
+        return {d for d in frobenius_module(n).series.hilbert() if d.c == c}
 
     assert support(2, 1) == {TriDegree(0, 0, 1)}
     assert support(2, 2) == set()

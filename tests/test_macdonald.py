@@ -194,6 +194,14 @@ def reference_divide(num: QTZPoly, den: QTZPoly) -> QTZPoly:
     return quot
 
 
+def factor_product(atoms) -> QTZPoly:
+    """The product of two-term factors ((a1, b1), (a2, b2)) = q^a1 t^b1 - q^a2 t^b2,
+    as plain QTZPoly products."""
+    return prod(
+        (QTZPoly.monomial(*m1) - QTZPoly.monomial(*m2) for m1, m2 in atoms), start=ONE
+    )
+
+
 def reference_delta_prime(n: int, k: int) -> dict:
     """Delta'_{e_k}(e_n) from plain QTZPoly products over the expanded L."""
     scalars = {mu: macdonald._expansion_scalar(mu) for mu in partitions_of(n)}
@@ -204,13 +212,13 @@ def reference_delta_prime(n: int, k: int) -> dict:
     for lam in partitions_of(n):
         num = QTZPoly.zero()
         for mu, sc in scalars.items():
-            cofactor = prod(sc.num_atoms.elements(), start=ONE) * prod(
-                (l_atoms - sc.den_atoms).elements(), start=ONE
+            cofactor = factor_product(sc.num_atoms.elements()) * factor_product(
+                (l_atoms - sc.den_atoms).elements()
             )
             h = htilde_schur(mu).coefficient(lam)
             num = num + sc.bpoly * sc.sign * cofactor * ek_pleth(mu, k) * h
         if not num.is_zero():
-            out[lam] = reference_divide(num, prod(l_atoms.elements(), start=ONE))
+            out[lam] = reference_divide(num, factor_product(l_atoms.elements()))
     return out
 
 
@@ -260,7 +268,7 @@ def test_rhs_series_certifies_expansion_scalars(monkeypatch):
         if mu == (2, 1):
             # adds the polynomial sign * num_atoms to the scalar, so every
             # numerator stays divisible and only the e_0 identity can tell
-            sc = replace(sc, bpoly=sc.bpoly + prod(sc.den_atoms.elements(), start=ONE))
+            sc = replace(sc, bpoly=sc.bpoly + factor_product(sc.den_atoms.elements()))
         return sc
 
     monkeypatch.setattr(macdonald, "_expansion_scalar", corrupted)

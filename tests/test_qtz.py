@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from superdelta.qtz import (
     ONE,
@@ -10,6 +10,7 @@ from superdelta.qtz import (
     NotDivisible,
     PackedDivisor,
     QTZPoly,
+    atom_product,
     divide_exact,
 )
 from superdelta.rationals import RAT
@@ -62,35 +63,57 @@ def test_specialization_is_homomorphism(a, b):
         assert (a + b).substitute(**sub) == a.substitute(**sub) + b.substitute(**sub)
 
 
-def divide(num: QTZPoly, *atoms: QTZPoly, bound: int = 2**20) -> QTZPoly:
+# two-term factors q^a1 t^b1 - q^a2 t^b2 as exponent pairs ((a1, b1), (a2, b2))
+ONE_MINUS_Q = ((0, 0), (1, 0))
+Q_MINUS_T = ((1, 0), (0, 1))
+ONE_MINUS_QT = ((0, 0), (1, 1))
+
+
+def binomial(atom) -> QTZPoly:
+    """The atom ((a1, b1), (a2, b2)) as the polynomial q^a1 t^b1 - q^a2 t^b2."""
+    (a1, b1), (a2, b2) = atom
+    return QTZPoly.monomial(a1, b1) - QTZPoly.monomial(a2, b2)
+
+
+def q_degree(atoms) -> int:
+    return sum(max(m1[0], m2[0]) for m1, m2 in atoms)
+
+
+def divide(num: QTZPoly, *atoms, bound: int = 2**20) -> QTZPoly:
     """divide_exact on num packed in slots that fit num, the atoms and, for
     the default bound, every quotient these tests expect."""
-    D = 1 + max(num.degrees()[0], sum(atom.degrees()[0] for atom in atoms))
-    packing = Kronecker(D, bound)
+    packing = Kronecker(1 + max(num.degrees()[0], q_degree(atoms)), bound)
     return divide_exact(packing.pack(num), PackedDivisor(packing, list(atoms)))
 
 
 def test_divide_exact_examples():
-    assert divide(ONE - Q * Q, ONE - Q) == ONE + Q
-    assert divide((Q - T) * (ONE - Q * T) * 3, Q - T, ONE - Q * T) == 3
-    assert divide(QTZPoly.zero(), Q - T).is_zero()
+    assert divide(ONE - Q * Q, ONE_MINUS_Q) == ONE + Q
+    assert divide((Q - T) * (ONE - Q * T) * 3, Q_MINUS_T, ONE_MINUS_QT) == 3
+    assert divide(QTZPoly.zero(), Q_MINUS_T).is_zero()
     assert divide(Q + T) == Q + T
     with pytest.raises(NotDivisible):
-        divide(Q, T - ONE)
+        divide(Q, ((0, 1), (0, 0)))  # t - 1
     with pytest.raises(NotDivisible):
-        divide(ONE - Q**3, ONE - Q * Q)
+        divide(ONE - Q**3, ((0, 0), (2, 0)))
     with pytest.raises(ZeroDivisionError):
-        divide(Q, QTZPoly.zero())
-    for bad in (T, Q + T, Q * 2 - T, Z - ONE):
-        with pytest.raises(ValueError):
-            divide(Q, bad)
+        divide(Q, ((1, 2), (1, 2)))  # m - m
     with pytest.raises(ValueError):
-        divide(Z * Q - Z, ONE - Q)
+        divide(Z * Q - Z, ONE_MINUS_Q)
+
+
+def test_packed_divisor_rejects_a_factor_that_does_not_fit():
+    # a monomial of q-degree >= D would wrap into the next power of t
+    packing = Kronecker(3, 100)
+    assert PackedDivisor(packing, [((2, 5), (0, 0))]).q_degree == 2
+    for bad in (((3, 0), (0, 0)), ((0, 1), (4, 0))):
+        with pytest.raises(ValueError, match="q-degree"):
+            PackedDivisor(packing, [ONE_MINUS_Q, bad])
 
 
 def test_packed_divisor_inverse():
     packing = Kronecker(7, 1000)
-    divisor = PackedDivisor(packing, [Q - T, ONE - Q * T, T * T - Q**3, ONE - Q])
+    atoms = [Q_MINUS_T, ONE_MINUS_QT, ((0, 2), (3, 0)), ONE_MINUS_Q]
+    divisor = PackedDivisor(packing, atoms)
     assert divisor.ev == packing.pack((Q - T) * (ONE - Q * T) * (T * T - Q**3) * (ONE - Q))
     assert divisor.ev == divisor.odd << divisor.s and divisor.odd % 2 == 1
     for k in (700, 5, 64, 1, 2000, 3):  # lifted, reused and lifted again
@@ -102,21 +125,29 @@ def atoms():
     1 - q^i t^j, q^a - t^b and t^l - q^(a+1)."""
     e = st.integers(0, 3)
     shapes = st.one_of(
-        st.tuples(e, e).filter(any).map(lambda ij: ONE - QTZPoly.monomial(*ij)),
-        st.tuples(e, e.map(lambda b: b + 1)).map(
-            lambda ab: QTZPoly.monomial(ab[0]) - QTZPoly.monomial(0, ab[1])
-        ),
-        st.tuples(e, e).map(lambda la: QTZPoly.monomial(0, la[0]) - QTZPoly.monomial(la[1] + 1)),
+        st.tuples(e, e).filter(any).map(lambda ij: ((0, 0), ij)),
+        st.tuples(e, e).map(lambda ab: ((ab[0], 0), (0, ab[1] + 1))),
+        st.tuples(e, e).map(lambda la: ((0, la[0]), (la[1] + 1, 0))),
     )
-    return st.tuples(shapes, st.booleans()).map(lambda ab: -ab[0] if ab[1] else ab[0])
+    return st.tuples(shapes, st.booleans()).map(lambda ab: ab[0][::-1] if ab[1] else ab[0])
+
+
+def times_atoms(a: QTZPoly, atoms) -> QTZPoly:
+    """a times the atoms, as plain QTZPoly products."""
+    for atom in atoms:
+        a = a * binomial(atom)
+    return a
+
+
+@given(small_polys(with_z=False), st.lists(atoms(), max_size=6))
+@example(ONE, [ONE_MINUS_Q] * 10)  # a coefficient 252: too wide for slots sized by |1|_1
+def test_atom_product_is_the_plain_product(a, divisors):
+    assert atom_product(a, divisors) == times_atoms(a, divisors)
 
 
 @given(small_polys(with_z=False), st.lists(atoms(), max_size=4))
 def test_divide_exact_inverts_multiplication(a, divisors):
-    num = a
-    for atom in divisors:
-        num = num * atom
-    assert divide(num, *divisors) == a
+    assert divide(times_atoms(a, divisors), *divisors) == a
 
 
 @given(small_polys(with_z=False), atoms(), st.integers(0, 4), st.integers(0, 4),
@@ -124,19 +155,19 @@ def test_divide_exact_inverts_multiplication(a, divisors):
 def test_divide_exact_rejects_non_multiples(a, atom, i, j, c):
     # atom vanishes at q = t = 1 and a monomial does not, so this is no multiple
     with pytest.raises(NotDivisible):
-        divide(a * atom + QTZPoly.monomial(i, j, 0, c), atom)
+        divide(a * binomial(atom) + QTZPoly.monomial(i, j, 0, c), atom)
 
 
 @given(small_polys(with_z=False), st.integers(1, 3), st.integers(1, 3),
        st.integers(1, 2**16 - 1))
 def test_divide_exact_rejects_a_remainder_below_2_to_the_s(a, i, j, low):
     # ev(q^i - t^j) = 2^(B i) (1 - 2^(B (D j - i))): s = B i bits of zeros
-    atom = QTZPoly.monomial(i) - QTZPoly.monomial(0, j)
+    atom = ((i, 0), (0, j))
     packing = Kronecker(8, 2**10)
     divisor = PackedDivisor(packing, [atom])
     assert divisor.s == 8 * packing.width * i >= 16  # so 0 < low < 2^s
     with pytest.raises(NotDivisible):
-        divide_exact(packing.pack(a * atom) + low, divisor)
+        divide_exact(packing.pack(a * binomial(atom)) + low, divisor)
 
 
 def test_divide_exact_rejects_a_packing_too_narrow_for_the_quotient():
@@ -144,24 +175,21 @@ def test_divide_exact_rejects_a_packing_too_narrow_for_the_quotient():
     # coefficients up to m: a 1-byte slot holds the first, not the second
     m = 200
     num, quotient = (ONE - Q**m) ** 2, sum((Q**i for i in range(m)), QTZPoly.zero()) ** 2
-    assert divide(num, ONE - Q, ONE - Q, bound=2**10) == quotient
+    assert divide(num, ONE_MINUS_Q, ONE_MINUS_Q, bound=2**10) == quotient
     with pytest.raises(NotDivisible):
-        divide(num, ONE - Q, ONE - Q, bound=2)
+        divide(num, ONE_MINUS_Q, ONE_MINUS_Q, bound=2)
     # with t = q^2, 1 - t packs as (1 - q)(1 + q), but (1 + q)(1 - q) needs
     # q-degree 2: 1 - t is no multiple of 1 - q
     packing = Kronecker(2, 2**10)
     with pytest.raises(NotDivisible):
-        divide_exact(packing.pack(ONE - T), PackedDivisor(packing, [ONE - Q]))
+        divide_exact(packing.pack(ONE - T), PackedDivisor(packing, [ONE_MINUS_Q]))
 
 
 @given(small_polys(with_z=False), st.lists(atoms(), max_size=4), st.integers(1, 2**9))
 def test_divide_exact_never_returns_a_wrong_quotient(a, divisors, bound):
-    num = a
-    for atom in divisors:
-        num = num * atom
+    num = times_atoms(a, divisors)
     bound = max([bound, *(abs(c) for c in num.terms.values())])  # the slots fit num
-    D = 1 + num.degrees()[0] + sum(atom.degrees()[0] for atom in divisors)
-    packing = Kronecker(D, bound)
+    packing = Kronecker(1 + num.degrees()[0] + q_degree(divisors), bound)
     divisor = PackedDivisor(packing, divisors)
     try:
         assert divide_exact(packing.pack(num), divisor) == a
@@ -213,10 +241,6 @@ def test_kronecker_rejects_inputs_that_do_not_fit():
             packing.pack(bad)
 
 
-def grid(p: QTZPoly, width: int, height: int) -> list[list[int]]:
-    return [[p.terms.get((a, b, 0), 0) for a in range(width)] for b in range(height)]
-
-
 # slots of 1, 2, 4 and 8 bytes are array items, slots of 3 and 5 bytes are
 # padded to one, and slots wider than any item are read one by one
 @pytest.mark.parametrize("bound,width", [(127, 1), (2**15 - 1, 2), (2**20, 3),
@@ -233,10 +257,7 @@ def test_kronecker_unpack_grid(bound, width):
         QTZPoly.zero(),
     ):
         for sign in (1, -1):
-            rows = packing.unpack_grid(sign * packing.pack(p))
-            height = p.degrees()[1] + 1
-            assert rows == grid(sign * p, 4, height), (p, sign)
-            assert packing.unpack(sign * packing.pack(p)) == sign * p
+            assert packing.unpack(sign * packing.pack(p)) == sign * p, (p, sign)
 
 
 @given(small_polys(with_z=False), small_polys(with_z=False))

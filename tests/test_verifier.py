@@ -466,6 +466,9 @@ def test_cli_subcommands():
         ("verify", "--n", "2", "--max-degree", "-1"),
         ("verify", "--n", "2", "--budget-seconds", "-1"),
         ("verify", "--n", "2", "--budget-seconds", "nan"),
+        # a pool's wait for inf seconds overflows; the serial run refuses it too
+        ("verify", "--n", "2", "--threads", "2", "--budget-seconds", "inf"),
+        ("verify", "--n", "2", "--budget-seconds", "Infinity"),
         ("verify", "--n", "2", "--threads", "0"),
         ("verify", "--n", "2", "--threads", "-1"),
         ("frobenius", "--n", "2", "--side", "module", "--threads", "0"),
@@ -529,3 +532,26 @@ def test_cli_rejects_an_unusable_cache_dir(tmp_path, monkeypatch, capsys):
             assert exc.value.code == 3 and out == "", (command, cache_dir)
             assert "--cache-dir" in err
             assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+
+
+def test_cli_creates_the_cache_dir_only_where_it_is_used(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["verify", "--n", "5", "--cache-dir", "d1"])  # refused: no --long
+    assert exc.value.code == 3
+    # the delta side reads no cache
+    assert cli_main(["frobenius", "--n", "2", "--side", "delta", "--cache-dir", "d2"]) == 0
+    assert list(tmp_path.iterdir()) == []
+    assert cli_main(["hilbert", "--n", "2", "--cache-dir", "d3"]) == 0
+    assert (tmp_path / "d3" / "n=2").is_dir()
+
+
+def test_module_budget_must_be_finite_and_may_be_huge():
+    for budget in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="budget_seconds"):
+            verify_conjecture(2, threads=2, budget_seconds=budget)
+        with pytest.raises(ValueError, match="budget_seconds"):
+            frobenius_module(2, budget_seconds=budget)
+    # beyond threading.TIMEOUT_MAX (about 9.2e9 s) the pool's wait would overflow
+    for threads in (1, 2):
+        assert verify_conjecture(2, threads=threads, budget_seconds=1e10).verdict == EQUAL
