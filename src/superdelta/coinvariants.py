@@ -30,7 +30,10 @@ live in orbit coordinates:
   C, so each row g * v_O is read off target by target.
 
 Hence dim M_d^psi = #live orbits - rank { g * v_O }, an exact integer
-echelon rank on systems about |H| times smaller than R_d.  A fixed set of
+rank on systems about |H| times smaller than R_d.  The rank is taken on the
+transposed system: one vector per live orbit, whose coordinates are the
+labelled rows g * v_O, so the echelon eliminates one vector per column
+rather than one per row, where many rows depend on the others.  A fixed set of
 such psi per n whose pairing matrix K[psi, lam] = <s_lam, h_alpha e_beta>
 is invertible turns these dimensions into the multiplicities m_lam, which
 must be nonnegative integers.  A component is stored as these m_lam: the
@@ -375,11 +378,13 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
     x_i^r y_i^s theta_i^e of a generator that divides c, the cofactor is
     canonicalized, and the row (generator, cofactor orbit) gains the sign at
     column c.  No orbit is expanded.  The target columns are labelled in
-    descending orbit order, every row is built first, and the rows go in by
-    descending last column, sparsest first within one (a stable sort, so
-    ties keep the last generators' rows first).  Against inserting each
-    generator's rows as they are built, the stored integers stay small, n = 5's
-    (6,6,0) takes 28 s, not 351 s, and frobenius_module(4) half the time.
+    descending orbit order, and the rows by their position when sorted by
+    descending last column, sparsest first within one (a stable sort, so ties
+    keep the last generators' rows first).  Row rank equals column rank, so
+    the echelon takes one vector per live target, in target order, keyed by
+    row label: the rows outnumber the targets and many depend on the others,
+    and each of them would cost a chain of eliminations before reducing to
+    zero.  The label order keeps the stored integers small.
     """
     targets = psi.live_orbits(d)[::-1]
     if not targets:
@@ -411,12 +416,15 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
                     row = rows[k].setdefault(rep, {})
                     row[col] = row.get(col, 0) + sign
             before += tr[2]
+    columns: list[dict[int, int]] = [{} for _ in targets]
+    ordered = sorted((row for part in reversed(rows) for row in part.values()),
+                     key=lambda row: (-max(row), len(row)))
+    for label, row in enumerate(ordered):
+        for col, val in row.items():
+            columns[col][label] = val
     ech = Echelon()
-    for row in sorted((row for part in reversed(rows) for row in part.values()),
-                      key=lambda row: (-max(row), len(row))):
-        ech.insert(row)
-        if ech.rank == len(targets):
-            return 0
+    for column in columns:
+        ech.insert(column)
     return len(targets) - ech.rank
 
 

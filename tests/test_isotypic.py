@@ -143,22 +143,64 @@ def test_insertion_order_matches_reference_on_sampled_n4_components():
             assert got == [0] * len(got)
 
 
-def test_row_order_keeps_the_integers_small(monkeypatch):
-    # the sign character of S_3 x S_2 at n = 5: inserted sparsest first alone,
-    # its stored rows reach 33-bit entries here (109 bits at (5,5,0)), and in
-    # the earlier per-generator order 22; the last-column-first order keeps 7
+def recorded_echelons(monkeypatch):
+    """Every Echelon isotypic_dimension creates, counting its inserts."""
     echelons = []
 
     class Recorded(Echelon):
         def __init__(self):
             super().__init__()
+            self.inserts = 0
             echelons.append(self)
 
+        def insert(self, v):
+            self.inserts += 1
+            return super().insert(v)
+
     monkeypatch.setattr(coinvariants, "Echelon", Recorded)
+    return echelons
+
+
+def max_stored_bits(ech):
+    return max(abs(v).bit_length() for row in ech.pivots.values() for v in row.values())
+
+
+def test_row_order_keeps_the_integers_small(monkeypatch):
+    # the sign character of S_3 x S_2 at n = 5: with its rows inserted sparsest
+    # first alone, the stored entries reach 33 bits here (109 at (5,5,0)), in the
+    # earlier per-generator order 22, and last column first 7; the columns of
+    # the transposed system, keyed by the rows' labels in that order, store 12
+    echelons = recorded_echelons(monkeypatch)
     assert isotypic_dimension(TriDegree(5, 4, 0), YoungCharacter((), (3, 2))) == 2
     (ech,) = echelons
     assert ech.rank == 505 - 2
-    assert max(abs(v).bit_length() for row in ech.pivots.values() for v in row.values()) <= 12
+    assert max_stored_bits(ech) <= 12
+
+
+def test_transposed_system_keeps_the_integers_small_at_550(monkeypatch):
+    # the same system one degree up; plain sparsest-first row insertion stored
+    # 109-bit entries here, the columns keyed by row label store 13
+    echelons = recorded_echelons(monkeypatch)
+    assert isotypic_dimension(TriDegree(5, 5, 0), YoungCharacter((), (3, 2))) == 1
+    (ech,) = echelons
+    assert ech.rank == 960 - 1
+    assert max_stored_bits(ech) <= 16
+
+
+def test_one_insert_per_live_target(monkeypatch):
+    # the rank is taken on the columns: one vector per live orbit, however
+    # many rows g * v_O the system has
+    system = young_system(4)
+    cases = [(TriDegree(5, 4, 0), YoungCharacter((), (3, 2)))]
+    cases += [(d, psi) for d in (TriDegree(2, 1, 1), TriDegree(7, 0, 1))
+              for psi in system.characters + (system.extra,)]
+    echelons = recorded_echelons(monkeypatch)
+    for d, psi in cases:
+        del echelons[:]
+        got = isotypic_dimension(d, psi)
+        (ech,) = echelons
+        assert ech.inserts == len(psi.live_orbits(d)), (d, psi)
+        assert got == reference_isotypic_dimension(d, psi), (d, psi)
 
 
 def monomial_triples(m):

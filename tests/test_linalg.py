@@ -179,6 +179,34 @@ def test_rank_invariant_under_row_and_column_permutations():
     assert 0 < deficient < 200  # both full and deficient ranks are covered
 
 
+def test_row_rank_equals_column_rank():
+    # isotypic_dimension takes the rank of a system on its columns
+    rng = random.Random(41)
+    rows_deficient = cols_deficient = empty = 0
+    for _ in range(200):
+        nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 13)
+        m = [[rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.3 else 0
+              for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.5:  # a dependent row
+            u, w = rng.sample(m, 2)
+            m.append([2 * a - b for a, b in zip(u, w)])
+        if ncols > 1 and rng.random() < 0.5:  # a dependent column
+            u, w = rng.sample(range(ncols), 2)
+            for row in m:
+                row.append(row[u] - 3 * row[w])
+        if rng.random() < 0.3:  # an empty column
+            k = rng.randrange(len(m[0]) + 1)
+            for row in m:
+                row.insert(k, 0)
+        ncols = len(m[0])
+        rank = echelon_of(m).rank
+        assert echelon_of(transpose(m, ncols)).rank == rank
+        rows_deficient += rank < len(m)
+        cols_deficient += rank < ncols
+        empty += any(not any(col) for col in transpose(m, ncols))
+    assert 0 < rows_deficient < 200 and 0 < cols_deficient < 200 and empty > 0
+
+
 def test_inverse_random_and_singular():
     rng = random.Random(11)
     for size in range(1, 7):
