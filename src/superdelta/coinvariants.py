@@ -42,19 +42,23 @@ q^a t^b z^c m_lam at s_lam, and the characters chi_M(mu) =
 sum_lam m_lam chi^lam(mu) are derived on demand.  One more, dependent psi
 is computed as a redundancy check.
 
-The unreduced path (ideal components in monomial coordinates, their echelon
-bases, a sparse mod-p full-rank certificate and the signed coordinate action)
-stays as the reference that tests compare against.
+The unreduced path (ideal components in monomial coordinates, their exact
+echelon bases and the signed coordinate action) stays as the reference that
+tests compare against, with a sparse mod-p full-rank certificate that they
+check against the exact ranks.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
 a monomial lying in the ideal), so each theta-row of the degree lattice is
 explored until a closed band of zeros is found, then one configurable
-extra band beyond it.
+extra band beyond it.  One loop over the bands a + b = 0, 1, 2, ... serves
+every theta row still open, and each band's components are computed in one
+step, the only place where the time budget is read.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -84,10 +88,6 @@ from .superring import (
 )
 
 MODP_PRIME = 1_048_573
-
-
-class BudgetExceeded(Exception):
-    """Raised internally when the time budget runs out mid-exploration."""
 
 
 def spanning_vectors(n: int, d: TriDegree, index: dict[SuperMonomial, int]):
@@ -153,7 +153,6 @@ class IdealComponentBasis:
     rank: int
     pivots: list[int] = field(default_factory=list)
     rows: list[dict[int, int]] = field(default_factory=list)
-    certified_full: bool = False
 
     @property
     def dim(self) -> int:
@@ -166,22 +165,19 @@ class IdealComponentBasis:
 
 
 def ideal_component(n: int, d: TriDegree) -> IdealComponentBasis:
-    """Basis of the span { g * m } inside the component of tri-degree d.
+    """Exact echelon basis of the span { g * m } inside the component of tri-degree d.
 
-    A component the mod-p certificate finds full comes back without rows.
+    The insertion stops once the rank is full; only a deficient basis is
+    fully reduced.
     """
     monos = enumerate_monomials(n, d)
     dim = len(monos)
     if dim == 0:
         return IdealComponentBasis(d, monos, 0)
     index = {m: i for i, m in enumerate(monos)}
-    vectors = list(spanning_vectors(n, d, index))
-    if _modp_is_full_rank(vectors, dim):
-        return IdealComponentBasis(d, monos, dim, certified_full=True)
-
     ech = Echelon()
-    for vec in vectors:
-        ech.insert(dict(vec))
+    for vec in spanning_vectors(n, d, index):
+        ech.insert(vec)
         if ech.rank == dim:
             break
     if ech.rank < dim:
@@ -561,58 +557,7 @@ class ModuleSideResult:
     series: FrobeniusSeries
     components: dict[TriDegree, ComponentCharacters]
     closed: bool
-    rows: dict[int, bool]  # c -> closed; False for a row a budget cut short
-
-
-def explore_theta_row(
-    n: int,
-    c: int,
-    compute_many,
-    extra_band: int = 1,
-    forced: set[tuple[int, int]] = frozenset(),
-    max_ab: int | None = None,
-    deadline: float | None = None,
-) -> bool:
-    """Explore the (a, b) lattice at fixed theta-degree c.
-
-    A cell is computed when it is forced, is the origin, or sits within
-    extra_band steps above a computed zero bordering the nonzero support.
-    Finding a nonzero component strictly beyond a zero predecessor would
-    contradict the monotone vanishing law and raises ConsistencyError.
-    Returns whether the row closed.
-    """
-    if max_ab is None:
-        max_ab = n * (n - 1) + 2
-    reach: dict[tuple[int, int], int] = {}  # computed cell -> -1 if nonzero, else its level
-    max_forced = max((a + b for (a, b) in forced), default=-1)
-    band = 0
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceeded(f"budget exhausted at c={c}, band {band}")
-        cells = []
-        for a in range(band + 1):
-            b = band - a
-            levels = [reach[p] + 1 for p in ((a - 1, b), (a, b - 1)) if p in reach]
-            lvl = 0 if (a, b) == (0, 0) or (a, b) in forced else min(levels, default=None)
-            if lvl is not None and lvl <= extra_band:
-                cells.append(((a, b), lvl))
-        if not cells:
-            if band > max_forced:
-                return True
-            band += 1
-            continue
-        if band > max_ab:
-            return False  # budget on degree exhausted
-        computed = compute_many(
-            [(n, (ab[0], ab[1], c)) for ab, _ in cells]
-        )
-        for (ab, lvl), comp in zip(cells, computed):
-            reach[ab] = -1 if comp.dim_quotient > 0 else lvl
-            if comp.dim_quotient > 0 and lvl > 0 and ab not in forced:
-                raise ConsistencyError(
-                    f"nonzero component beyond the zero frontier at {ab}, c={c}"
-                )
-        band += 1
+    rows: dict[int, bool]  # c -> closed for c = 0..n; False for a row a budget cut short
 
 
 def assemble_series(n: int, components) -> FrobeniusSeries:
@@ -635,7 +580,11 @@ def assemble_series(n: int, components) -> FrobeniusSeries:
 
 
 def check_module_arguments(
-    n: int, extra_band: int, threads: int, budget_seconds: float | None = None
+    n: int,
+    extra_band: int,
+    threads: int,
+    budget_seconds: float | None = None,
+    max_ab: int | None = None,
 ) -> None:
     """Raise ValueError for arguments frobenius_module cannot run with."""
     if n < 1:
@@ -644,8 +593,10 @@ def check_module_arguments(
         raise ValueError(f"extra_band must be >= 0, got {extra_band}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if budget_seconds is not None and not isfinite(budget_seconds):
-        raise ValueError(f"budget_seconds must be finite, got {budget_seconds}")
+    if max_ab is not None and max_ab < 0:
+        raise ValueError(f"max_ab must be >= 0, got {max_ab}")
+    if budget_seconds is not None and not (isfinite(budget_seconds) and budget_seconds >= 0):
+        raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
 
 
 def frobenius_module(
@@ -659,78 +610,97 @@ def frobenius_module(
 ) -> ModuleSideResult:
     """Compute the qtz-graded Frobenius series of the quotient module.
 
+    One loop over the bands a + b = 0, 1, 2, ... explores every theta row
+    c = 0..n at once.  In a band, a cell (a, b, c) of an open row is computed
+    when it is the origin, is forced, or sits within extra_band steps above
+    a computed zero bordering the nonzero support.  A row closes at its first
+    band without such a cell past its last forced cell; one that needs a
+    cell beyond max_ab stays open.  A nonzero component strictly beyond a
+    zero predecessor would contradict the monotone vanishing law and raises
+    ConsistencyError.
+
     component_cache, when given, must provide get(n, degree) and
-    put(component).  The budget is checked before each component (serial)
-    or bounds the wait for a band's components (pool), so a run stops
-    within one component of its deadline; every component finished by then
-    is in the result, the unclosed row in progress included.
+    put(component).  A band's cache hits are read first, then its other
+    cells are computed in one step, serially or on the process pool.  The
+    budget is checked only there: before each component (serial), or it
+    bounds the wait for the band's components (pool).  So a run stops within
+    one component of its deadline, every component finished by then is in
+    the result, and rows[c] is False for every row it cut short.
     """
-    check_module_arguments(n, extra_band, threads, budget_seconds)
+    check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
+    if max_ab is None:
+        max_ab = n * (n - 1) + 2
     deadline = None  # capped: a pool's wait longer than threading.TIMEOUT_MAX overflows
     if budget_seconds is not None:
         deadline = time.monotonic() + min(budget_seconds, TIMEOUT_MAX)
     pool = None
     if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor, wait
 
-        pool = ProcessPoolExecutor(max_workers=threads)
+        # a fork pool starts all its workers at the first submit
+        pool = ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
 
     components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
-
-    def compute_many(specs):
-        degrees = [TriDegree(*d3) for _, d3 in specs]
-        out = [component_cache.get(n, d) if component_cache is not None else None
-               for d in degrees]
-        todo = [i for i, comp in enumerate(out) if comp is None]
-        for d, comp in zip(degrees, out):
-            if comp is not None:
-                components[d] = comp
-
-        def finish(i, comp):
-            out[i] = components[degrees[i]] = comp
-            if component_cache is not None:
-                component_cache.put(comp)
-
-        if pool is None:
-            for i in todo:
-                if deadline is not None and time.monotonic() > deadline:
-                    raise BudgetExceeded(f"budget exhausted before {specs[i][1]}")
-                finish(i, _component_worker(specs[i]))
-        else:
-            from concurrent.futures import wait
-
-            futures = {pool.submit(_component_worker, specs[i]): i for i in todo}
-            timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-            _, pending = wait(futures, timeout=timeout)
-            for fut, i in futures.items():  # spec order; keeps what finished in time
-                if fut.done():
-                    finish(i, fut.result())
-            if pending:
-                raise BudgetExceeded(f"budget exhausted with {len(pending)} components pending")
-        return out
-
-    rows: dict[int, bool] = {}
+    reach: dict[TriDegree, int] = {}  # computed cell -> -1 if nonzero, else its level
+    last_forced = [max((d.a + d.b for d in forced if d.c == c), default=-1)
+                   for c in range(n + 1)]
+    rows: dict[int, bool] = {}  # c -> closed, for the rows that stopped
+    band = 0
     try:
-        for c in range(n + 1):
-            forced_ab = {(d.a, d.b) for d in forced if d.c == c}
-            rows[c] = explore_theta_row(
-                n,
-                c,
-                compute_many,
-                extra_band=extra_band,
-                forced=forced_ab,
-                max_ab=max_ab,
-                deadline=deadline,
-            )
-    except BudgetExceeded:
-        pass
+        while len(rows) <= n:
+            cells: dict[TriDegree, int] = {}  # cell -> level, over every open row
+            for c in range(n + 1):
+                if c in rows:
+                    continue
+                row = {}
+                for a in range(band + 1):
+                    b = band - a
+                    levels = [reach[p] + 1 for p in ((a - 1, b, c), (a, b - 1, c)) if p in reach]
+                    lvl = 0 if band == 0 or (a, b, c) in forced else min(levels, default=None)
+                    if lvl is not None and lvl <= extra_band:
+                        row[TriDegree(a, b, c)] = lvl
+                if not row:
+                    if band > last_forced[c]:
+                        rows[c] = True
+                elif band > max_ab:
+                    rows[c] = False  # budget on degree exhausted
+                else:
+                    cells.update(row)
+
+            todo = []
+            for d in cells:
+                comp = component_cache.get(n, d) if component_cache is not None else None
+                if comp is None:
+                    todo.append(d)
+                else:
+                    components[d] = comp
+            if pool is None:  # the deadline is read before each component
+                done = (_component_worker((n, d)) for d in todo
+                        if deadline is None or time.monotonic() <= deadline)
+            else:
+                futures = [pool.submit(_component_worker, (n, d)) for d in todo]
+                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+                wait(futures, timeout=timeout)
+                done = (fut.result() for fut in futures if fut.done())
+            for comp in done:  # kept and stored as soon as it is in hand
+                components[comp.degree] = comp
+                if component_cache is not None:
+                    component_cache.put(comp)
+            if not all(d in components for d in todo):
+                break  # the budget ran out
+
+            for d, lvl in cells.items():
+                nonzero = components[d].dim_quotient > 0
+                reach[d] = -1 if nonzero else lvl
+                if nonzero and lvl > 0:
+                    raise ConsistencyError(
+                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
+                    )
+            band += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    for d in components:  # the row in progress when the budget ran out
-        rows.setdefault(d.c, False)
-    closed = len(rows) == n + 1 and all(rows.values())
+    rows = {c: rows.get(c, False) for c in range(n + 1)}
     series = assemble_series(n, components)
-    return ModuleSideResult(n, series, components, closed, rows)
-
+    return ModuleSideResult(n, series, components, all(rows.values()), rows)

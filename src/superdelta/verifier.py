@@ -178,7 +178,7 @@ def verify_conjecture(
     max_ab: int | None = None,
 ) -> VerificationReport:
     """Compute both sides for n and compare them coefficient by coefficient."""
-    check_module_arguments(n, extra_band, threads, budget_seconds)
+    check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
     t0 = time.monotonic()
     rhs = rhs_series(n)
     t_rhs = time.monotonic() - t0

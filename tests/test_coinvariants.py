@@ -1,10 +1,14 @@
+import concurrent.futures
 import time
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
 
+import superdelta.coinvariants as coinvariants
 from superdelta.coinvariants import (
     ComponentCharacters,
+    _modp_is_full_rank,
     apply_signed_map,
     assemble_series,
     component_characters,
@@ -18,6 +22,7 @@ from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.partitions import all_permutations
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
+from superdelta.verifier import EQUAL, verify_conjecture
 
 
 def brute_trace_regular(sigma, n, d):
@@ -75,9 +80,11 @@ def test_ideal_component_modp_matches_exact():
         deg = TriDegree(*d)
         basis = ideal_component(n, deg)
         assert basis.rank == exact_rank(n, deg), (n, d)
-        assert basis.certified_full == (basis.rank == basis.dim), (n, d)
+        index = {m: i for i, m in enumerate(basis.monomials)}
+        full = _modp_is_full_rank(list(spanning_vectors(n, deg, index)), basis.dim)
+        assert full == (basis.rank == basis.dim), (n, d)
         if basis.dim >= 120:
-            certified += basis.certified_full
+            certified += full
             deficient += basis.rank < basis.dim
     assert certified == 2 and deficient == 1
 
@@ -214,7 +221,51 @@ def test_spanning_vectors_entries():
 
 def test_budget_configuration():
     partial = frobenius_module(3, budget_seconds=0.0)
-    assert not partial.closed
+    assert not partial.closed and partial.components == {}
+    assert partial.rows == {c: False for c in range(4)}  # every theta row, each cut short
+
+
+def test_theta_rows_are_explored_band_by_band(monkeypatch):
+    worker = coinvariants._component_worker
+    bands = []
+
+    def recording_worker(args):
+        _, d = args
+        bands.append(d[0] + d[1])
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    result = frobenius_module(3)
+    assert result.closed and list(result.rows) == [0, 1, 2, 3]
+    assert len(bands) == len(result.components)
+    assert bands == sorted(bands)  # a + b never falls back for the next theta row
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs each task at once."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("cores, threads, workers", [(2, 100_000, 2), (None, 8, 1), (4, 3, 3)])
+def test_pool_size_is_bounded_by_the_cores(monkeypatch, cores, threads, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: cores)
+    InlineExecutor.sizes = []
+    report = verify_conjecture(2, threads=threads)
+    assert report.verdict == EQUAL and report.timing["threads"] == threads
+    assert InlineExecutor.sizes == [workers]
 
 
 def test_budget_pool_path_stops_early():

@@ -211,6 +211,15 @@ def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
     )
 
 
+def test_warm_cache_needs_no_budget(tmp_path):
+    # cache hits are not computed components, so a spent budget does not stop them
+    cold = verify_conjecture(3, cache_dir=tmp_path).to_json_dict(include_timing=False)
+    for threads in (1, 2):
+        warm = verify_conjecture(3, threads=threads, cache_dir=tmp_path, budget_seconds=0)
+        assert warm.verdict == EQUAL
+        assert warm.to_json_dict(include_timing=False) == cold
+
+
 def test_report_timing_names_python():
     timing = verify_conjecture(1).timing
     assert timing["python"] == platform.python_version()
@@ -248,6 +257,10 @@ def test_verify_checks_arguments_before_the_delta_side(monkeypatch):
         verify_conjecture(3, extra_band=-1)
     with pytest.raises(ValueError, match="threads"):
         verify_conjecture(3, threads=0)
+    with pytest.raises(ValueError, match="max_ab"):
+        verify_conjecture(3, max_ab=-1)
+    with pytest.raises(ValueError, match="budget_seconds"):
+        verify_conjecture(3, budget_seconds=-1.0)
 
 
 def test_cache_component_roundtrip(tmp_path):
@@ -299,8 +312,8 @@ def test_budget_stops_within_one_component(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", slow_worker)
-    # bands a+b = 0, 1, 2 of the c = 0 row take 1.2 s, so the deadline falls
-    # early in band 3 (four components, 0.8 s): a per-band check overruns it
+    # band a+b = 0 is one component per theta row (0.8 s), so the deadline
+    # falls early in band 1 (eight components, 1.6 s): a per-band check overruns it
     budget = 1.3
     start = time.monotonic()
     report = verify_conjecture(3, threads=1, budget_seconds=budget)
@@ -321,7 +334,8 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
-    # the deadline falls in band a+b = 2 of the c = 0 row (21 cells, 2.1 s)
+    # band a+b = 0 (one component per theta row) takes 0.4 s, so the deadline
+    # falls in band 1 (eight components, 0.8 s), with every row in progress
     partial = coinvariants.frobenius_module(3, threads=1, budget_seconds=0.45)
     assert not partial.closed and calls
     assert len(partial.components) == len(calls)
@@ -341,7 +355,7 @@ from superdelta.coinvariants import ideal_component
 from superdelta.superring import TriDegree
 from superdelta.verifier import EQUAL, verify_conjecture
 basis = ideal_component(3, TriDegree(4, 3, 0))
-assert basis.dim == 150 and basis.certified_full and basis.rank == 150
+assert basis.dim == 150 and basis.rank == 150
 assert verify_conjecture(3).verdict == EQUAL
 print("ok")
 """
@@ -501,6 +515,10 @@ def test_frobenius_module_rejects_negative_band_and_threads():
     for threads in (0, -1):
         with pytest.raises(ValueError):
             frobenius_module(2, threads=threads)
+    with pytest.raises(ValueError, match="max_ab"):
+        frobenius_module(2, max_ab=-1)
+    with pytest.raises(ValueError, match="budget_seconds"):
+        frobenius_module(2, budget_seconds=-1.0)
     assert frobenius_module(2, extra_band=0).closed
 
 
