@@ -22,12 +22,15 @@ live in orbit coordinates:
   representative (triples (x_i, y_i, [i in theta]) sorted descending
   within each block), or 0 when some h fixing m has psi(h) * (Grassmann
   sign) = -1 (a dead orbit).  The live v_O have disjoint supports, so they
-  are a basis of e_psi(R_d).
+  are a basis of e_psi(R_d).  The live representatives are enumerated
+  block by block.
 * Every generator g is S_n-invariant under the signed action (a sum
   x_1^r y_1^s theta_1^e + ... + x_n^r y_n^s theta_n^e), so h(g m) = g h(m)
   and e_psi(I_d) is spanned by the products g * v_O.  The coefficient of
   v_C in a vector of e_psi(R_d) is its coefficient at the representative
-  C, so each row g * v_O is read off target by target.
+  C, so each row g * v_O is read off target by target.  A cofactor of C
+  differs from C in one triple, so its representative is C with that
+  triple re-inserted into its own block: no monomial is sorted.
 
 Hence dim M_d^psi = #live orbits - rank { g * v_O }, an exact integer
 rank on systems about |H| times smaller than R_d.  The rank is taken on the
@@ -62,6 +65,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
+from itertools import product
 from math import factorial, isfinite, prod
 from threading import TIMEOUT_MAX
 
@@ -277,73 +281,48 @@ class YoungCharacter:
             start += size
         return tuple(out)
 
-    def canonical(self, m: Triples) -> tuple[Triples, int] | None:
-        """(representative, sign) with e_psi(m) = sign * e_psi(rep); None if e_psi(m) = 0.
-
-        Sorting a block is an h in H; the sign is psi(h) times the Grassmann
-        sign of h on the thetas.  The orbit is dead when two equal triples
-        share a block and carry theta in a trivial block or no theta in a
-        sign block: their transposition fixes m and has psi * sign = -1.
-        """
-        sign = 1
-        out = list(m)
-        for lo, hi, signed in self.blocks:
-            seg = m[lo:hi]
-            for i in range(hi - lo - 1):
-                si = seg[i]
-                for sj in seg[i + 1:]:
-                    if si < sj:
-                        if signed:
-                            sign = -sign
-                        if si[2] and sj[2]:
-                            sign = -sign
-                    elif si == sj and si[2] != signed:
-                        return None
-            out[lo:hi] = sorted(seg, reverse=True)
-        return tuple(out), sign
-
     def live_orbits(self, d: TriDegree) -> list[Triples]:
         """Canonical representatives of the live orbits of tri-degree d, ascending.
 
         Within a block the triples descend, and two equal neighbours must
-        carry theta exactly when the block is a sign block.
+        carry theta exactly when the block is a sign block.  An orbit is one
+        such run per block, so the orbits are a product over the splits of d
+        among the blocks.
         """
-        n = self.n
-        inner = {}  # letter -> signed, for the letters after the first of a block
-        for lo, hi, signed in self.blocks:
-            for i in range(lo + 1, hi):
-                inner[i] = signed
-        out: list[Triples] = []
-        cur: list[tuple[int, int, int]] = []
+        parts = self.parts
 
-        def rec(i: int, ra: int, rb: int, rc: int) -> None:
-            if i == n - 1:
-                if rc > 1:
-                    return
-                options = [(ra, rb, rc)]
-            else:
-                options = [
-                    (x, y, t)
-                    for x in range(ra + 1)
-                    for y in range(rb + 1)
-                    for t in ((0, 1) if rc else (0,))
-                ]
-            signed = inner.get(i)
-            for tr in options:
-                if signed is not None:
-                    prev = cur[-1]
-                    if tr > prev or (tr == prev and tr[2] != signed):
-                        continue
-                cur.append(tr)
-                if i == n - 1:
-                    out.append(tuple(cur))
-                elif rc - tr[2] <= n - 1 - i:
-                    rec(i + 1, ra - tr[0], rb - tr[1], rc - tr[2])
-                cur.pop()
+        @cache
+        def runs(size: int, signed: bool, a: int, b: int, c: int) -> list[Triples]:
+            """The live runs of one block of degree (a, b, c), ascending."""
+            if c > size:
+                return []
+            if size == 1:
+                return [((a, b, c),)]
+            out = []
+            # the first triple is the largest, so its x is at least the mean
+            for first in product(range(-(-a // size), a + 1), range(b + 1), range(min(c, 1) + 1)):
+                x, y, t = first
+                for rest in runs(size - 1, signed, a - x, b - y, c - t):
+                    if rest[0] > first:
+                        break  # the rests ascend, so every later head is larger too
+                    if rest[0] < first or t == signed:
+                        out.append((first,) + rest)
+            return out
 
-        if d.c <= n:
-            rec(0, d.a, d.b, d.c)
-        return out
+        @cache
+        def orbits(k: int, a: int, b: int, c: int) -> list[Triples]:
+            """The live orbits on the blocks k, k + 1, ... of degree (a, b, c)."""
+            size, signed = parts[k]
+            if k == len(parts) - 1:
+                return runs(size, signed, a, b, c)
+            out = []
+            for da, db, dc in product(range(a + 1), range(b + 1), range(min(c, size) + 1)):
+                heads = runs(size, signed, da, db, dc)
+                tails = orbits(k + 1, a - da, b - db, c - dc) if heads else ()
+                out += [head + tail for head in heads for tail in tails]
+            return out
+
+        return sorted(orbits(0, d.a, d.b, d.c))
 
     @cached_property
     def pairing(self) -> dict[Partition, int]:
@@ -371,9 +350,14 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
     """dim M_d^psi: live H-orbits of degree d minus the rank of the rows g * v_O.
 
     Rows are built target-side: for each live target c and each term
-    x_i^r y_i^s theta_i^e of a generator that divides c, the cofactor is
-    canonicalized, and the row (generator, cofactor orbit) gains the sign at
-    column c.  No orbit is expanded.  The target columns are labelled in
+    x_i^r y_i^s theta_i^e of a generator that divides c, the row (generator,
+    cofactor orbit) gains the sign at column c.  No orbit is expanded.  The
+    cofactor is c with the triple at i lowered, so its representative is c
+    with that one triple moved right within its block, past the larger
+    triples: each one passed flips the sign in a sign block, and again when
+    both carry theta.  The orbit is dead when the moved triple lands on an
+    equal one without theta in a sign block or with theta in a trivial
+    block.  The target columns are labelled in
     descending orbit order, and the rows by their position when sorted by
     descending last column, sparsest first within one (a stable sort, so ties
     keep the last generators' rows first).  Row rank equals column rank, so
@@ -387,7 +371,9 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
         return 0
     gens = [e for _name, e, _gen in ideal_generators(psi.n)
             if e.a <= d.a and e.b <= d.b and e.c <= d.c]
-    canon: dict[Triples, tuple[Triples, int] | None] = {}
+    ends: list[tuple[int, bool]] = []  # letter -> (end of its block, signed)
+    for size, signed in psi.parts:
+        ends += [(len(ends) + size, signed)] * size
     quotients: dict[tuple[int, int, int], list] = {}  # triple -> (generator, quotient, e)
     rows: list[dict[Triples, dict[int, int]]] = [{} for _ in gens]
     for col, c in enumerate(targets):
@@ -400,21 +386,27 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
                     (k, (x - r, y - s, t - e), e)
                     for k, (r, s, e) in enumerate(gens) if x >= r and y >= s and t >= e
                 ]
+            hi, signed = ends[i]
             for k, quo, e in quos:
-                cof = c[:i] + (quo,) + c[i + 1:]
-                hit = canon.get(cof, canon)
-                if hit is canon:
-                    hit = canon[cof] = psi.canonical(cof)
-                if hit is not None:
-                    rep, sign = hit
-                    if e and before % 2:
+                # quo < tr: it moves right past the larger triples of its block
+                sign = -1 if e and before % 2 else 1
+                j = i + 1
+                while j < hi and c[j] > quo:
+                    if signed:
                         sign = -sign
-                    row = rows[k].setdefault(rep, {})
-                    row[col] = row.get(col, 0) + sign
+                    if quo[2] and c[j][2]:
+                        sign = -sign
+                    j += 1
+                if j < hi and c[j] == quo and quo[2] != signed:
+                    continue  # a dead orbit
+                rep = c[:i] + c[i + 1:j] + (quo,) + c[j:]
+                row = rows[k].setdefault(rep, {})
+                row[col] = row.get(col, 0) + sign
             before += tr[2]
     columns: list[dict[int, int]] = [{} for _ in targets]
+    # the columns of a row arrive ascending, so its last one is its largest
     ordered = sorted((row for part in reversed(rows) for row in part.values()),
-                     key=lambda row: (-max(row), len(row)))
+                     key=lambda row: (-next(reversed(row)), len(row)))
     for label, row in enumerate(ordered):
         for col, val in row.items():
             columns[col][label] = val

@@ -20,6 +20,7 @@ from superdelta.coinvariants import (
     young_system,
 )
 from superdelta.linalg import ConsistencyError, Echelon
+from superdelta.macdonald import rhs_series
 from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type
 from superdelta.rationals import RAT
 from superdelta.superring import (
@@ -83,6 +84,102 @@ def test_matches_trace_method_on_sampled_n4_components():
     assert 0 < nonzero < len(sample)  # both kinds of component are covered
 
 
+def canonical(psi, m):
+    """(representative, sign) with e_psi(m) = sign * e_psi(rep); None if e_psi(m) = 0.
+
+    Sorting a block is an h in H; the sign is psi(h) times the Grassmann
+    sign of h on the thetas.  The orbit is dead when two equal triples
+    share a block and carry theta in a trivial block or no theta in a
+    sign block: their transposition fixes m and has psi * sign = -1.
+    """
+    sign = 1
+    out = list(m)
+    for lo, hi, signed in psi.blocks:
+        seg = m[lo:hi]
+        for i in range(hi - lo - 1):
+            si = seg[i]
+            for sj in seg[i + 1:]:
+                if si < sj:
+                    if signed:
+                        sign = -sign
+                    if si[2] and sj[2]:
+                        sign = -sign
+                elif si == sj and si[2] != signed:
+                    return None
+        out[lo:hi] = sorted(seg, reverse=True)
+    return tuple(out), sign
+
+
+def reference_live_orbits(psi, d):
+    """live_orbits letter by letter: every option of a letter inside a block
+    is tried and rejected against the previous triple."""
+    n = psi.n
+    inner = {}  # letter -> signed, for the letters after the first of a block
+    for lo, hi, signed in psi.blocks:
+        for i in range(lo + 1, hi):
+            inner[i] = signed
+    out = []
+    cur = []
+
+    def rec(i, ra, rb, rc):
+        if i == n - 1:
+            if rc > 1:
+                return
+            options = [(ra, rb, rc)]
+        else:
+            options = [(x, y, t) for x in range(ra + 1) for y in range(rb + 1)
+                       for t in ((0, 1) if rc else (0,))]
+        signed = inner.get(i)
+        for tr in options:
+            if signed is not None:
+                prev = cur[-1]
+                if tr > prev or (tr == prev and tr[2] != signed):
+                    continue
+            cur.append(tr)
+            if i == n - 1:
+                out.append(tuple(cur))
+            elif rc - tr[2] <= n - 1 - i:
+                rec(i + 1, ra - tr[0], rb - tr[1], rc - tr[2])
+            cur.pop()
+
+    if d.c <= n:
+        rec(0, d.a, d.b, d.c)
+    return out
+
+
+def reference_columns(d, psi):
+    """The vectors isotypic_dimension inserts, built with each cofactor
+    sorted by canonical (one call per distinct cofactor) and each row keyed
+    by max(row)."""
+    targets = reference_live_orbits(psi, d)[::-1]
+    gens = [e for _name, e, _gen in ideal_generators(psi.n)
+            if e.a <= d.a and e.b <= d.b and e.c <= d.c]
+    canon = {}
+    rows = [{} for _ in gens]
+    for col, c in enumerate(targets):
+        before = 0
+        for i, (x, y, t) in enumerate(c):
+            for k, (r, s, e) in enumerate(gens):
+                if x >= r and y >= s and t >= e:
+                    cof = c[:i] + ((x - r, y - s, t - e),) + c[i + 1:]
+                    if cof not in canon:
+                        canon[cof] = canonical(psi, cof)
+                    if canon[cof] is not None:
+                        rep, sign = canon[cof]
+                        if e and before % 2:
+                            sign = -sign
+                        row = rows[k].setdefault(rep, {})
+                        row[col] = row.get(col, 0) + sign
+            before += t
+    columns = [{} for _ in targets]
+    ordered = sorted((row for part in reversed(rows) for row in part.values()),
+                     key=lambda row: (-max(row), len(row)))
+    for label, row in enumerate(ordered):
+        for col, val in row.items():
+            columns[col][label] = val
+    return columns
+
+
 def reference_isotypic_dimension(d, psi):
     """isotypic_dimension with the earlier insertion order: ascending target
     columns, the rows of each generator inserted as soon as they are built
@@ -99,7 +196,7 @@ def reference_isotypic_dimension(d, psi):
             before = 0
             for i, (x, y, t) in enumerate(c):
                 if x >= r and y >= s and t >= e:
-                    hit = psi.canonical(c[:i] + ((x - r, y - s, t - e),) + c[i + 1:])
+                    hit = canonical(psi, c[:i] + ((x - r, y - s, t - e),) + c[i + 1:])
                     if hit is not None:
                         rep, sign = hit
                         if e and before % 2:
@@ -114,10 +211,18 @@ def reference_isotypic_dimension(d, psi):
     return len(targets) - ech.rank
 
 
-def isotypic_dimensions(n, d, isotypic):
+def every_character(n):
     system = young_system(n)
-    psis = system.characters + ((system.extra,) if system.extra else ())
-    return [isotypic(d, psi) for psi in psis]
+    return system.characters + ((system.extra,) if system.extra else ())
+
+
+def low_degrees(n, max_ab):
+    return [TriDegree(a, s - a, c)
+            for s in range(max_ab + 1) for a in range(s + 1) for c in range(n + 1)]
+
+
+def isotypic_dimensions(n, d, isotypic):
+    return [isotypic(d, psi) for psi in every_character(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -144,17 +249,17 @@ def test_insertion_order_matches_reference_on_sampled_n4_components():
 
 
 def recorded_echelons(monkeypatch):
-    """Every Echelon isotypic_dimension creates, counting its inserts."""
+    """Every Echelon isotypic_dimension creates, recording the vectors it inserts."""
     echelons = []
 
     class Recorded(Echelon):
         def __init__(self):
             super().__init__()
-            self.inserts = 0
+            self.inserted = []
             echelons.append(self)
 
         def insert(self, v):
-            self.inserts += 1
+            self.inserted.append(v)
             return super().insert(v)
 
     monkeypatch.setattr(coinvariants, "Echelon", Recorded)
@@ -199,8 +304,40 @@ def test_one_insert_per_live_target(monkeypatch):
         del echelons[:]
         got = isotypic_dimension(d, psi)
         (ech,) = echelons
-        assert ech.inserts == len(psi.live_orbits(d)), (d, psi)
+        assert len(ech.inserted) == len(psi.live_orbits(d)), (d, psi)
         assert got == reference_isotypic_dimension(d, psi), (d, psi)
+
+
+@pytest.mark.parametrize("n, max_ab", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 2)])
+def test_inserted_columns_match_canonical_reinsertion(monkeypatch, n, max_ab):
+    # the one-block re-insertion of each cofactor must give the very columns
+    # that sorting every cofactor gives: a wrong sign would leave most
+    # ranks unchanged but shows here
+    echelons = recorded_echelons(monkeypatch)
+    for d in low_degrees(n, max_ab):
+        for psi in every_character(n):
+            del echelons[:]
+            isotypic_dimension(d, psi)
+            got = [list(v.items()) for ech in echelons for v in ech.inserted]
+            want = [list(v.items()) for v in reference_columns(d, psi)]
+            assert got == want, (d, psi)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_live_orbits_match_the_letter_by_letter_recursion(n):
+    for d in low_degrees(n, 6):
+        for psi in every_character(n):
+            assert psi.live_orbits(d) == reference_live_orbits(psi, d), (d, psi)
+
+
+def test_n5_low_components_match_the_delta_side():
+    # each multiplicity is the coefficient of q^a t^b z^c in the Schur
+    # coefficient of the delta side at n = 5
+    rhs = rhs_series(5)
+    for d in low_degrees(5, 3):
+        comp = component_characters(5, d)
+        for lam, m in comp.mult.items():
+            assert m == rhs.coefficient(lam).terms.get((d.a, d.b, d.c), 0), (d, lam)
 
 
 def monomial_triples(m):
@@ -248,13 +385,13 @@ def test_canonicalization_agrees_with_bruteforce_projection(n):
             reps = set()
             for m in enumerate_monomials(n, d):
                 projected = brute_projection(psi, m)
-                hit = psi.canonical(monomial_triples(m))
+                hit = canonical(psi, monomial_triples(m))
                 if hit is None:
                     assert not projected, (psi, m)
                     continue
                 rep, sign = hit
                 assert projected[rep] * sign > 0, (psi, m)
-                assert psi.canonical(rep) == (rep, 1)
+                assert canonical(psi, rep) == (rep, 1)
                 reps.add(rep)
             assert sorted(reps) == psi.live_orbits(d), (psi, d)
 
