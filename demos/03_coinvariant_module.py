@@ -14,31 +14,27 @@ over all degrees yields the tri-graded Frobenius characteristic.
 from superdelta.coinvariants import (
     component_characters,
     frobenius_module,
-    ideal_component,
     isotypic_dimension,
-    trace_regular,
     young_system,
 )
 from superdelta.partitions import partition_to_str
-from superdelta.superring import TriDegree
+from superdelta.superring import TriDegree, component_dimension
 
 # one worked component: n = 2 at tri-degree (0,0,1)
 n, d = 2, TriDegree(0, 0, 1)
-basis = ideal_component(n, d)
-print(f"ideal component at {tuple(d)}: ambient dim {basis.dim}, rank {basis.rank}")
-print("  basis rows (coordinates theta_1, theta_2):", basis.rows)
+comp = component_characters(n, d)
+print(f"component at {tuple(d)}: ambient dim {comp.dim}, ideal rank {comp.rank}")
 
 for psi in young_system(n).characters:
     label = f"h[{partition_to_str(psi.alpha)}] e[{partition_to_str(psi.beta)}]"
     print(f"  <F, {label}> = dim of its psi-isotypic part:", isotypic_dimension(d, psi))
-comp = component_characters(n, d)
 print("  Schur multiplicities:", {partition_to_str(lam): m for lam, m in comp.mult.items()})
 print("  quotient characters:", {partition_to_str(mu): v for mu, v in comp.chars.items()})
 print("  (the quotient is the sign representation: theta_1 ~ -theta_2)")
 
-# trace of the regular action comes from a cycle-type count, no matrices
-print("\ntrace of swap on the full component (0,0,2):",
-      trace_regular((2, 1), 2, TriDegree(0, 0, 2)))
+# the ambient dimension is a count of monomials, no enumeration
+print("\nambient dimension of (2,1,1) at n = 3:", component_dimension(3, TriDegree(2, 1, 1)),
+      "= C(4,2) * C(3,2) * C(3,1)")
 
 # the frontier scan finds the degrees with nonzero quotient, row by theta-degree
 hilbert2 = sorted(frobenius_module(2).series.hilbert())

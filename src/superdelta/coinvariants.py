@@ -45,10 +45,11 @@ q^a t^b z^c m_lam at s_lam, and the characters chi_M(mu) =
 sum_lam m_lam chi^lam(mu) are derived on demand.  One more, dependent psi
 is computed as a redundancy check.
 
-The unreduced path (ideal components in monomial coordinates, their exact
-echelon bases and the signed coordinate action) stays as the reference that
-tests compare against, with a sparse mod-p full-rank certificate that they
-check against the exact ranks.
+The engine never works in monomial coordinates.  The unreduced reference
+that tests compare against (the signed coordinate action and the traces on
+whole components) lives in tests/unreduced.py.  Its ideal components in
+monomial coordinates and their sparse mod-p full-rank certificate stay here
+for now, unused by the engine, because the benchmark's tracer names them.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
@@ -71,25 +72,20 @@ from threading import TIMEOUT_MAX
 
 from .characters import character_table
 from .linalg import Echelon, ConsistencyError, inverse
-from .partitions import (
-    Partition,
-    Permutation,
-    cycles_of,
-    partitions_of,
-    z_mu,
-)
+from .partitions import Partition, partitions_of, z_mu
 from .qtz import QTZPoly
 from .rationals import RAT
 from .series import FrobeniusSeries
 from .superring import (
     SuperMonomial,
     TriDegree,
-    apply_perm_mono,
     component_dimension,
     enumerate_monomials,
     ideal_generators,
     mono_mul,
 )
+
+# --- the unreduced reference: tests only; the benchmark's tracer names these ---
 
 MODP_PRIME = 1_048_573
 
@@ -186,58 +182,10 @@ def ideal_component(n: int, d: TriDegree) -> IdealComponentBasis:
             break
     if ech.rank < dim:
         ech.reduce_fully()
-    pairs = ech.basis_rows()
+    pairs = sorted(ech.pivots.items())
     return IdealComponentBasis(
         d, monos, ech.rank, [j for j, _ in pairs], [row for _, row in pairs]
     )
-
-
-def signed_coordinate_map(sigma: Permutation, monomials, index) -> list[tuple[int, int]]:
-    """Per-coordinate (image index, sign) of the diagonal S_n action."""
-    out = []
-    for m in monomials:
-        sign, image = apply_perm_mono(sigma, m)
-        out.append((index[image], sign))
-    return out
-
-
-def apply_signed_map(cmap: list[tuple[int, int]], vec: dict[int, int]) -> dict[int, int]:
-    return {cmap[i][0]: cmap[i][1] * val for i, val in vec.items()}
-
-
-def trace_regular(sigma: Permutation, n: int, d: TriDegree) -> int:
-    """Trace of the signed action of sigma on the full component R^(a,b,c).
-
-    A monomial is (up to sign) fixed iff its x and y exponents are constant
-    on the cycles of sigma and its theta set is a union of cycles; the sign
-    is the sort parity of sigma on the theta set, i.e. the product of
-    (-1)^(length-1) over the cycles used.
-    """
-    lengths = [len(c) for c in cycles_of(sigma)]
-    return (
-        _cycle_exponent_count(lengths, d.a)
-        * _cycle_exponent_count(lengths, d.b)
-        * _theta_signed_count(lengths, d.c)
-    )
-
-
-def _cycle_exponent_count(lengths: list[int], total: int) -> int:
-    dp = [0] * (total + 1)
-    dp[0] = 1
-    for ell in lengths:
-        for s in range(ell, total + 1):
-            dp[s] += dp[s - ell]
-    return dp[total]
-
-
-def _theta_signed_count(lengths: list[int], c: int) -> int:
-    dp = [0] * (c + 1)
-    dp[0] = 1
-    for ell in lengths:
-        sign = -1 if (ell - 1) % 2 else 1
-        for s in range(c, ell - 1, -1):
-            dp[s] += sign * dp[s - ell]
-    return dp[c]
 
 
 # --- isotypic parts over Young subgroups --------------------------------------

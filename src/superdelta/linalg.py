@@ -95,10 +95,6 @@ class Echelon:
                 self._eliminate(row, self.pivots[c], c)
             self.pivots[j] = _strip_content(row, j)
 
-    def basis_rows(self) -> list[tuple[int, dict[int, int]]]:
-        """(pivot column, row) pairs in increasing pivot order."""
-        return [(j, self.pivots[j]) for j in sorted(self.pivots)]
-
 
 def inverse(matrix: list[list[int]]) -> list[list[RAT]]:
     """Exact inverse of a square integer matrix K (ValueError if singular).
@@ -122,18 +118,3 @@ def inverse(matrix: list[list[int]]) -> list[list[RAT]]:
         s = r[2 * size]
         out.append([RAT(-r.get(size + i, 0), s) for i in range(size)])
     return out
-
-
-def trace_on_reduced_basis(ech: Echelon, apply_action):
-    """Trace of an action preserving the row space of a reduced echelon.
-
-    For reduced rows b_i with pivot j_i, the matrix C of the action in this
-    basis satisfies (A b_i)[j_k] = C[k,i] * b_k[j_k], so the trace is the sum
-    of (A b_i)[j_i] / b_i[j_i].
-    """
-    total = 0
-    for j, row in ech.basis_rows():
-        val = apply_action(row).get(j, 0)
-        if val:
-            total += RAT(val, row[j])
-    return total

@@ -44,6 +44,14 @@ class FrobeniusSeries:
                 degs.add(TriDegree(a, b, c))
         return degs
 
+    def restricted(self, degrees) -> FrobeniusSeries:
+        """The terms at the given (a, b, c) degrees only."""
+        out = FrobeniusSeries(self.n)
+        for lam, poly in self.coeffs.items():
+            terms = {e: m for e, m in poly.terms.items() if e in degrees}
+            out.set_coefficient(lam, QTZPoly(terms, clean=False))
+        return out
+
     def hilbert(self) -> dict[TriDegree, int]:
         """Dimension per tri-degree: sum over lam of multiplicity * f^lam."""
         dims: dict[TriDegree, int] = {}

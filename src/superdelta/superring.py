@@ -238,7 +238,6 @@ def component_dimension(n: int, d: TriDegree) -> int:
     return comb(a + n - 1, n - 1) * comb(b + n - 1, n - 1) * comb(n, c)
 
 
-@cache
 def enumerate_monomials(n: int, d: TriDegree) -> tuple[SuperMonomial, ...]:
     """All normal-form monomials of tri-degree d, in a fixed order."""
     a, b, c = d

@@ -5,8 +5,9 @@ module-side exploration as forced degrees, on top of the independent
 frontier scan with its extra verification band, so each side gets checked
 where the other claims support.  EQUAL is only reported when every
 theta-row of the module side closed with a verified zero band and every
-Schur coefficient matched exactly; running out of budget yields
-INCONCLUSIVE, never a false EQUAL.
+Schur coefficient matched exactly.  A disagreement at any computed
+component is DIFFER, also on a run cut short by its budget or max_ab;
+otherwise such a run is INCONCLUSIVE, never a false EQUAL.
 """
 
 from __future__ import annotations
@@ -200,15 +201,19 @@ def verify_conjecture(
     )
     t_module = time.monotonic() - t1
 
-    diffs = compare_series(module.series, rhs)
-    computed_support = set(module.components)
-    missing = sorted(d for d in support if d not in computed_support)
-    if not module.closed or missing:
-        verdict = INCONCLUSIVE
-    elif diffs:
+    computed = set(module.components)
+    missing = sorted(d for d in support if d not in computed)
+    # an exactly computed component is final, so a disagreement there is a
+    # DIFFER even when the run stopped short; on a closed run that computed
+    # the whole support, this is the full comparison
+    diffs = compare_series(module.series, rhs.restricted(computed))
+    if diffs:
         verdict = DIFFER
-    else:
+    elif module.closed and not missing:
         verdict = EQUAL
+    else:
+        verdict = INCONCLUSIVE
+        diffs = compare_series(module.series, rhs)
 
     z0 = module.series.specialize(z=0)
     specializations = {

@@ -12,12 +12,7 @@ import time
 import pytest
 
 from superdelta.characters import character_table, kostka
-from superdelta.coinvariants import (
-    apply_signed_map,
-    frobenius_module,
-    ideal_component,
-    signed_coordinate_map,
-)
+from superdelta.coinvariants import frobenius_module, ideal_component
 from superdelta.macdonald import delta_prime_ek_en, htilde_schur, rhs_series
 from superdelta.partitions import (
     all_permutations,
@@ -32,6 +27,7 @@ from superdelta.qtz import ONE
 from superdelta.rationals import RAT
 from superdelta.superring import component_dimension
 from superdelta.verifier import EQUAL, ComponentCache, verify_conjecture
+from unreduced import apply_signed_map, signed_coordinate_map
 
 N_DESK = 4  # module side at desk scale
 N_RHS = 6  # Delta side alone

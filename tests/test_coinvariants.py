@@ -9,20 +9,23 @@ import superdelta.coinvariants as coinvariants
 from superdelta.coinvariants import (
     ComponentCharacters,
     _modp_is_full_rank,
-    apply_signed_map,
     assemble_series,
     component_characters,
     frobenius_module,
     ideal_component,
-    signed_coordinate_map,
     spanning_vectors,
-    trace_regular,
 )
 from superdelta.linalg import ConsistencyError, Echelon
-from superdelta.partitions import all_permutations
+from superdelta.partitions import all_permutations, cycle_type
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
 from superdelta.verifier import EQUAL, verify_conjecture
+from unreduced import (
+    apply_signed_map,
+    signed_coordinate_map,
+    trace_on_reduced_basis,
+    trace_regular,
+)
 
 
 def brute_trace_regular(sigma, n, d):
@@ -127,11 +130,7 @@ def test_character_is_class_function():
     for sigma in all_permutations(n):
         cmap = signed_coordinate_map(sigma, monos, index)
         full = trace_regular(sigma, n, deg)
-        from superdelta.linalg import trace_on_reduced_basis
-
         ideal_tr = trace_on_reduced_basis(ech, lambda v: apply_signed_map(cmap, v))
-        from superdelta.partitions import cycle_type
-
         assert full - ideal_tr == comp.chars[cycle_type(sigma)]
 
 

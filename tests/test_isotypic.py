@@ -14,8 +14,6 @@ from superdelta.coinvariants import (
     frobenius_module,
     ideal_component,
     isotypic_dimension,
-    signed_coordinate_map,
-    trace_regular,
     young_candidates,
     young_system,
 )
@@ -30,6 +28,12 @@ from superdelta.superring import (
     enumerate_monomials,
     ideal_generators,
 )
+from unreduced import (
+    apply_signed_map,
+    signed_coordinate_map,
+    trace_on_reduced_basis,
+    trace_regular,
+)
 
 
 def reference_characters(n, d):
@@ -38,27 +42,21 @@ def reference_characters(n, d):
 
     The ideal component is echelonized exactly in monomial coordinates and
     reduced, so the trace of a signed coordinate permutation restricted to
-    it is sum_j (image of row j)[j] / row_j[j] over the pivots j.
+    it is read off at the pivots.
     """
-    monos = enumerate_monomials(n, d)
-    dim = len(monos)
-    mus = partitions_of(n)
     basis = ideal_component(n, d)
-    if basis.rank == dim:
-        return dim, dim, {mu: 0 for mu in mus}
-    index = {m: i for i, m in enumerate(monos)}
+    mus = partitions_of(n)
+    if basis.rank == basis.dim:
+        return basis.dim, basis.rank, {mu: 0 for mu in mus}
+    index = {m: i for i, m in enumerate(basis.monomials)}
+    ech = basis.echelon()
     chars = {}
     for mu in mus:
         sigma = perm_of_cycle_type(mu)
-        preimage = {j: (i, sign) for i, (j, sign) in
-                    enumerate(signed_coordinate_map(sigma, monos, index))}
-        ideal_trace = 0
-        for j, row in zip(basis.pivots, basis.rows):
-            i, sign = preimage[j]
-            if row.get(i):
-                ideal_trace += RAT(sign * row[i], row[j])
+        cmap = signed_coordinate_map(sigma, basis.monomials, index)
+        ideal_trace = trace_on_reduced_basis(ech, lambda v: apply_signed_map(cmap, v))
         chars[mu] = trace_regular(sigma, n, d) - ideal_trace
-    return dim, basis.rank, chars
+    return basis.dim, basis.rank, chars
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

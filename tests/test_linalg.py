@@ -3,8 +3,9 @@ import random
 import pytest
 
 from superdelta.coinvariants import MODP_PRIME, _modp_is_full_rank
-from superdelta.linalg import Echelon, inverse, trace_on_reduced_basis
+from superdelta.linalg import Echelon, inverse
 from superdelta.rationals import RAT
+from unreduced import basis_rows, trace_on_reduced_basis
 
 
 def echelon_of(rows):
@@ -45,7 +46,7 @@ def trace_on_span(vectors, action):
 def test_rref_identity_and_zero():
     ech = echelon_of([[int(i == j) for j in range(4)] for i in range(4)])
     ech.reduce_fully()
-    assert ech.basis_rows() == [(j, {j: 1}) for j in range(4)]
+    assert basis_rows(ech) == [(j, {j: 1}) for j in range(4)]
     zero = echelon_of([[0] * 5] * 3)
     assert zero.rank == 0
     assert zero.insert({0: 0, 2: 0}) is None
@@ -65,7 +66,7 @@ def test_rref_theta_component_spanning_matrix():
     ech = echelon_of(vectors)
     assert ech.rank == 4
     ech.reduce_fully()
-    assert ech.basis_rows() == [(j, {j: 1}) for j in range(4)]
+    assert basis_rows(ech) == [(j, {j: 1}) for j in range(4)]
 
 
 def test_rref_rank_transpose_random():
@@ -80,17 +81,17 @@ def test_rref_deterministic_and_idempotent_rank():
     rng = random.Random(11)
     m = random_matrix(rng, 8, 6, -2, 2)
     first, second = echelon_of(m), echelon_of(m)
-    assert first.basis_rows() == second.basis_rows()
+    assert basis_rows(first) == basis_rows(second)
     # every pivot is the smallest coordinate of its row
-    assert all(j == min(row) for j, row in first.basis_rows())
+    assert all(j == min(row) for j, row in basis_rows(first))
     first.reduce_fully()
     # reduced: each row vanishes at every other pivot column
-    for j, row in first.basis_rows():
+    for j, row in basis_rows(first):
         assert not (set(row) - {j}) & set(first.pivots)
     # reducing the extracted basis again keeps the rank, pivots and rows
-    again = echelon_of([[row.get(c, 0) for c in range(6)] for _, row in first.basis_rows()])
+    again = echelon_of([[row.get(c, 0) for c in range(6)] for _, row in basis_rows(first)])
     again.reduce_fully()
-    assert again.basis_rows() == first.basis_rows()
+    assert basis_rows(again) == basis_rows(first)
 
 
 def test_restricted_trace_single_column_swap():

@@ -316,6 +316,22 @@ def test_rhs_series_positive():
         assert rhs_series(n).is_schur_positive()
 
 
+def test_rhs_series_has_the_gl2_shadow():
+    # I_n is stable under GL_2 on (x_i, y_i), so at fixed lam and z^c the
+    # module's q,t-coefficients form a polynomial GL_2-character: symmetric
+    # in q and t, and m(a, b) >= m(a + 1, b - 1) for a >= b.  The delta side
+    # is checked for the same shape with nothing shared with the module side.
+    checked = 0
+    for n in range(1, 7):
+        for lam, poly in rhs_series(n).coeffs.items():
+            assert poly == poly.swap_qt(), (n, lam)
+            for (a, b, c), m in poly.terms.items():
+                if a >= b + 2:  # m(a, b) against its inner neighbour m(a - 1, b + 1)
+                    assert poly.terms.get((a - 1, b + 1, c), 0) >= m, (n, lam, (a, b, c))
+                    checked += 1
+    assert checked > 100
+
+
 def test_htilde_size_limit():
     with pytest.raises(ValueError):
         hhl_htilde((9,))

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import superdelta
+import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
-from superdelta.coinvariants import ComponentCharacters, frobenius_module
+from superdelta.coinvariants import ComponentCharacters, component_characters, frobenius_module
 from superdelta.macdonald import HTILDE_SIZE_LIMIT
 from superdelta.qtz import ONE, Q
 from superdelta.series import FrobeniusSeries
@@ -18,6 +19,7 @@ from superdelta.superring import TriDegree
 from superdelta.verifier import (
     CACHE_SCHEMA_VERSION,
     ENGINE_VERSION,
+    DIFFER,
     EQUAL,
     INCONCLUSIVE,
     ComponentCache,
@@ -351,11 +353,11 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
 NO_NUMPY = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now fails
-from superdelta.coinvariants import ideal_component
+from superdelta.coinvariants import component_characters
 from superdelta.superring import TriDegree
 from superdelta.verifier import EQUAL, verify_conjecture
-basis = ideal_component(3, TriDegree(4, 3, 0))
-assert basis.dim == 150 and basis.rank == 150
+comp = component_characters(3, TriDegree(4, 3, 0))
+assert comp.dim == 150 and comp.rank == 150
 assert verify_conjecture(3).verdict == EQUAL
 print("ok")
 """
@@ -385,6 +387,36 @@ def test_engine_and_reference_run_without_numpy():
 def test_verify_degree_budget_inconclusive():
     report = verify_conjecture(2, max_ab=0)
     assert report.verdict == INCONCLUSIVE
+
+
+def wrong_component():
+    """The n = 3 component (1, 0, 0) with 1 added to the multiplicity of s_3."""
+    comp = component_characters(3, TriDegree(1, 0, 0))
+    comp.mult[(3,)] += 1
+    return comp
+
+
+def test_a_wrong_component_is_a_differ_under_max_ab(monkeypatch):
+    monkeypatch.setattr(coinvariants, "component_characters", lambda n, d: (
+        wrong_component() if d == (1, 0, 0) else component_characters(n, d)))
+    assert verify_conjecture(3).verdict == DIFFER
+    report = verify_conjecture(3, max_ab=2)
+    assert not report.stats["frontier_closed"] and report.stats["rhs_support_missing_on_module_side"]
+    assert report.verdict == DIFFER
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q)]
+
+
+def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
+    # the warm cache holds band a+b = 0 and the wrong (1, 0, 0); a spent budget
+    # stops the run at the first component of band 1 it would have to compute
+    cache = ComponentCache(tmp_path)
+    for c in range(4):
+        cache.put(component_characters(3, TriDegree(0, 0, c)))
+    cache.put(wrong_component())
+    report = verify_conjecture(3, cache_dir=tmp_path, budget_seconds=0)
+    assert report.stats["components_computed"] == 5 and not report.stats["frontier_closed"]
+    assert report.verdict == DIFFER
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q)]
 
 
 def test_report_renderings():
