@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .coinvariants import component_characters, frobenius_module
+from .coinvariants import check_gl2_shape, component_characters, frobenius_module
 from .macdonald import HTILDE_SIZE_LIMIT, htilde_schur, rhs_series
 from .partitions import Partition, partition_from_str, partition_to_str, partitions_of
 from .superring import TriDegree
@@ -216,7 +216,9 @@ def _module_side(parser, args):
     _require_long(parser, args.n, args.long)
     cache_dir = _make_cache_dir(parser, args)
     cache = ComponentCache(cache_dir) if cache_dir else None
-    return frobenius_module(args.n, threads=args.threads, component_cache=cache)
+    result = frobenius_module(args.n, threads=args.threads, component_cache=cache)
+    check_gl2_shape(result)
+    return result
 
 
 if __name__ == "__main__":

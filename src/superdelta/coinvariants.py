@@ -45,6 +45,30 @@ q^a t^b z^c m_lam at s_lam, and the characters chi_M(mu) =
 sum_lam m_lam chi^lam(mu) are derived on demand.  One more, dependent psi
 is computed as a redundancy check.
 
+Zero components by a cover.  Most components the exploration visits are
+zero, and a zero needs no solve.  dim M_d^psi = sum_lam m_lam K[psi, lam],
+where every m_lam >= 0 (M_d is a genuine S_n-module) and every
+K[psi, lam] >= 0 (Pieri: h_alpha e_beta is Schur-positive).  So if a set of
+psi whose pairing rows together are positive at every lam (the cover: two
+or three characters for n = 4..8) has only zero isotypic dimensions, every
+m_lam is 0.  This certificate is one-sided and exact: the cover runs first,
+a zero answer is final after one more character (the first one outside the
+cover, e_n for n >= 3) is also found 0, and any nonzero cover dimension
+sends the component to the full solve above, which reuses the cover's
+dimensions.
+
+GL_2 shape.  GL_2 acts on every pair (x_i, y_i) at once and fixes the
+thetas; it commutes with S_n.  It maps p_{r,s} = sum_i x_i^r y_i^s (and
+p~_{r,s}, its theta_i-weighted twin) into the span of the p_{r',s'} with
+r' + s' = r + s, so I_n is GL_2-stable, and for fixed a + b = k and c the
+multiplicity space of s_lam in the sum of the M_(a,b,c) is a polynomial
+GL_2-module of degree k whose weight-(a, b) space has dimension
+m_lam(a, b, c).  Its irreducibles have weights (p, q), (p - 1, q + 1), ...,
+(q, p), each once, so m_lam(a, b, c) = m_lam(b, a, c), and
+m_lam(a, b, c) - m_lam(a + 1, b - 1, c), for a >= b, counts the
+irreducibles of highest weight (a, b), so it is >= 0.  check_gl2_shape
+tests both on every closed theta row.
+
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
@@ -369,12 +393,37 @@ class YoungSystem:
     """Young characters whose pairings K[psi, lam] = <s_lam, h_alpha e_beta> invert.
 
     extra is one more, dependent character, computed as a redundancy check.
+    The cover is a subset whose characters together pair positively with
+    every s_lam, so all-zero cover dimensions prove every m_lam zero;
+    zero_check is the one more character computed with them.
     """
 
     n: int
     characters: tuple[YoungCharacter, ...]
     extra: YoungCharacter | None
     inverse: tuple[tuple[int | RAT, ...], ...]  # K^-1, rows indexed like partitions_of(n)
+
+    @cached_property
+    def cover(self) -> tuple[YoungCharacter, ...]:
+        """Built greedily, in the order chosen.
+
+        The lams are taken fewest pairing characters first (stable in
+        partitions_of order), and one that no chosen character pairs with
+        adds its largest-|H| pairing character: the characters run in
+        descending |H|.
+        """
+        lams = partitions_of(self.n)
+        pairs = {lam: [psi for psi in self.characters if psi.pairing[lam]] for lam in lams}
+        cover: list[YoungCharacter] = []
+        for lam in sorted(lams, key=lambda lam: len(pairs[lam])):
+            if not any(psi.pairing[lam] for psi in cover):
+                cover.append(pairs[lam][0])
+        return tuple(cover)
+
+    @property
+    def zero_check(self) -> YoungCharacter | None:
+        """The first character outside the cover (e_n for n >= 3), else extra."""
+        return next((psi for psi in self.characters if psi not in self.cover), self.extra)
 
     def multiplicities(self, dims: list[int]) -> dict[Partition, int]:
         """Schur multiplicities from the isotypic dimensions; must be in N."""
@@ -404,7 +453,8 @@ def young_system(n: int) -> YoungSystem:
     """Greedy by |H|: take a character whenever its pairing row is independent.
 
     The redundancy check uses the first candidate left out, the one with the
-    largest |H| outside the set.
+    largest |H| outside the set.  The system's cover (n = 4: (3,1)|() and
+    ()|(2,2)) decides the zero components.
     """
     lams = partitions_of(n)
     candidates = young_candidates(n)
@@ -458,14 +508,27 @@ class ComponentCharacters:
 def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
     """The Schur multiplicities of the quotient at tri-degree d.
 
-    Solves K m = (dim M_d^psi) over the Young system for the multiplicities
-    m and checks them against one more dependent character.
+    The cover's isotypic dimensions come first.  All zero proves the
+    component zero, and the zero check's dimension must then be 0 as well.
+    Otherwise the rest of the Young system is computed, K m = (dim M_d^psi)
+    is solved for the multiplicities m, and they are checked against one
+    more dependent character.
     """
     dim = component_dimension(n, d)
+    zero = {lam: 0 for lam in partitions_of(n)}
     if dim == 0:
-        return ComponentCharacters(n, d, 0, {lam: 0 for lam in partitions_of(n)})
+        return ComponentCharacters(n, d, 0, zero)
     system = young_system(n)
-    dims = [isotypic_dimension(d, psi) for psi in system.characters]
+    cover_dims = {psi: isotypic_dimension(d, psi) for psi in system.cover}
+    if not any(cover_dims.values()):
+        check = system.zero_check
+        if check is not None and (got := isotypic_dimension(d, check)):
+            raise ConsistencyError(
+                f"zero check at {d}: dim M^psi = {got} for {check}, the cover proves it 0"
+            )
+        return ComponentCharacters(n, d, dim, zero)
+    dims = [cover_dims[psi] if psi in cover_dims else isotypic_dimension(d, psi)
+            for psi in system.characters]
     try:
         mult = system.multiplicities(dims)
     except ConsistencyError as exc:
@@ -566,6 +629,11 @@ def frobenius_module(
     bounds the wait for the band's components (pool).  So a run stops within
     one component of its deadline, every component finished by then is in
     the result, and rows[c] is False for every row it cut short.
+
+    The result is returned as computed; check_gl2_shape tests its closed
+    rows.  The CLI's module-side commands run it on the result, and
+    verify_conjecture runs it after comparing, so that a module side that
+    alone breaks the shape is reported as the difference it is.
     """
     check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
     if max_ab is None:
@@ -644,3 +712,30 @@ def frobenius_module(
     rows = {c: rows.get(c, False) for c in range(n + 1)}
     series = assemble_series(n, components)
     return ModuleSideResult(n, series, components, all(rows.values()), rows)
+
+
+def check_gl2_shape(result: ModuleSideResult) -> None:
+    """Raise ConsistencyError unless every closed theta row has the GL_2 shape.
+
+    For each lam: m(a, b, c) = m(b, a, c), and m(a, b, c) >= m(a + 1, b - 1, c)
+    for a >= b (the proof is in the module docstring).  A cell of a closed row
+    that was not computed lies above a computed zero, so it counts as 0.
+    """
+    lams = partitions_of(result.n)
+    for c, closed in result.rows.items():
+        if not closed:
+            continue
+        row = {(d.a, d.b): comp.mult for d, comp in result.components.items() if d.c == c}
+        top = max((a + b for a, b in row), default=-1)
+        for k in range(top + 1):
+            for a in range(-(-k // 2), k + 1):
+                b = k - a
+                here, mirror, lower = (row.get(p, {}) for p in ((a, b), (b, a), (a + 1, b - 1)))
+                for lam in lams:
+                    m = here.get(lam, 0)
+                    if m != mirror.get(lam, 0) or (b and m < lower.get(lam, 0)):
+                        raise ConsistencyError(
+                            f"GL_2 shape at ({a},{b},{c}), s_{lam}: m = {m}, "
+                            f"at ({b},{a},{c}) {mirror.get(lam, 0)}, "
+                            f"at ({a + 1},{b - 1},{c}) {lower.get(lam, 0)}"
+                        )

@@ -20,7 +20,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coinvariants import ComponentCharacters, check_module_arguments, frobenius_module
+from .coinvariants import (
+    ComponentCharacters,
+    check_gl2_shape,
+    check_module_arguments,
+    frobenius_module,
+)
 from .macdonald import rhs_series
 from .partitions import Partition, partition_to_str, partitions_of
 from .qtz import QTZPoly
@@ -209,11 +214,15 @@ def verify_conjecture(
     diffs = compare_series(module.series, rhs.restricted(computed))
     if diffs:
         verdict = DIFFER
-    elif module.closed and not missing:
-        verdict = EQUAL
     else:
-        verdict = INCONCLUSIVE
-        diffs = compare_series(module.series, rhs)
+        # the delta side has the GL_2 shape too, so a module side without it
+        # differs above; a violation here is on both sides
+        check_gl2_shape(module)
+        if module.closed and not missing:
+            verdict = EQUAL
+        else:
+            verdict = INCONCLUSIVE
+            diffs = compare_series(module.series, rhs)
 
     z0 = module.series.specialize(z=0)
     specializations = {

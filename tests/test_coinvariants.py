@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 import superdelta.coinvariants as coinvariants
+from superdelta.cli import main
 from superdelta.coinvariants import (
     ComponentCharacters,
     _modp_is_full_rank,
     assemble_series,
+    check_gl2_shape,
     component_characters,
     frobenius_module,
     ideal_component,
@@ -272,7 +274,7 @@ def test_budget_pool_path_stops_early():
     start = time.monotonic()
     partial = frobenius_module(4, threads=2, budget_seconds=0.3)
     assert not partial.closed
-    assert time.monotonic() - start < 0.3 + 2.0  # the slowest n = 4 component is ~1.4 s
+    assert time.monotonic() - start < 0.3 + 2.0  # the slowest n = 4 component is under 0.1 s
 
 
 class RecordingCache:
@@ -290,8 +292,72 @@ class RecordingCache:
 
 def test_budget_pool_path_keeps_finished_components():
     # what the pool finished before the deadline is returned, even though no
-    # theta row closed
+    # theta row closed; n = 5 takes minutes, so the budget always cuts it
     cache = RecordingCache()
-    partial = frobenius_module(4, threads=2, budget_seconds=1.0, component_cache=cache)
+    partial = frobenius_module(5, threads=2, budget_seconds=1.0, component_cache=cache)
     assert not partial.closed and cache.puts
     assert sorted(partial.components) == sorted(cache.puts)
+
+
+def shifted_components(monkeypatch, shifts):
+    """Every component computed from now on gains m at its (degree, lam) in shifts."""
+    honest = component_characters
+
+    def shifted(n, d):
+        comp = honest(n, d)
+        for (degree, lam), m in shifts.items():
+            if d == degree:
+                comp.mult[lam] += m
+        return comp
+
+    monkeypatch.setattr(coinvariants, "component_characters", shifted)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_rows_have_the_gl2_shape(n):
+    result = frobenius_module(n)
+    assert result.closed
+    check_gl2_shape(result)
+
+
+def test_one_shifted_multiplicity_breaks_the_gl2_shape(monkeypatch):
+    # s_(2,1) at (1,0,0), n = 3: its mirror (0,1,0) keeps 1
+    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
+    result = frobenius_module(3)
+    assert result.rows[0]  # the frontier law alone does not see it
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,0,0\), s_\(2, 1\)"):
+        check_gl2_shape(result)
+    assert main(["hilbert", "--n", "3"]) == 4  # the CLI's module side runs the check
+
+
+def test_a_symmetric_shift_that_breaks_unimodality_is_caught(monkeypatch):
+    # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); 2, 1, 2 is symmetric, not unimodal
+    shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1, ((0, 2, 0), (2, 1)): 1})
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\)"):
+        check_gl2_shape(frobenius_module(3))
+
+
+def test_open_rows_are_not_shape_checked(monkeypatch):
+    # cells beyond a row that did not close may be nonzero, so they cannot count as 0
+    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
+    result = frobenius_module(3, max_ab=1)
+    assert not result.rows[0]
+    check_gl2_shape(result)
+
+
+def test_a_shape_violation_on_both_sides_is_an_error(monkeypatch):
+    # a violation on the module side alone is a difference (DIFFER); one that
+    # the delta side shares cannot be compared away
+    import superdelta.verifier as verifier
+
+    honest_rhs = verifier.rhs_series
+
+    def shifted_rhs(n):
+        series = honest_rhs(n)
+        series.set_coefficient((2, 1), series.coefficient((2, 1)) + Q)
+        return series
+
+    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
+    monkeypatch.setattr(verifier, "rhs_series", shifted_rhs)
+    with pytest.raises(ConsistencyError, match="GL_2 shape"):
+        verify_conjecture(3)

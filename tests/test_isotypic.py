@@ -456,3 +456,115 @@ def test_fractional_inverse_gives_int_multiplicities_or_fails():
     assert mult == {(2,): 1, (1, 1): 3} and all(type(m) is int for m in mult.values())
     with pytest.raises(ConsistencyError, match="1/2"):
         halved.multiplicities([1, 3])
+
+
+def full_solve(n, d):
+    """component_characters with no cover: every system character, then extra."""
+    if component_dimension(n, d) == 0:
+        return {lam: 0 for lam in partitions_of(n)}
+    system = young_system(n)
+    mult = system.multiplicities([coinvariants.isotypic_dimension(d, psi)
+                                  for psi in system.characters])
+    if system.extra is not None:
+        want = sum(m * system.extra.pairing[lam] for lam, m in mult.items())
+        if coinvariants.isotypic_dimension(d, system.extra) != want:
+            raise ConsistencyError(f"redundancy check at {d}")
+    table = character_table(n)
+    if sum(m * table.dimension(lam) for lam, m in mult.items()) > component_dimension(n, d):
+        raise ConsistencyError(f"at {d}: the quotient exceeds the ambient dimension")
+    return mult
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cover_matches_the_full_solve_on_every_visited_component(n):
+    for d, comp in frobenius_module(n).components.items():
+        assert comp.mult == full_solve(n, d), d
+
+
+def test_cover_matches_the_full_solve_at_n5():
+    for d in low_degrees(5, 3) + [TriDegree(6, 6, 0)]:
+        assert component_characters(5, d).mult == full_solve(5, d), d
+
+
+COVERS = {
+    3: [((3,), ()), ((1,), (2,))],
+    4: [((3, 1), ()), ((), (2, 2))],
+    5: [((3, 2), ()), ((2,), (3,)), ((), (3, 2))],
+    6: [((4,), (2,)), ((3, 3), ()), ((1,), (3, 2))],
+    7: [((3, 3, 1), ()), ((1,), (3, 3)), ((3,), (4,))],
+}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cover_pairs_positively_with_every_schur_function(n):
+    system = young_system(n)
+    assert set(system.cover) <= set(system.characters)
+    for lam in partitions_of(n):
+        assert any(psi.pairing[lam] > 0 for psi in system.cover), lam
+    if n in COVERS:
+        assert [(psi.alpha, psi.beta) for psi in system.cover] == COVERS[n]
+        assert system.zero_check == YoungCharacter((), (n,))  # e_n, |H| = n!
+    if n <= 2:  # the cover is the whole system
+        assert system.zero_check == system.extra
+
+
+def counted_isotypic_dimension(monkeypatch):
+    calls = []
+    honest = isotypic_dimension
+
+    def counted(d, psi):
+        calls.append(psi)
+        return honest(d, psi)
+
+    monkeypatch.setattr(coinvariants, "isotypic_dimension", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n, zero, nonzero", [
+    (2, (0, 0, 2), (0, 0, 1)),
+    (3, (4, 0, 0), (1, 1, 1)),
+    (4, (7, 0, 1), (2, 1, 1)),
+    (5, (0, 0, 5), (1, 1, 0)),
+])
+def test_a_zero_cell_costs_the_cover_and_one_check(monkeypatch, n, zero, nonzero):
+    system = young_system(n)
+    calls = counted_isotypic_dimension(monkeypatch)
+    assert component_characters(n, TriDegree(*zero)).dim_quotient == 0
+    assert calls == list(system.cover) + [system.zero_check]
+    del calls[:]
+    assert component_characters(n, TriDegree(*nonzero)).dim_quotient > 0
+    assert len(calls) == len(partitions_of(n)) + 1
+    assert set(calls) == set(system.characters) | {system.extra}
+
+
+@pytest.mark.parametrize("d", [TriDegree(5, 0, 2), TriDegree(7, 0, 1)])
+def test_wrong_isotypic_rank_at_a_zero_cell(monkeypatch, d):
+    # the zero path reads the cover and the zero check only; on those it must
+    # raise exactly when the full solve raises, and a +1 on the check raises.
+    # A shift on a character it never reads cannot change its answer, and the
+    # full solve rejects every such shift.
+    n = 4
+    system = young_system(n)
+    read = system.cover + (system.zero_check,)
+    honest = isotypic_dimension
+    for target in system.characters + (system.extra,):
+        for delta in (1, -1):
+            def patched(deg, psi, target=target, delta=delta):
+                return honest(deg, psi) + (delta if psi == target else 0)
+
+            monkeypatch.setattr(coinvariants, "isotypic_dimension", patched)
+            outcomes = []
+            for solve in (component_characters, full_solve):
+                try:
+                    outcomes.append(solve(n, d))
+                except ConsistencyError:
+                    outcomes.append(None)
+            cover, full = outcomes
+            if target in read:
+                assert (cover is None) == (full is None), (target, delta)
+            else:
+                assert cover.dim_quotient == 0 and full is None, (target, delta)
+            if target == system.zero_check and delta == 1:
+                assert cover is None
+    monkeypatch.undo()
+    assert component_characters(n, d).dim_quotient == 0
