@@ -75,6 +75,16 @@ whole components) lives in tests/unreduced.py.  Its ideal components in
 monomial coordinates and their sparse mod-p full-rank certificate stay here
 for now, unused by the engine, because the benchmark's tracer names them.
 
+Per-process tables.  The building blocks of an isotypic system that do not
+depend on the system are computed once per process and shared by every
+call: the live runs of one block, keyed by (block size, signed, degree),
+and the cofactors of one triple, keyed by (n, triple).  Each is a pure
+function of its key and is stored as tuples, so a caller cannot change it.
+The block runs keep the 512 most recently used entries (about 1 MB at
+n = 5); the cofactors have one entry per triple of the explored degrees
+(156 at the end of an n = 5 worker).  The systems themselves, their orbit
+products, targets and rows, are built per call and dropped.
+
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
 a monomial lying in the ideal), so each theta-row of the degree lattice is
@@ -88,8 +98,9 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import product
 from math import factorial, isfinite, prod
 from threading import TIMEOUT_MAX
@@ -253,6 +264,14 @@ class YoungCharacter:
             start += size
         return tuple(out)
 
+    @cached_property
+    def letters(self) -> tuple[tuple[int, bool], ...]:
+        """(end of its block, signed) for each letter."""
+        out: list[tuple[int, bool]] = []
+        for size, signed in self.parts:
+            out += [(len(out) + size, signed)] * size
+        return tuple(out)
+
     def live_orbits(self, d: TriDegree) -> list[Triples]:
         """Canonical representatives of the live orbits of tri-degree d, ascending.
 
@@ -260,36 +279,24 @@ class YoungCharacter:
         carry theta exactly when the block is a sign block.  An orbit is one
         such run per block, so the orbits are a product over the splits of d
         among the blocks.
+
+        The runs of one block come from _runs, a per-process table (its 512
+        most recently used entries) shared by every character and degree: a
+        block's runs depend only on its size, sign and degree, and are stored
+        as tuples, so no caller can change them.  The products over the
+        blocks are built per call and not kept.
         """
         parts = self.parts
 
         @cache
-        def runs(size: int, signed: bool, a: int, b: int, c: int) -> list[Triples]:
-            """The live runs of one block of degree (a, b, c), ascending."""
-            if c > size:
-                return []
-            if size == 1:
-                return [((a, b, c),)]
-            out = []
-            # the first triple is the largest, so its x is at least the mean
-            for first in product(range(-(-a // size), a + 1), range(b + 1), range(min(c, 1) + 1)):
-                x, y, t = first
-                for rest in runs(size - 1, signed, a - x, b - y, c - t):
-                    if rest[0] > first:
-                        break  # the rests ascend, so every later head is larger too
-                    if rest[0] < first or t == signed:
-                        out.append((first,) + rest)
-            return out
-
-        @cache
-        def orbits(k: int, a: int, b: int, c: int) -> list[Triples]:
+        def orbits(k: int, a: int, b: int, c: int) -> Sequence[Triples]:
             """The live orbits on the blocks k, k + 1, ... of degree (a, b, c)."""
             size, signed = parts[k]
             if k == len(parts) - 1:
-                return runs(size, signed, a, b, c)
+                return _runs(size, signed, a, b, c)
             out = []
             for da, db, dc in product(range(a + 1), range(b + 1), range(min(c, size) + 1)):
-                heads = runs(size, signed, da, db, dc)
+                heads = _runs(size, signed, da, db, dc)
                 tails = orbits(k + 1, a - da, b - db, c - dc) if heads else ()
                 out += [head + tail for head in heads for tail in tails]
             return out
@@ -318,6 +325,42 @@ class YoungCharacter:
         return out
 
 
+# bounded: an n = 5 worker reads 1.7k block runs (5 MB), the high-degree ones
+# seldom twice; the 512 most recently used hold 1 MB and cost it 7k
+# enumerations instead of 1.7k (62k when each call enumerated its own)
+@lru_cache(maxsize=512)
+def _runs(size: int, signed: bool, a: int, b: int, c: int) -> tuple[Triples, ...]:
+    """The live runs of one block of degree (a, b, c), ascending."""
+    if c > size:
+        return ()
+    if size == 1:
+        return (((a, b, c),),)
+    out = []
+    # the first triple is the largest, so its x is at least the mean
+    for first in product(range(-(-a // size), a + 1), range(b + 1), range(min(c, 1) + 1)):
+        x, y, t = first
+        for rest in _runs(size - 1, signed, a - x, b - y, c - t):
+            if rest[0] > first:
+                break  # the rests ascend, so every later head is larger too
+            if rest[0] < first or t == signed:
+                out.append((first,) + rest)
+    return tuple(out)
+
+
+@cache
+def _quotients(
+    n: int, triple: tuple[int, int, int]
+) -> tuple[tuple[int, tuple[int, int, int], int], ...]:
+    """(index in ideal_generators(n), quotient, e) for each generator term
+    x_i^r y_i^s theta_i^e that divides the triple."""
+    x, y, t = triple
+    return tuple(
+        (k, (x - r, y - s, t - e), e)
+        for k, (_name, (r, s, e), _gen) in enumerate(ideal_generators(n))
+        if x >= r and y >= s and t >= e
+    )
+
+
 def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
     """dim M_d^psi: live H-orbits of degree d minus the rank of the rows g * v_O.
 
@@ -337,29 +380,26 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
     row label: the rows outnumber the targets and many depend on the others,
     and each of them would cost a chain of eliminations before reducing to
     zero.  The label order keeps the stored integers small.
+
+    The cofactors of a triple come from _quotients, a per-process table
+    keyed by (n, triple): which generator terms divide a triple, and what is
+    left, depends on nothing else, and is stored as tuples.  Every triple of
+    a target is at most d, so a generator dividing it has degree at most d;
+    the rows are indexed by the whole generator list, whose unused entries
+    stay empty and add no row.
     """
     targets = psi.live_orbits(d)[::-1]
     if not targets:
         return 0
-    gens = [e for _name, e, _gen in ideal_generators(psi.n)
-            if e.a <= d.a and e.b <= d.b and e.c <= d.c]
-    ends: list[tuple[int, bool]] = []  # letter -> (end of its block, signed)
-    for size, signed in psi.parts:
-        ends += [(len(ends) + size, signed)] * size
-    quotients: dict[tuple[int, int, int], list] = {}  # triple -> (generator, quotient, e)
-    rows: list[dict[Triples, dict[int, int]]] = [{} for _ in gens]
+    n = psi.n
+    letters = psi.letters
+    # one dict per generator; those that divide no triple of d stay empty
+    rows: list[dict[Triples, dict[int, int]]] = [{} for _ in ideal_generators(n)]
     for col, c in enumerate(targets):
         before = 0  # thetas of c at letters < i: the sign of theta_i * cofactor
         for i, tr in enumerate(c):
-            quos = quotients.get(tr)
-            if quos is None:
-                x, y, t = tr
-                quos = quotients[tr] = [
-                    (k, (x - r, y - s, t - e), e)
-                    for k, (r, s, e) in enumerate(gens) if x >= r and y >= s and t >= e
-                ]
-            hi, signed = ends[i]
-            for k, quo, e in quos:
+            hi, signed = letters[i]
+            for k, quo, e in _quotients(n, tr):
                 # quo < tr: it moves right past the larger triples of its block
                 sign = -1 if e and before % 2 else 1
                 j = i + 1

@@ -306,7 +306,7 @@ def test_one_insert_per_live_target(monkeypatch):
         assert got == reference_isotypic_dimension(d, psi), (d, psi)
 
 
-@pytest.mark.parametrize("n, max_ab", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 2)])
+@pytest.mark.parametrize("n, max_ab", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 3)])
 def test_inserted_columns_match_canonical_reinsertion(monkeypatch, n, max_ab):
     # the one-block re-insertion of each cofactor must give the very columns
     # that sorting every cofactor gives: a wrong sign would leave most
@@ -326,6 +326,39 @@ def test_live_orbits_match_the_letter_by_letter_recursion(n):
     for d in low_degrees(n, 6):
         for psi in every_character(n):
             assert psi.live_orbits(d) == reference_live_orbits(psi, d), (d, psi)
+
+
+def test_live_orbits_hand_out_lists_the_block_table_cannot_see():
+    # a one-block character's orbits are its block's runs: changing the
+    # returned list must not reach the shared table
+    for psi, d, nearby in [
+        (YoungCharacter((4,), ()), TriDegree(3, 2, 1), TriDegree(3, 2, 2)),
+        (YoungCharacter((), (2, 2)), TriDegree(2, 2, 1), TriDegree(3, 2, 1)),
+    ]:
+        got = psi.live_orbits(d)
+        assert got
+        got.clear()
+        got.append(((9, 9, 9),) * psi.n)
+        assert psi.live_orbits(d) == reference_live_orbits(psi, d), (psi, d)
+        assert psi.live_orbits(nearby) == reference_live_orbits(psi, nearby), (psi, nearby)
+
+
+def test_block_runs_are_shared_between_characters():
+    # (3,1)|() and (3,2)|() share their trivial 3-block, so the second
+    # character reads the first one's runs from the per-process table
+    d = TriDegree(3, 2, 1)
+    coinvariants._runs.cache_clear()
+    YoungCharacter((3, 2), ()).live_orbits(d)
+    alone = coinvariants._runs.cache_info().currsize
+    assert alone > 0
+    coinvariants._runs.cache_clear()
+    YoungCharacter((3, 1), ()).live_orbits(d)
+    before = coinvariants._runs.cache_info()
+    YoungCharacter((3, 2), ()).live_orbits(d)
+    after = coinvariants._runs.cache_info()
+    assert after.hits > before.hits
+    assert after.currsize - before.currsize < alone
+    assert after.maxsize is not None  # kept for the life of a worker, so bounded
 
 
 def test_n5_low_components_match_the_delta_side():
