@@ -80,10 +80,12 @@ depend on the system are computed once per process and shared by every
 call: the live runs of one block, keyed by (block size, signed, degree),
 and the cofactors of one triple, keyed by (n, triple).  Each is a pure
 function of its key and is stored as tuples, so a caller cannot change it.
-The block runs keep the 512 most recently used entries (about 1 MB at
-n = 5); the cofactors have one entry per triple of the explored degrees
-(156 at the end of an n = 5 worker).  The systems themselves, their orbit
-products, targets and rows, are built per call and dropped.
+The block runs keep the 512 most recently used entries (0.8-0.9 MB at the
+end of an n = 5 worker); a block on all n letters is a whole system's
+targets, read once, and is enumerated without being stored.  The cofactors
+have one entry per triple of the explored degrees (156 at the end of an
+n = 5 worker).  The systems themselves, their orbit products, targets and
+rows, are built per call and dropped.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
@@ -284,7 +286,9 @@ class YoungCharacter:
         most recently used entries) shared by every character and degree: a
         block's runs depend only on its size, sign and degree, and are stored
         as tuples, so no caller can change them.  The products over the
-        blocks are built per call and not kept.
+        blocks are built per call and not kept.  A block on all n letters is
+        a whole system's targets, read once per degree and character, so its
+        runs are enumerated without being stored (their sub-blocks still are).
         """
         parts = self.parts
 
@@ -293,7 +297,7 @@ class YoungCharacter:
             """The live orbits on the blocks k, k + 1, ... of degree (a, b, c)."""
             size, signed = parts[k]
             if k == len(parts) - 1:
-                return _runs(size, signed, a, b, c)
+                return (_runs.__wrapped__ if k == 0 else _runs)(size, signed, a, b, c)
             out = []
             for da, db, dc in product(range(a + 1), range(b + 1), range(min(c, size) + 1)):
                 heads = _runs(size, signed, da, db, dc)
@@ -325,9 +329,9 @@ class YoungCharacter:
         return out
 
 
-# bounded: an n = 5 worker reads 1.7k block runs (5 MB), the high-degree ones
-# seldom twice; the 512 most recently used hold 1 MB and cost it 7k
-# enumerations instead of 1.7k (62k when each call enumerated its own)
+# bounded: an n = 5 worker reads 1.5k runs of blocks smaller than n (3.5 MB),
+# the high-degree ones seldom twice; the 512 most recently used hold 0.8-0.9 MB
+# and cost it 6.5k enumerations instead of 1.5k
 @lru_cache(maxsize=512)
 def _runs(size: int, signed: bool, a: int, b: int, c: int) -> tuple[Triples, ...]:
     """The live runs of one block of degree (a, b, c), ascending."""

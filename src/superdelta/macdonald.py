@@ -16,7 +16,9 @@ strictly right of its partner, and it reads first.  Reading goes by rows
 from the top (the row farthest from the corner row) down, left to right.
 Every filling standardizes to one with entries 1..n, so the n! standard
 fillings, tallied by the inverse descent set of their reading word, give
-every monomial coefficient (see hhl_htilde).
+every monomial coefficient (see hhl_htilde).  Their inv and maj are summed
+for all n! fillings at once in byte lanes, one byte of a big int per
+filling, which holds them exactly because both are at most C(n, 2) < 256.
 
 Delta-prime eigenvalues are elementary symmetric evaluations on the cell
 alphabet B_mu - 1; the expansion of e_n over the H~_mu carries the scalar
@@ -26,14 +28,15 @@ two-term factors q^a1 t^b1 - q^a2 t^b2, held as exponent pairs ((a1, b1),
 (a2, b2)) and multiplied as one packed shift-and-subtract each, so sums over
 mu are accumulated over one shared product denominator L.  The products and
 sums are taken on Kronecker-packed ints, with the packing's q-degree and
-slot width worked out from the factors' degrees and coefficient sums.  Only
-the eigenvalue e_k[B_mu - 1] depends on k, so one pass serves every k: each
-product of the rest is formed once and e_k[B_mu - 1] is applied to it as
-shifted adds.  Each Schur coefficient's packed numerator is divided by the
-packed L in one step, through a 2-adic inverse computed once, and the
-quotient is unpacked and certified: it times L must rebuild the numerator
-and fit the packing, which is injective there, so the quotient is the exact
-polynomial one.
+slot width worked out from the factors' degrees and coefficient sums; each
+mu's scalar is multiplied out once, in that packing.  Only the eigenvalue
+e_k[B_mu - 1] depends on k, so one pass serves every k: each product of the
+rest is formed once and every e_k[B_mu - 1] is applied to it together, by
+the subset-sum recurrence over the cells, one shifted add per cell and k.
+Each Schur coefficient's packed numerator is divided by the packed L in one
+step, through a 2-adic inverse computed once, and the quotient is unpacked
+and certified: it times L must rebuild the numerator and fit the packing,
+which is injective there, so the quotient is the exact polynomial one.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate, permutations, repeat
+from itertools import accumulate, combinations, permutations
 from math import comb
-from operator import add, gt, mul, sub
+from operator import add, gt
 from typing import NamedTuple
 
 from .characters import kostka
@@ -55,6 +58,7 @@ from .qtz import (
     Kronecker,
     PackedDivisor,
     QTZPoly,
+    _times,
     atom_product,
     divide_exact,
     l1_norm,
@@ -146,23 +150,30 @@ def mono_to_schur(n: int, coeffs: dict[Partition, QTZPoly]) -> FrobeniusSeries:
 # --- the filling formula ------------------------------------------------------
 
 
-HTILDE_SIZE_LIMIT = 8  # the filling formula enumerates n! standard fillings per mu
+# the filling formula enumerates n! standard fillings per mu, and tallies
+# their inv and maj, at most C(n, 2), in one byte each
+HTILDE_SIZE_LIMIT = 8
 
 
 @cache
-def _standard_fillings(n: int) -> tuple[list[array], array]:
+def _standard_fillings(n: int) -> tuple[dict[tuple[int, int], int], array]:
     """The n! standard fillings of n cells, as the entries 0..n-1 in reading
-    order, by column: columns[u][f] is filling f's entry at position u.  With
-    them, each filling's inverse descent set as a bit mask: bit i is set
-    when entry i+1 is read before entry i."""
-    columns = [array("b") for _ in range(n)]
+    order, compared in byte lanes: for positions u < v, greater[u, v] is the
+    int whose byte f is 1 when filling f's entry at u exceeds its entry at v,
+    and 0 otherwise.  With them, each filling's inverse descent set as a bit
+    mask: bit i is set when entry i+1 is read before entry i."""
+    columns = [bytearray() for _ in range(n)]  # columns[u][f]: filling f's entry at u
     keys = array("H")
     for entries in permutations(range(n)):
         for column, x in zip(columns, entries):
             column.append(x)
         read = sorted(range(n), key=entries.__getitem__)  # read[x]: where x is read
         keys.append(sum(1 << i for i in range(n - 1) if read[i] > read[i + 1]))
-    return columns, keys
+    greater = {
+        (u, v): int.from_bytes(bytes(map(gt, columns[u], columns[v])), "little")
+        for u, v in combinations(range(n), 2)
+    }
+    return greater, keys
 
 
 @cache
@@ -175,27 +186,32 @@ def hhl_htilde(mu: Partition) -> dict[Partition, QTZPoly]:
     inverse descent set D lies inside the partial sums of nu, so the n!
     standard fillings are tallied once by D, inv and maj, and [x^nu] H~_mu
     sums the tallies of the D that fit nu.  inv and maj are counted for all
-    fillings at once, one pass over the columns per pair of cells.
+    fillings at once, in byte lanes: each is a sum of small multiples of the
+    comparison ints of _standard_fillings, one byte per filling.  Both lie in
+    [0, C(n, 2)] for every filling, and C(n, 2) < 256 for n <= 8 =
+    HTILDE_SIZE_LIMIT, so the exact int sum holds each filling's value in its
+    own byte and to_bytes reads them all back.
     """
     n = sum(mu)
     if n == 0:
         raise ValueError("mu must be nonempty")
     if n > HTILDE_SIZE_LIMIT:
         raise ValueError(f"|mu| = {n} exceeds the filling-formula limit {HTILDE_SIZE_LIMIT}")
-    columns, keys = _standard_fillings(n)
+    greater, keys = _standard_fillings(n)
     order = sorted(cells(mu), key=lambda c: (-c[0], c[1]))  # reading order
     index = {c: u for u, c in enumerate(order)}
-    inv, maj = [0] * len(keys), [0] * len(keys)
+    inv = maj = 0
     for (j, i), u in index.items():
         for (jj, ii), v in index.items():
             # adjacent rows attack with the cell away from the corner row
             # strictly right of the other; the first of a pair reads first
             if (jj == j and ii > i) or (jj == j - 1 and ii < i):
-                inv = list(map(add, inv, map(gt, columns[u], columns[v])))
+                inv += greater[u, v]
         if (j - 1, i) in index:
-            descent = list(map(gt, columns[u], columns[index[j - 1, i]]))
-            maj = list(map(add, maj, map(mul, descent, repeat(leg(mu, j, i) + 1))))
-            inv = list(map(sub, inv, map(mul, descent, repeat(arm(mu, j, i)))))
+            descent = greater[u, index[j - 1, i]]
+            maj += descent * (leg(mu, j, i) + 1)
+            inv -= descent * arm(mu, j, i)
+    inv, maj = (x.to_bytes(len(keys), "little") for x in (inv, maj))
     tally: dict[int, dict] = {}
     for (key, a, b), count in Counter(zip(keys, inv, maj)).items():
         tally.setdefault(key, {})[a, b, 0] = count
@@ -261,39 +277,48 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     sbase[mu] * e_k[B_mu - 1] * <H~_mu, s_lam>, divided by L = prod(l_atoms),
     where sbase[mu] = sign * B_mu * num_atoms * (L / den_mu).  The product
     P = sbase[mu] * <H~_mu, s_lam> does not depend on k, so it is formed
-    once, packed, and e_k[B_mu - 1] is applied to it as shifted adds, one
-    per term; lam goes by lam, so only one lam's products are held at once.
+    once, packed, and every e_k[B_mu - 1] is applied to it at once: from
+    E = [P, 0, ..., 0], each letter x of the cell alphabet B_mu - 1 (the
+    terms of e_1[B_mu - 1]) sets E[k] += x E[k-1] for k from high to low, a
+    shifted add, so that E[k] = P e_k[letters so far].  That is n(n-1)/2
+    shifted adds per (mu, lam) for every k together; lam goes by lam, so
+    only one lam's products are held at once.
     e_(n-1) has the highest q-degree of all e_k, and e_k[B_mu - 1] has
     comb(n-1, k) terms counted with multiplicity; with the factors' own
     degrees and coefficient sums these bound every numerator's q-degree and
-    coefficients, which sets the packing.
+    coefficients, which sets the packing.  sbase[mu] is expanded exactly
+    only for that; the packed sbase[mu] is the packed sign * B_mu times its
+    atoms, one shift-and-subtract each, the same int because packing is
+    evaluation at q = 2^B.
     """
     mus = partitions_of(n)
     scalars = {mu: _expansion_scalar(mu) for mu in mus}
     l_atoms = Counter()
     for sc in scalars.values():
         l_atoms |= sc.den_atoms
-    sbase = {}
-    for mu, sc in scalars.items():
-        missing = l_atoms - sc.den_atoms
-        sbase[mu] = atom_product(
-            sc.bpoly * sc.sign, [*sc.num_atoms.elements(), *missing.elements()]
-        )
+    factors = {
+        mu: (sc.bpoly * sc.sign, [*sc.num_atoms.elements(), *(l_atoms - sc.den_atoms).elements()])
+        for mu, sc in scalars.items()
+    }
+    degree, l1 = {}, {}
+    for mu, f in factors.items():
+        p = atom_product(*f)  # expanded only to size the packing
+        degree[mu], l1[mu] = p.degrees()[0], l1_norm(p)
     schur = {mu: htilde_schur(mu).coeffs for mu in mus}
     D = 1 + max(
-        sbase[mu].degrees()[0]
+        degree[mu]
         + sum(i for i, _ in cell_alphabet(mu))
         + max(h.degrees()[0] for h in schur[mu].values())
         for mu in mus
     )
-    l1 = {mu: l1_norm(p) for mu, p in sbase.items()}
     bound = comb(n - 1, (n - 1) // 2) * max(
         sum(l1[mu] * l1_norm(schur[mu][lam]) for mu in mus if lam in schur[mu])
         for lam in mus
     )
     packing = Kronecker(D, bound)
-    sbase = {mu: packing.pack(p) for mu, p in sbase.items()}
-    ek = {mu: [packing.shifts(ek_pleth(mu, k)) for k in range(n)] for mu in mus}
+    sbase = {mu: _times(packing.pack(b), packing.atom_shifts(a)) for mu, (b, a) in factors.items()}
+    # e_1[B_mu - 1] is the cell alphabet, one term of coefficient 1 per cell
+    letters = {mu: [s for _, s in packing.shifts(ek_pleth(mu, 1))] if n > 1 else [] for mu in mus}
     divisor = PackedDivisor(packing, list(l_atoms.elements()))
     out: list[dict[Partition, QTZPoly]] = [{} for _ in range(n)]
     # lam = (1^n) and k = n-1 first: their quotients are the largest, so the
@@ -303,10 +328,11 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
         for mu in mus:
             if lam not in schur[mu]:
                 continue
-            p = sbase[mu] * packing.pack(schur[mu][lam])
-            for k, terms in enumerate(ek[mu]):
-                for c, shift in terms:
-                    nums[k] += (c * p if c != 1 else p) << shift
+            E = [sbase[mu] * packing.pack(schur[mu][lam])] + [0] * (n - 1)
+            for top, shift in enumerate(letters[mu], 1):
+                for k in range(top, 0, -1):
+                    E[k] += E[k - 1] << shift
+            nums = list(map(add, nums, E))
         for k in reversed(range(n)):
             if nums[k]:
                 out[k][lam] = divide_exact(nums[k], divisor)

@@ -361,6 +361,19 @@ def test_block_runs_are_shared_between_characters():
     assert after.maxsize is not None  # kept for the life of a worker, so bounded
 
 
+def test_runs_on_all_letters_are_not_stored():
+    # a one-block character's runs are its whole system's targets, read once:
+    # they stay out of the table, which keeps the runs of smaller blocks
+    d = TriDegree(3, 2, 1)
+    for parts, signed in [(((4,), ()), False), (((), (4,)), True)]:
+        coinvariants._runs.cache_clear()
+        YoungCharacter(*parts).live_orbits(d)
+        stored = coinvariants._runs.cache_info()
+        assert stored.currsize > 0  # the smaller blocks of the recursion
+        coinvariants._runs(4, signed, d.a, d.b, d.c)
+        assert coinvariants._runs.cache_info().misses == stored.misses + 1, parts
+
+
 def test_n5_low_components_match_the_delta_side():
     # each multiplicity is the coefficient of q^a t^b z^c in the Schur
     # coefficient of the delta side at n = 5

@@ -1,13 +1,20 @@
+import hashlib
+import json
 import random
+from array import array
 from collections import Counter
 from dataclasses import replace
-from math import prod
+from functools import cache
+from itertools import accumulate, permutations, repeat
+from math import comb, prod
+from operator import add, gt, mul, sub
 
 import pytest
 
 from superdelta import macdonald
 from superdelta.characters import kostka
 from superdelta.macdonald import (
+    HTILDE_SIZE_LIMIT,
     delta_prime_ek_en,
     ek_pleth,
     hhl_htilde,
@@ -123,6 +130,61 @@ def test_hhl_htilde_matches_all_fillings():
     for n in range(1, 7):
         for mu in partitions_of(n):
             assert hhl_htilde(mu) == reference_hhl_htilde(mu), mu
+
+
+@cache
+def list_standard_fillings(n: int) -> tuple[list[array], array]:
+    """The n! standard fillings by column, columns[u][f] being filling f's
+    entry at reading position u, and each filling's inverse descent set."""
+    columns = [array("b") for _ in range(n)]
+    keys = array("H")
+    for entries in permutations(range(n)):
+        for column, x in zip(columns, entries):
+            column.append(x)
+        read = sorted(range(n), key=entries.__getitem__)
+        keys.append(sum(1 << i for i in range(n - 1) if read[i] > read[i + 1]))
+    return columns, keys
+
+
+def list_tally_htilde(mu) -> dict:
+    """hhl_htilde with inv and maj held as one list entry per filling."""
+    n = sum(mu)
+    columns, keys = list_standard_fillings(n)
+    order = sorted(cells(mu), key=lambda c: (-c[0], c[1]))
+    index = {c: u for u, c in enumerate(order)}
+    inv, maj = [0] * len(keys), [0] * len(keys)
+    for (j, i), u in index.items():
+        for (jj, ii), v in index.items():
+            if (jj == j and ii > i) or (jj == j - 1 and ii < i):
+                inv = list(map(add, inv, map(gt, columns[u], columns[v])))
+        if (j - 1, i) in index:
+            descent = list(map(gt, columns[u], columns[index[j - 1, i]]))
+            maj = list(map(add, maj, map(mul, descent, repeat(leg(mu, j, i) + 1))))
+            inv = list(map(sub, inv, map(mul, descent, repeat(arm(mu, j, i)))))
+    tally: dict[int, dict] = {}
+    for (key, a, b), count in Counter(zip(keys, inv, maj)).items():
+        tally.setdefault(key, {})[a, b, 0] = count
+    coeffs = {}
+    for nu in partitions_of(n):
+        cuts = sum(1 << (p - 1) for p in accumulate(nu[:-1]))
+        acc = Counter()
+        for key, terms in tally.items():
+            if not key & ~cuts:
+                acc.update(terms)
+        coeffs[nu] = QTZPoly(acc)
+    return coeffs
+
+
+def test_byte_lanes_match_the_list_tally_where_they_are_fullest():
+    # inv and maj of every filling lie in [0, C(n, 2)]; one byte holds them
+    # only while C(n, 2) < 256, so raising the limit must not carry silently
+    assert comb(HTILDE_SIZE_LIMIT, 2) < 256
+    top = 0
+    for mu in [*partitions_of(7), (8,), (1,) * 8, (4, 4)]:
+        coeffs = hhl_htilde(mu)
+        assert coeffs == list_tally_htilde(mu), mu
+        top = max(top, max(max(e[:2]) for c in coeffs.values() for e in c.terms))
+    assert top == comb(8, 2)  # (8) reaches inv 28 and (1^8) maj 28
 
 
 def test_htilde_monomial_coefficients():
@@ -242,6 +304,18 @@ def test_rhs_series_matches_unpacked_reference():
             for lam, c in reference_delta_prime(n, n - k).items():
                 want[lam] = want.get(lam, QTZPoly.zero()) + c.shift_z(k - 1)
         assert rhs_series(n).coeffs == want, n
+
+
+def test_rhs_series_is_pinned_beyond_the_reference():
+    # the unpacked reference reaches n = 5; n = 6 and 7 are pinned to the
+    # SHA-256 of their JSON form
+    digests = {
+        6: "75f48988f56e4d924014322683118f4f132ff7b07e2e268c6682372bdb7f8671",
+        7: "32b2bfb941b9697c7664e15a5ed3f7c0d04adbf4b02cdf514cb34f59fa3e305d",
+    }
+    for n, digest in digests.items():
+        text = json.dumps(rhs_series(n).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_ek_terms_must_fit_the_packing(monkeypatch):
