@@ -69,6 +69,21 @@ m_lam(a, b, c) - m_lam(a + 1, b - 1, c), for a >= b, counts the
 irreducibles of highest weight (a, b), so it is >= 0.  check_gl2_shape
 tests both on every closed theta row.
 
+Mirror.  The swap x_i <-> y_i (for every i at once) is in GL_2: an algebra
+automorphism that fixes the thetas, commutes with S_n and maps p_{r,s} to
+p_{s,r} and p~_{r,s} to p~_{s,r}.  So it maps I_n onto itself and R_(a,b,c)
+and I_(a,b,c) onto R_(b,a,c) and I_(b,a,c), and M_(a,b,c) and M_(b,a,c) are
+isomorphic S_n-modules with the same ambient dimension: equal as stored, with
+nothing computed.  The band step of frobenius_module therefore solves a cell
+(a, b, c) with a < b only when its mirror (b, a, c) is not a cell of the
+same band (a forced cell beyond the frontier); any other a < b cell missing
+from the cache is a copy of its mirror, made once the mirror is in hand,
+solved or read from the cache, and cached like a solved cell, so the cache
+files do not depend on which half was solved.  The frontier law and the
+comparison with the delta side still see every cell.  A copy costs no
+budget, and a cell whose mirror was not finished is missing, like one that
+was not computed.
+
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
@@ -668,11 +683,15 @@ def frobenius_module(
 
     component_cache, when given, must provide get(n, degree) and
     put(component).  A band's cache hits are read first, then its other
-    cells are computed in one step, serially or on the process pool.  The
-    budget is checked only there: before each component (serial), or it
-    bounds the wait for the band's components (pool).  So a run stops within
-    one component of its deadline, every component finished by then is in
-    the result, and rows[c] is False for every row it cut short.
+    cells are computed in one step, serially or on the process pool, except
+    the a < b cells whose mirror (b, a, c) is a cell of the band: each is
+    copied from its mirror once that is in hand (the Mirror paragraph of the
+    module docstring), at no cost to the budget.  The budget is checked only
+    in that step: before each component (serial), or it bounds the wait for
+    the band's components (pool).  So a run stops within one component of
+    its deadline, every component finished by then is in the result, with
+    the mirrors of those finished, and rows[c] is False for every row it cut
+    short.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -720,12 +739,15 @@ def frobenius_module(
                     cells.update(row)
 
             todo = []
+            mirrored = []  # a < b, taken from the mirror (b, a, c) in this band
             for d in cells:
                 comp = component_cache.get(n, d) if component_cache is not None else None
-                if comp is None:
-                    todo.append(d)
-                else:
+                if comp is not None:
                     components[d] = comp
+                elif d.a < d.b and (d.b, d.a, d.c) in cells:
+                    mirrored.append(d)
+                else:
+                    todo.append(d)
             if pool is None:  # the deadline is read before each component
                 done = (_component_worker((n, d)) for d in todo
                         if deadline is None or time.monotonic() <= deadline)
@@ -738,7 +760,13 @@ def frobenius_module(
                 components[comp.degree] = comp
                 if component_cache is not None:
                     component_cache.put(comp)
-            if not all(d in components for d in todo):
+            for d in mirrored:  # free, but only once the mirror is in hand
+                source = components.get(TriDegree(d.b, d.a, d.c))
+                if source is not None:
+                    components[d] = ComponentCharacters(n, d, source.dim, dict(source.mult))
+                    if component_cache is not None:
+                        component_cache.put(components[d])
+            if not all(d in components for d in cells):
                 break  # the budget ran out
 
             for d, lvl in cells.items():
@@ -764,6 +792,12 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
     For each lam: m(a, b, c) = m(b, a, c), and m(a, b, c) >= m(a + 1, b - 1, c)
     for a >= b (the proof is in the module docstring).  A cell of a closed row
     that was not computed lies above a computed zero, so it counts as 0.
+
+    frobenius_module copies most a < b cells from their mirrors, so on such a
+    pair the symmetry holds by construction.  It still catches a fault in a
+    pair read from the cache, and in a cell solved because its mirror was no
+    cell of its band.  Unimodality compares different cells and is checked
+    as before.
     """
     lams = partitions_of(result.n)
     for c, closed in result.rows.items():

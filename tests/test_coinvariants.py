@@ -21,7 +21,7 @@ from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.partitions import all_permutations, cycle_type
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
-from superdelta.verifier import EQUAL, verify_conjecture
+from superdelta.verifier import EQUAL, ComponentCache, verify_conjecture
 from unreduced import (
     apply_signed_map,
     signed_coordinate_map,
@@ -228,17 +228,18 @@ def test_budget_configuration():
 
 def test_theta_rows_are_explored_band_by_band(monkeypatch):
     worker = coinvariants._component_worker
-    bands = []
+    seen = []
 
     def recording_worker(args):
-        _, d = args
-        bands.append(d[0] + d[1])
+        seen.append(TriDegree(*args[1]))
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     result = frobenius_module(3)
     assert result.closed and list(result.rows) == [0, 1, 2, 3]
-    assert len(bands) == len(result.components)
+    # every a < b cell is mirrored, so the worker sees each a >= b cell once
+    assert sorted(seen) == sorted(d for d in result.components if d.a >= d.b)
+    bands = [d.a + d.b for d in seen]
     assert bands == sorted(bands)  # a + b never falls back for the next theta row
 
 
@@ -320,14 +321,21 @@ def test_closed_rows_have_the_gl2_shape(n):
     check_gl2_shape(result)
 
 
-def test_one_shifted_multiplicity_breaks_the_gl2_shape(monkeypatch):
-    # s_(2,1) at (1,0,0), n = 3: its mirror (0,1,0) keeps 1
-    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
-    result = frobenius_module(3)
+def test_one_shifted_multiplicity_breaks_the_gl2_shape(tmp_path):
+    # s_(3) at (0,1,0), n = 3, read from the cache: its mirror (1,0,0) keeps 0
+    # (a computed a < b cell is taken from its mirror, so only the cache can
+    # bring the asymmetry in)
+    cache = ComponentCache(tmp_path)
+    wrong = component_characters(3, TriDegree(0, 1, 0))
+    wrong.mult[(3,)] += 1
+    cache.put(wrong)
+    assert cache.get(3, TriDegree(0, 1, 0)) == wrong  # a valid entry, so it is read
+    result = frobenius_module(3, component_cache=cache)
     assert result.rows[0]  # the frontier law alone does not see it
-    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,0,0\), s_\(2, 1\)"):
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,0,0\), s_\(3,\)"):
         check_gl2_shape(result)
-    assert main(["hilbert", "--n", "3"]) == 4  # the CLI's module side runs the check
+    # the CLI's module side runs the check
+    assert main(["hilbert", "--n", "3", "--cache-dir", str(tmp_path)]) == 4
 
 
 def test_a_symmetric_shift_that_breaks_unimodality_is_caught(monkeypatch):
@@ -354,10 +362,12 @@ def test_a_shape_violation_on_both_sides_is_an_error(monkeypatch):
 
     def shifted_rhs(n):
         series = honest_rhs(n)
-        series.set_coefficient((2, 1), series.coefficient((2, 1)) + Q)
+        series.set_coefficient((2, 1), series.coefficient((2, 1)) + Q * Q + T * T)
         return series
 
-    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
+    # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); 2, 1, 2 on both sides is
+    # symmetric, not unimodal; (0,2,0) is mirrored from the shifted (2,0,0)
+    shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
     monkeypatch.setattr(verifier, "rhs_series", shifted_rhs)
-    with pytest.raises(ConsistencyError, match="GL_2 shape"):
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\), s_\(2, 1\)"):
         verify_conjecture(3)

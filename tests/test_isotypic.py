@@ -8,6 +8,7 @@ import pytest
 import superdelta.coinvariants as coinvariants
 from superdelta.characters import character_table
 from superdelta.coinvariants import (
+    ComponentCharacters,
     YoungCharacter,
     YoungSystem,
     component_characters,
@@ -382,6 +383,46 @@ def test_n5_low_components_match_the_delta_side():
         comp = component_characters(5, d)
         for lam, m in comp.mult.items():
             assert m == rhs.coefficient(lam).terms.get((d.a, d.b, d.c), 0), (d, lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_mirrored_components_match_the_direct_solve(n):
+    # frobenius_module takes each a < b cell from its mirror (b, a, c); the
+    # direct solve must give the same component
+    components = frobenius_module(n, forced=rhs_series(n).support()).components
+    mirrored = [d for d in components if d.a < d.b]
+    assert mirrored or n == 1
+    for d in mirrored:
+        assert components[d] == component_characters(n, d), d
+
+
+def test_mirror_holds_on_the_n5_low_degrees():
+    mirrored = [d for d in low_degrees(5, 3) if d.a < d.b]
+    assert len(mirrored) == 24
+    for d in mirrored:
+        source = component_characters(5, TriDegree(d.b, d.a, d.c))
+        assert ComponentCharacters(5, d, source.dim, source.mult) == component_characters(5, d), d
+
+
+def test_a_cell_whose_mirror_is_no_cell_is_solved(monkeypatch):
+    # (1, 5, 0) is forced far above row 0's frontier, where (5, 1, 0) is no cell
+    worker = coinvariants._component_worker
+    seen = []
+
+    def recording_worker(args):
+        seen.append(TriDegree(*args[1]))
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    d = TriDegree(1, 5, 0)
+    result = frobenius_module(3, forced={d})
+    assert result.closed and d in seen
+    assert TriDegree(5, 1, 0) not in result.components
+    assert result.components[d] == component_characters(3, d)
+    # so are the cells above it; every other a < b cell is mirrored
+    unpaired = {e for e in result.components
+                if e.a < e.b and TriDegree(e.b, e.a, e.c) not in result.components}
+    assert {e for e in seen if e.a < e.b} == unpaired
 
 
 def monomial_triples(m):

@@ -13,7 +13,7 @@ import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
 from superdelta.coinvariants import ComponentCharacters, component_characters, frobenius_module
 from superdelta.macdonald import HTILDE_SIZE_LIMIT
-from superdelta.qtz import ONE, Q
+from superdelta.qtz import ONE, Q, T
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
 from superdelta.verifier import (
@@ -184,6 +184,12 @@ def test_schema_1_entry_is_a_miss_and_verify_rewrites_it(tmp_path):
     assert data["multiplicities"] == {"2": 0, "1,1": 1} and "characters" not in data
 
 
+def cache_snapshot(root):
+    """Every file under root with its bytes and modification time."""
+    return {path: (path.read_bytes(), path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
     import superdelta.coinvariants as coinvariants
 
@@ -198,19 +204,47 @@ def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
     cold = verify_conjecture(3, cache_dir=tmp_path)
     assert cold.verdict == EQUAL and calls
 
-    def snapshot():
-        return {path: (path.read_bytes(), path.stat().st_mtime_ns)
-                for path in sorted(tmp_path.rglob("*")) if path.is_file()}
-
-    before = snapshot()
-    assert len(before) == cold.stats["components_computed"] == len(calls)
+    before = cache_snapshot(tmp_path)
+    # the worker solves the a >= b cells; each a < b cell is its mirror's copy
+    degrees = [TriDegree(*map(int, path.stem.split("_"))) for path in before]
+    mirrored = [d for d in degrees if d.a < d.b]
+    assert mirrored and all(d[0] >= d[1] for _, d in calls)
+    assert len(before) == cold.stats["components_computed"] == len(calls) + len(mirrored)
     calls.clear()
     warm = verify_conjecture(3, cache_dir=tmp_path)
     assert calls == []
-    assert snapshot() == before
+    assert cache_snapshot(tmp_path) == before
     assert warm.to_json_dict(include_timing=False) == cold.to_json_dict(
         include_timing=False
     )
+
+
+def test_a_mirrored_component_is_cached_as_its_direct_solve(tmp_path, monkeypatch):
+    # a cell taken from its mirror is written like a computed one, so a cold
+    # cache holds every component, each byte-identical to its direct solve
+    run = tmp_path / "run"
+    cold = verify_conjecture(4, cache_dir=run)
+    assert cold.verdict == EQUAL
+    before = cache_snapshot(run)
+    assert len(before) == cold.stats["components_computed"] == 111
+    direct = ComponentCache(tmp_path / "direct")
+    for path in before:
+        d = TriDegree(*map(int, path.stem.split("_")))
+        direct.put(component_characters(4, d))
+        assert path == ComponentCache(run).entry_path(4, d)
+        assert path.read_bytes() == direct.entry_path(4, d).read_bytes(), d
+
+    worker = coinvariants._component_worker
+    calls = []
+
+    def counted_worker(args):
+        calls.append(args)
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
+    warm = verify_conjecture(4, cache_dir=run)
+    assert calls == [] and cache_snapshot(run) == before
+    assert warm.to_json_dict(include_timing=False) == cold.to_json_dict(include_timing=False)
 
 
 def test_warm_cache_needs_no_budget(tmp_path):
@@ -340,14 +374,19 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
     # falls in band 1 (eight components, 0.8 s), with every row in progress
     partial = coinvariants.frobenius_module(3, threads=1, budget_seconds=0.45)
     assert not partial.closed and calls
-    assert len(partial.components) == len(calls)
-    assert set(partial.components) == {TriDegree(*d) for _, d in calls}
+    # the components are the computed cells and the mirrors of those with a > b
+    # (every cell of this run has its mirror in its band)
+    computed = [TriDegree(*d) for _, d in calls]
+    mirrors = [TriDegree(d.b, d.a, d.c) for d in computed if d.a > d.b]
+    assert len(partial.components) == len(computed) + len(mirrors)
+    assert set(partial.components) == set(computed) | set(mirrors)
     assert any(d.c == 0 for d in partial.components) and partial.rows[0] is False
 
     calls.clear()
     report = verify_conjecture(3, threads=1, budget_seconds=0.45)
     assert report.verdict == INCONCLUSIVE
-    assert calls and report.stats["components_computed"] == len(calls)
+    mirrored = sum(d[0] > d[1] for _, d in calls)
+    assert calls and report.stats["components_computed"] == len(calls) + mirrored
 
 
 NO_NUMPY = """
@@ -403,20 +442,22 @@ def test_a_wrong_component_is_a_differ_under_max_ab(monkeypatch):
     report = verify_conjecture(3, max_ab=2)
     assert not report.stats["frontier_closed"] and report.stats["rhs_support_missing_on_module_side"]
     assert report.verdict == DIFFER
-    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q)]
+    # the wrong (1, 0, 0) reaches its mirror (0, 1, 0)
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T)]
 
 
 def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
     # the warm cache holds band a+b = 0 and the wrong (1, 0, 0); a spent budget
-    # stops the run at the first component of band 1 it would have to compute
+    # stops the run at the first component of band 1 it would have to compute,
+    # and the mirror (0, 1, 0) is taken from the cached (1, 0, 0) at no cost
     cache = ComponentCache(tmp_path)
     for c in range(4):
         cache.put(component_characters(3, TriDegree(0, 0, c)))
     cache.put(wrong_component())
     report = verify_conjecture(3, cache_dir=tmp_path, budget_seconds=0)
-    assert report.stats["components_computed"] == 5 and not report.stats["frontier_closed"]
+    assert report.stats["components_computed"] == 6 and not report.stats["frontier_closed"]
     assert report.verdict == DIFFER
-    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q)]
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T)]
 
 
 def test_report_renderings():
