@@ -796,8 +796,8 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
     frobenius_module copies most a < b cells from their mirrors, so on such a
     pair the symmetry holds by construction.  It still catches a fault in a
     pair read from the cache, and in a cell solved because its mirror was no
-    cell of its band.  Unimodality compares different cells and is checked
-    as before.
+    cell of its band.  Unimodality compares different cells, so copying
+    leaves it a real check.
     """
     lams = partitions_of(result.n)
     for c, closed in result.rows.items():

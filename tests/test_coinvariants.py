@@ -339,17 +339,22 @@ def test_one_shifted_multiplicity_breaks_the_gl2_shape(tmp_path):
 
 
 def test_a_symmetric_shift_that_breaks_unimodality_is_caught(monkeypatch):
-    # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); 2, 1, 2 is symmetric, not unimodal
-    shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1, ((0, 2, 0), (2, 1)): 1})
+    # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); the shift at (2,0,0) reaches
+    # (0,2,0) through the mirror, and 2, 1, 2 is symmetric, not unimodal
+    shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
     with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\)"):
         check_gl2_shape(frobenius_module(3))
 
 
-def test_open_rows_are_not_shape_checked(monkeypatch):
-    # cells beyond a row that did not close may be nonzero, so they cannot count as 0
-    shifted_components(monkeypatch, {((1, 0, 0), (2, 1)): 1})
-    result = frobenius_module(3, max_ab=1)
-    assert not result.rows[0]
+def test_open_rows_are_not_shape_checked(tmp_path):
+    # cells beyond a row that did not close may be nonzero, so they cannot count
+    # as 0; a wrong cached (0,1,0) breaks the symmetry with (1,0,0) in open row 0
+    cache = ComponentCache(tmp_path)
+    wrong = component_characters(3, TriDegree(0, 1, 0))
+    wrong.mult[(3,)] += 1
+    cache.put(wrong)
+    result = frobenius_module(3, max_ab=1, component_cache=cache)
+    assert not result.rows[0] and result.components[TriDegree(0, 1, 0)] == wrong
     check_gl2_shape(result)
 
 
