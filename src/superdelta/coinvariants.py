@@ -106,9 +106,15 @@ Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
 a monomial lying in the ideal), so each theta-row of the degree lattice is
 explored until a closed band of zeros is found, then one configurable
-extra band beyond it.  One loop over the bands a + b = 0, 1, 2, ... serves
-every theta row still open, and each band's components are computed in one
-step, the only place where the time budget is read.
+extra band beyond it.  The law relates cells of one theta row only, so each
+row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
+is opened once every cell of its band is in hand.  Serially the open rows
+still go band by band together: a band's cache hits in every row, then its
+solves.  On the process pool a row's next band is submitted as soon as its
+band is in hand, so no worker waits at a band boundary for a slower row.
+The time budget is read only where a component is solved: before each
+component (serial), or before a band is submitted and as the bound of each
+wait (pool).
 """
 
 from __future__ import annotations
@@ -672,25 +678,29 @@ def frobenius_module(
 ) -> ModuleSideResult:
     """Compute the qtz-graded Frobenius series of the quotient module.
 
-    One loop over the bands a + b = 0, 1, 2, ... explores every theta row
-    c = 0..n at once.  In a band, a cell (a, b, c) of an open row is computed
-    when it is the origin, is forced, or sits within extra_band steps above
-    a computed zero bordering the nonzero support.  A row closes at its first
-    band without such a cell past its last forced cell; one that needs a
-    cell beyond max_ab stays open.  A nonzero component strictly beyond a
-    zero predecessor would contradict the monotone vanishing law and raises
-    ConsistencyError.
+    Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
+    In a band, a cell (a, b, c) of an open row is computed when it is the
+    origin, is forced, or sits within extra_band steps above a computed zero
+    bordering the nonzero support.  A row closes at its first band without
+    such a cell past its last forced cell; one that needs a cell beyond
+    max_ab stays open.  A nonzero component strictly beyond a zero
+    predecessor would contradict the monotone vanishing law and raises
+    ConsistencyError, checked on a band once all its cells are in hand.
 
     component_cache, when given, must provide get(n, degree) and
-    put(component).  A band's cache hits are read first, then its other
-    cells are computed in one step, serially or on the process pool, except
-    the a < b cells whose mirror (b, a, c) is a cell of the band: each is
-    copied from its mirror once that is in hand (the Mirror paragraph of the
-    module docstring), at no cost to the budget.  The budget is checked only
-    in that step: before each component (serial), or it bounds the wait for
-    the band's components (pool).  So a run stops within one component of
-    its deadline, every component finished by then is in the result, with
-    the mirrors of those finished, and rows[c] is False for every row it cut
+    put(component).  A band's cache hits are read when the band opens, and
+    an a < b cell whose mirror (b, a, c) is a cell of the band is copied
+    from its mirror as soon as that is in hand (the Mirror paragraph of the
+    module docstring), at no cost to the budget.  The other cells are
+    solved.  Serially the open rows go band by band together: every row's
+    cache hits of the band, then its solves in row order, with the deadline
+    read before each component.  On the process pool a row's next band is
+    submitted as soon as its band is in hand, largest component first, while
+    the other rows' cells are still running; completions are taken as they
+    come, each wait bounded by the remaining time, and nothing is submitted
+    after the deadline.  So a run stops within one component of its
+    deadline, every component finished by then is in the result, with the
+    mirrors of those finished, and rows[c] is False for every row it cut
     short.
 
     The result is returned as computed; check_gl2_shape tests its closed
@@ -706,7 +716,7 @@ def frobenius_module(
         deadline = time.monotonic() + min(budget_seconds, TIMEOUT_MAX)
     pool = None
     if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor, wait
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         # a fork pool starts all its workers at the first submit
         pool = ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
@@ -716,67 +726,103 @@ def frobenius_module(
     last_forced = [max((d.a + d.b for d in forced if d.c == c), default=-1)
                    for c in range(n + 1)]
     rows: dict[int, bool] = {}  # c -> closed, for the rows that stopped
-    band = 0
-    try:
-        while len(rows) <= n:
-            cells: dict[TriDegree, int] = {}  # cell -> level, over every open row
-            for c in range(n + 1):
-                if c in rows:
-                    continue
-                row = {}
-                for a in range(band + 1):
-                    b = band - a
-                    levels = [reach[p] + 1 for p in ((a - 1, b, c), (a, b - 1, c)) if p in reach]
-                    lvl = 0 if band == 0 or (a, b, c) in forced else min(levels, default=None)
-                    if lvl is not None and lvl <= extra_band:
-                        row[TriDegree(a, b, c)] = lvl
-                if not row:
-                    if band > last_forced[c]:
-                        rows[c] = True
-                elif band > max_ab:
-                    rows[c] = False  # budget on degree exhausted
-                else:
-                    cells.update(row)
+    bands = [0] * (n + 1)  # c -> the band a + b row c is in
+    cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
+    mirrors: dict[TriDegree, TriDegree] = {}  # cell -> the a < b cell waiting to copy it
 
-            todo = []
-            mirrored = []  # a < b, taken from the mirror (b, a, c) in this band
-            for d in cells:
-                comp = component_cache.get(n, d) if component_cache is not None else None
-                if comp is not None:
-                    components[d] = comp
-                elif d.a < d.b and (d.b, d.a, d.c) in cells:
-                    mirrored.append(d)
-                else:
-                    todo.append(d)
-            if pool is None:  # the deadline is read before each component
-                done = (_component_worker((n, d)) for d in todo
-                        if deadline is None or time.monotonic() <= deadline)
+    def keep(comp, put=True):
+        # in hand (solved, read from the cache or copied): kept, cached unless it
+        # was read from there, and copied at once to the mirror waiting for it
+        components[comp.degree] = comp
+        if put and component_cache is not None:
+            component_cache.put(comp)
+        mirror = mirrors.pop(comp.degree, None)
+        if mirror is not None:
+            keep(ComponentCharacters(n, mirror, comp.dim, dict(comp.mult)))
+
+    def start(c) -> list[TriDegree]:
+        # open row c's band: stop the row, or read its cache hits and return
+        # the cells left to solve
+        band, row = bands[c], {}
+        for a in range(band + 1):
+            b = band - a
+            levels = [reach[p] + 1 for p in ((a - 1, b, c), (a, b - 1, c)) if p in reach]
+            lvl = 0 if band == 0 or (a, b, c) in forced else min(levels, default=None)
+            if lvl is not None and lvl <= extra_band:
+                row[TriDegree(a, b, c)] = lvl
+        if not row:
+            if band > last_forced[c]:
+                rows[c] = True
+        elif band > max_ab:
+            rows[c] = False  # budget on degree exhausted
+        cells[c] = {} if c in rows else row
+        hits, todo = [], []
+        for d in cells[c]:
+            comp = component_cache.get(n, d) if component_cache is not None else None
+            if comp is not None:
+                hits.append(comp)
+            elif d.a < d.b and (d.b, d.a, c) in row:
+                mirrors[TriDegree(d.b, d.a, c)] = d
             else:
-                futures = [pool.submit(_component_worker, (n, d)) for d in todo]
-                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-                wait(futures, timeout=timeout)
-                done = (fut.result() for fut in futures if fut.done())
-            for comp in done:  # kept and stored as soon as it is in hand
-                components[comp.degree] = comp
-                if component_cache is not None:
-                    component_cache.put(comp)
-            for d in mirrored:  # free, but only once the mirror is in hand
-                source = components.get(TriDegree(d.b, d.a, d.c))
-                if source is not None:
-                    components[d] = ComponentCharacters(n, d, source.dim, dict(source.mult))
-                    if component_cache is not None:
-                        component_cache.put(components[d])
-            if not all(d in components for d in cells):
-                break  # the budget ran out
+                todo.append(d)
+        for comp in hits:
+            keep(comp, put=False)
+        return todo
 
-            for d, lvl in cells.items():
-                nonzero = components[d].dim_quotient > 0
-                reach[d] = -1 if nonzero else lvl
-                if nonzero and lvl > 0:
-                    raise ConsistencyError(
-                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
-                    )
-            band += 1
+    def in_hand(c) -> bool:
+        return all(d in components for d in cells[c])
+
+    def finish(c):
+        # the frontier law on row c's band, every cell in hand; then the next band
+        for d, lvl in cells[c].items():
+            nonzero = components[d].dim_quotient > 0
+            reach[d] = -1 if nonzero else lvl
+            if nonzero and lvl > 0:
+                raise ConsistencyError(
+                    f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
+                )
+        bands[c] += 1
+
+    try:
+        if pool is None:  # band by band: every open row's cache hits, then its solves
+            while len(rows) <= n:
+                todo = [d for c in range(n + 1) if c not in rows for d in start(c)]
+                for d in todo:  # the deadline is read before each component
+                    if deadline is not None and time.monotonic() > deadline:
+                        break
+                    keep(_component_worker((n, d)))
+                open_rows = [c for c in range(n + 1) if c not in rows]
+                if not all(in_hand(c) for c in open_rows):
+                    break  # the budget ran out
+                for c in open_rows:
+                    finish(c)
+        else:  # row by row: a row's next band goes out once its band is in hand
+            pending = {}  # future -> its row, in submission order
+
+            def advance(c):
+                while c not in rows:
+                    todo = start(c)
+                    if todo:
+                        if deadline is None or time.monotonic() <= deadline:
+                            todo.sort(key=lambda d: -component_dimension(n, d))
+                            for d in todo:
+                                pending[pool.submit(_component_worker, (n, d))] = c
+                        return
+                    finish(c)
+
+            for c in range(n + 1):
+                advance(c)
+            while pending:
+                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+                done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+                if not done:
+                    break  # the budget ran out
+                for fut in [f for f in pending if f in done]:
+                    c = pending.pop(fut)
+                    keep(fut.result())
+                    if in_hand(c):
+                        finish(c)
+                        advance(c)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

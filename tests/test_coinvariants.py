@@ -2,6 +2,7 @@ import concurrent.futures
 import time
 from concurrent.futures import Future
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from superdelta.coinvariants import (
     spanning_vectors,
 )
 from superdelta.linalg import ConsistencyError, Echelon
+from superdelta.macdonald import rhs_series
 from superdelta.partitions import all_permutations, cycle_type
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
@@ -188,10 +190,14 @@ def test_monotone_vanishing_in_explored_band():
 
 
 def test_frobenius_module_threads_deterministic():
-    serial = frobenius_module(2, threads=1)
-    parallel = frobenius_module(2, threads=2)
-    assert serial.series == parallel.series
-    assert set(serial.components) == set(parallel.components)
+    # the pool advances the theta rows in whatever order they finish; the
+    # result is the serial one
+    for n in range(1, 5):
+        forced = rhs_series(n).support()
+        serial = frobenius_module(n, forced=forced, threads=1)
+        pooled = frobenius_module(n, forced=forced, threads=2)
+        assert pooled.components == serial.components
+        assert pooled.rows == serial.rows and pooled.closed == serial.closed
 
 
 def test_assemble_series_rejects_noninteger():
@@ -270,12 +276,109 @@ def test_pool_size_is_bounded_by_the_cores(monkeypatch, cores, threads, workers)
     assert InlineExecutor.sizes == [workers]
 
 
+def test_both_paths_solve_the_same_cells(monkeypatch):
+    worker = coinvariants._component_worker
+    seen = []
+
+    def recording_worker(args):
+        seen.append(TriDegree(*args[1]))
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    forced = rhs_series(4).support()
+    frobenius_module(4, forced=forced)
+    serial = sorted(seen)
+    seen.clear()
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    frobenius_module(4, forced=forced, threads=2)
+    assert len(serial) == 63 and sorted(seen) == serial
+
+
+class DeferredPool:
+    """Stands in for ProcessPoolExecutor and wait: a task runs only inside wait,
+    when the test's choose(pending degrees, in submission order) names it;
+    choose returns None when nothing more finishes."""
+
+    def __init__(self, monkeypatch, choose):
+        self.choose = choose
+        self.pending = {}  # degree -> (future, fn, args)
+        self.submits = []  # (degree, the degrees pending when it was submitted)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: self)
+        monkeypatch.setattr(concurrent.futures, "wait", self.wait)
+
+    def submit(self, fn, *args):
+        degree = TriDegree(*args[0][1])
+        self.submits.append((degree, list(self.pending)))
+        fut = Future()
+        self.pending[degree] = (fut, fn, args)
+        return fut
+
+    def wait(self, fs, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
+        done = set()
+        while asked := [d for d, (fut, _, _) in self.pending.items() if fut in fs]:
+            degree = self.choose(asked)
+            if degree is None:
+                break
+            fut, fn, args = self.pending.pop(degree)
+            fut.set_result(fn(*args))
+            done.add(fut)
+            if return_when == concurrent.futures.FIRST_COMPLETED:
+                break
+        return done, set(fs) - done
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_a_theta_row_runs_ahead_of_a_pending_row(monkeypatch):
+    # row 1's cells finish only when nothing else is pending, so every later
+    # band of the other rows goes out while row 1's band 0 is still pending
+    def hold_row_1(pending):
+        return next((d for d in pending if d.c != 1), pending[0])
+
+    pool = DeferredPool(monkeypatch, hold_row_1)
+    result = frobenius_module(3, threads=2)
+    serial = frobenius_module(3)
+    assert result.components == serial.components and result.rows == serial.rows
+    ahead = [d for d, before in pool.submits if d.c != 1 and d.a + d.b > 0]
+    assert TriDegree(1, 0, 0) in ahead and any(d.a + d.b > 1 for d in ahead)
+    assert all(TriDegree(0, 0, 1) in before
+               for d, before in pool.submits if d.c != 1 and d.a + d.b > 0)
+
+
+def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
+    # the pool-path twin of test_budget_keeps_the_row_in_progress: (1,0,0)
+    # finishes as the clock passes the deadline; its mirror (0,1,0) is copied,
+    # which puts row 0's band 1 in hand, but the row's band 2 is not submitted
+    now = [0.0]
+    cut = []
+    monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: now[0]))
+
+    def first_until_the_deadline(pending):
+        if now[0] > 10:
+            return None  # nothing finishes after the deadline
+        if pending[0] == TriDegree(1, 0, 0):
+            now[0] = 11
+            cut.append(len(pool.submits))
+        return pending[0]
+
+    pool = DeferredPool(monkeypatch, first_until_the_deadline)
+    partial = frobenius_module(3, threads=2, budget_seconds=10)
+    assert cut == [len(pool.submits)]  # no submit after (1,0,0) finished
+    band_0 = {TriDegree(0, 0, c) for c in range(4)}
+    assert set(partial.components) == band_0 | {TriDegree(1, 0, 0), TriDegree(0, 1, 0)}
+    source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
+    assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
+    assert not partial.closed and partial.rows == {c: False for c in range(4)}
+
+
 def test_budget_pool_path_stops_early():
-    # the pool path waits only for the remaining time, then cancels
+    # the pool path waits only for the remaining time, then cancels; the whole
+    # of n = 4 takes about 0.25 s on two cores, so 0.1 s cuts it
     start = time.monotonic()
-    partial = frobenius_module(4, threads=2, budget_seconds=0.3)
+    partial = frobenius_module(4, threads=2, budget_seconds=0.1)
     assert not partial.closed
-    assert time.monotonic() - start < 0.3 + 2.0  # the slowest n = 4 component is under 0.1 s
+    assert time.monotonic() - start < 0.1 + 2.0  # the slowest n = 4 component is under 0.1 s
 
 
 class RecordingCache:
