@@ -108,13 +108,13 @@ a monomial lying in the ideal), so each theta-row of the degree lattice is
 explored until a closed band of zeros is found, then one configurable
 extra band beyond it.  The law relates cells of one theta row only, so each
 row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
-is opened once every cell of its band is in hand.  Serially the open rows
-still go band by band together: a band's cache hits in every row, then its
-solves.  On the process pool a row's next band is submitted as soon as its
-band is in hand, so no worker waits at a band boundary for a slower row.
-The time budget is read only where a component is solved: before each
-component (serial), or before a band is submitted and as the bound of each
-wait (pool).
+is opened once every cell of its band is in hand: its cache hits are kept
+at once and its solves queued, largest first, behind those already queued,
+so no row waits at a band boundary for a slower row.  Serially the oldest
+queued solve runs next; on the process pool every queued solve is
+submitted and completions are taken as they come.  The time budget is read
+only where a component is solved: nothing is queued after the deadline,
+and no solve is started (serial) or waited for (pool) past it.
 """
 
 from __future__ import annotations
@@ -692,13 +692,12 @@ def frobenius_module(
     an a < b cell whose mirror (b, a, c) is a cell of the band is copied
     from its mirror as soon as that is in hand (the Mirror paragraph of the
     module docstring), at no cost to the budget.  The other cells are
-    solved.  Serially the open rows go band by band together: every row's
-    cache hits of the band, then its solves in row order, with the deadline
-    read before each component.  On the process pool a row's next band is
-    submitted as soon as its band is in hand, largest component first, while
-    the other rows' cells are still running; completions are taken as they
-    come, each wait bounded by the remaining time, and nothing is submitted
-    after the deadline.  So a run stops within one component of its
+    solved.  A row's next band is queued as soon as its band is in hand,
+    largest component first, behind the solves already queued; threads
+    selects only how they run: serially the oldest runs next, on the process
+    pool all are submitted and completions are taken as they come.  Nothing
+    is queued after the deadline, and no solve is started (serial) or
+    waited for (pool) past it.  So a run stops within one component of its
     deadline, every component finished by then is in the result, with the
     mirrors of those finished, and rows[c] is False for every row it cut
     short.
@@ -783,46 +782,41 @@ def frobenius_module(
                 )
         bands[c] += 1
 
+    # row by row: a row's next band is queued once its band is in hand
+    pending = {}  # task (a future, or serially a degree) -> its row, oldest first
+
+    def advance(c):
+        while c not in rows:
+            todo = start(c)
+            if todo:
+                if deadline is None or time.monotonic() <= deadline:
+                    todo.sort(key=lambda d: -component_dimension(n, d))
+                    for d in todo:
+                        pending[d if pool is None else pool.submit(_component_worker, (n, d))] = c
+                return
+            finish(c)
+
+    def finished() -> list[tuple]:
+        # the next (task, component) pairs; none once the budget ran out
+        if pool is None:  # the oldest task, run here
+            if deadline is not None and time.monotonic() > deadline:
+                return []
+            d = next(iter(pending))
+            return [(d, _component_worker((n, d)))]
+        timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
+        done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
+        return [(f, f.result()) for f in pending if f in done]
+
     try:
-        if pool is None:  # band by band: every open row's cache hits, then its solves
-            while len(rows) <= n:
-                todo = [d for c in range(n + 1) if c not in rows for d in start(c)]
-                for d in todo:  # the deadline is read before each component
-                    if deadline is not None and time.monotonic() > deadline:
-                        break
-                    keep(_component_worker((n, d)))
-                open_rows = [c for c in range(n + 1) if c not in rows]
-                if not all(in_hand(c) for c in open_rows):
-                    break  # the budget ran out
-                for c in open_rows:
+        for c in range(n + 1):
+            advance(c)
+        while pending and (done := finished()):
+            for task, comp in done:
+                c = pending.pop(task)
+                keep(comp)
+                if in_hand(c):
                     finish(c)
-        else:  # row by row: a row's next band goes out once its band is in hand
-            pending = {}  # future -> its row, in submission order
-
-            def advance(c):
-                while c not in rows:
-                    todo = start(c)
-                    if todo:
-                        if deadline is None or time.monotonic() <= deadline:
-                            todo.sort(key=lambda d: -component_dimension(n, d))
-                            for d in todo:
-                                pending[pool.submit(_component_worker, (n, d))] = c
-                        return
-                    finish(c)
-
-            for c in range(n + 1):
-                advance(c)
-            while pending:
-                timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-                done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-                if not done:
-                    break  # the budget ran out
-                for fut in [f for f in pending if f in done]:
-                    c = pending.pop(fut)
-                    keep(fut.result())
-                    if in_hand(c):
-                        finish(c)
-                        advance(c)
+                    advance(c)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

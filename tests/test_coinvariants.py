@@ -372,6 +372,32 @@ def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
     assert not partial.closed and partial.rows == {c: False for c in range(4)}
 
 
+def test_the_serial_run_solves_nothing_after_the_deadline(monkeypatch):
+    # the serial twin of the test above: the clock passes the deadline as
+    # (1,0,0) finishes, so no component is solved after it, not even the rest
+    # of band 1, and its mirror (0,1,0) is still copied
+    now = [0.0]
+    worker = coinvariants._component_worker
+    seen = []
+
+    def recording_worker(args):
+        seen.append(TriDegree(*args[1]))
+        comp = worker(args)
+        if seen[-1] == TriDegree(1, 0, 0):
+            now[0] = 11
+        return comp
+
+    monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    partial = frobenius_module(3, budget_seconds=10)
+    band_0 = {TriDegree(0, 0, c) for c in range(4)}
+    assert seen[-1] == TriDegree(1, 0, 0) and set(seen) == band_0 | {TriDegree(1, 0, 0)}
+    assert set(partial.components) == band_0 | {TriDegree(1, 0, 0), TriDegree(0, 1, 0)}
+    source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
+    assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
+    assert not partial.closed and partial.rows == {c: False for c in range(4)}
+
+
 def test_budget_pool_path_stops_early():
     # the pool path waits only for the remaining time, then cancels; the whole
     # of n = 4 takes about 0.25 s on two cores, so 0.1 s cuts it

@@ -12,7 +12,7 @@ import superdelta
 import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
 from superdelta.coinvariants import ComponentCharacters, component_characters, frobenius_module
-from superdelta.macdonald import HTILDE_SIZE_LIMIT
+from superdelta.macdonald import HTILDE_SIZE_LIMIT, rhs_series
 from superdelta.qtz import ONE, Q, T
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
@@ -256,6 +256,28 @@ def test_warm_cache_needs_no_budget(tmp_path):
         assert warm.to_json_dict(include_timing=False) == cold
 
 
+def test_a_partly_warm_cache_keeps_the_same_components_at_any_thread_count(tmp_path):
+    # the cache holds row 0 whole and only band a+b = 0 of the other rows; a
+    # spent budget solves nothing, so every thread count keeps every cache hit,
+    # closes row 0 from its hits and leaves the other rows open
+    verify_conjecture(3, cache_dir=tmp_path)
+    cached = set()
+    for path in (tmp_path / "n=3").iterdir():
+        d = TriDegree(*map(int, path.stem.split("_")))
+        if d.c >= 1 and d.a + d.b > 0:
+            path.unlink()
+        else:
+            cached.add(d)
+    serial, pool = (frobenius_module(3, forced=rhs_series(3).support(), threads=threads,
+                                     budget_seconds=0, component_cache=ComponentCache(tmp_path))
+                    for threads in (1, 2))
+    assert set(serial.components) == cached and serial.components == pool.components
+    assert serial.rows == pool.rows == {0: True, 1: False, 2: False, 3: False}
+    serial, pool = (verify_conjecture(3, threads=threads, cache_dir=tmp_path, budget_seconds=0)
+                    for threads in (1, 2))
+    assert serial.to_json_dict(include_timing=False) == pool.to_json_dict(include_timing=False)
+
+
 def test_report_timing_names_python():
     timing = verify_conjecture(1).timing
     assert timing["python"] == platform.python_version()
@@ -349,7 +371,9 @@ def test_budget_stops_within_one_component(monkeypatch):
 
     monkeypatch.setattr(coinvariants, "_component_worker", slow_worker)
     # band a+b = 0 is one component per theta row (0.8 s), so the deadline
-    # falls early in band 1 (eight components, 1.6 s): a per-band check overruns it
+    # falls at the third of band 1's four solves (its other four cells are their
+    # mirrors); a per-band check would end at 1.6 s, inside the bound, so
+    # test_the_serial_run_solves_nothing_after_the_deadline pins the rule
     budget = 1.3
     start = time.monotonic()
     report = verify_conjecture(3, threads=1, budget_seconds=budget)
@@ -371,7 +395,8 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
 
     monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
     # band a+b = 0 (one component per theta row) takes 0.4 s, so the deadline
-    # falls in band 1 (eight components, 0.8 s), with every row in progress
+    # falls in band 1 (four solves, 0.4 s, and their four mirrors), with every
+    # row in progress
     partial = coinvariants.frobenius_module(3, threads=1, budget_seconds=0.45)
     assert not partial.closed and calls
     # the components are the computed cells and the mirrors of those with a > b
