@@ -76,13 +76,13 @@ and I_(a,b,c) onto R_(b,a,c) and I_(b,a,c), and M_(a,b,c) and M_(b,a,c) are
 isomorphic S_n-modules with the same ambient dimension: equal as stored, with
 nothing computed.  The band step of frobenius_module therefore solves a cell
 (a, b, c) with a < b only when its mirror (b, a, c) is not a cell of the
-same band (a forced cell beyond the frontier); any other a < b cell missing
-from the cache is a copy of its mirror, made once the mirror is in hand,
-solved or read from the cache, and cached like a solved cell, so the cache
-files do not depend on which half was solved.  The frontier law and the
-comparison with the delta side still see every cell.  A copy costs no
-budget, and a cell whose mirror was not finished is missing, like one that
-was not computed.
+same band, which only a wrong but valid cached component (zero where its
+mirror is not) brings about; any other a < b cell missing from the cache is
+a copy of its mirror, made once the mirror is in hand, solved or read from
+the cache, and cached like a solved cell, so the cache files do not depend
+on which half was solved.  The frontier law and the comparison with the
+delta side still see every cell.  A copy costs no budget, and a cell whose
+mirror was not finished is missing, like one that was not computed.
 
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
@@ -624,8 +624,11 @@ class ModuleSideResult:
     n: int
     series: FrobeniusSeries
     components: dict[TriDegree, ComponentCharacters]
-    closed: bool
     rows: dict[int, bool]  # c -> closed for c = 0..n; False for a row a budget cut short
+
+    @property
+    def closed(self) -> bool:
+        return all(self.rows.values())
 
 
 def assemble_series(n: int, components) -> FrobeniusSeries:
@@ -670,7 +673,6 @@ def check_module_arguments(
 def frobenius_module(
     n: int,
     extra_band: int = 1,
-    forced: set[TriDegree] = frozenset(),
     threads: int = 1,
     max_ab: int | None = None,
     budget_seconds: float | None = None,
@@ -680,11 +682,11 @@ def frobenius_module(
 
     Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
     In a band, a cell (a, b, c) of an open row is computed when it is the
-    origin, is forced, or sits within extra_band steps above a computed zero
-    bordering the nonzero support.  A row closes at its first band without
-    such a cell past its last forced cell; one that needs a cell beyond
-    max_ab stays open.  A nonzero component strictly beyond a zero
-    predecessor would contradict the monotone vanishing law and raises
+    origin or sits within extra_band steps above a computed zero bordering
+    the nonzero support.  A row closes at its first band without such a
+    cell, and is final: the vanishing law makes every cell beyond it zero.
+    One that needs a cell beyond max_ab stays open.  A nonzero component
+    strictly beyond a zero predecessor contradicts that law and raises
     ConsistencyError, checked on a band once all its cells are in hand.
 
     component_cache, when given, must provide get(n, degree) and
@@ -722,8 +724,6 @@ def frobenius_module(
 
     components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
     reach: dict[TriDegree, int] = {}  # computed cell -> -1 if nonzero, else its level
-    last_forced = [max((d.a + d.b for d in forced if d.c == c), default=-1)
-                   for c in range(n + 1)]
     rows: dict[int, bool] = {}  # c -> closed, for the rows that stopped
     bands = [0] * (n + 1)  # c -> the band a + b row c is in
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
@@ -746,12 +746,11 @@ def frobenius_module(
         for a in range(band + 1):
             b = band - a
             levels = [reach[p] + 1 for p in ((a - 1, b, c), (a, b - 1, c)) if p in reach]
-            lvl = 0 if band == 0 or (a, b, c) in forced else min(levels, default=None)
+            lvl = 0 if band == 0 else min(levels, default=None)
             if lvl is not None and lvl <= extra_band:
                 row[TriDegree(a, b, c)] = lvl
         if not row:
-            if band > last_forced[c]:
-                rows[c] = True
+            rows[c] = True
         elif band > max_ab:
             rows[c] = False  # budget on degree exhausted
         cells[c] = {} if c in rows else row
@@ -823,7 +822,7 @@ def frobenius_module(
 
     rows = {c: rows.get(c, False) for c in range(n + 1)}
     series = assemble_series(n, components)
-    return ModuleSideResult(n, series, components, all(rows.values()), rows)
+    return ModuleSideResult(n, series, components, rows)
 
 
 def check_gl2_shape(result: ModuleSideResult) -> None:

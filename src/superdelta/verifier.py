@@ -1,13 +1,13 @@
 """Orchestration: compute both sides, compare, cache, report.
 
-The Delta side is computed first; its degree support is handed to the
-module-side exploration as forced degrees, on top of the independent
-frontier scan with its extra verification band, so each side gets checked
-where the other claims support.  EQUAL is only reported when every
-theta-row of the module side closed with a verified zero band and every
-Schur coefficient matched exactly.  A disagreement at any computed
-component is DIFFER, also on a run cut short by its budget or max_ab;
-otherwise such a run is INCONCLUSIVE, never a false EQUAL.
+The two sides are computed independently: the module side explores its own
+frontier, with its extra verification band, and never sees the Delta side.
+A degree is settled once the module side computed it or closed its theta
+row, whose cells beyond the frontier the vanishing law makes zero.  EQUAL is
+only reported when every theta-row closed and every Schur coefficient
+matched exactly.  A disagreement at any settled degree is DIFFER, also on a
+run cut short by its budget or max_ab; otherwise such a run is
+INCONCLUSIVE, never a false EQUAL.
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ def verify_conjecture(
     module = frobenius_module(
         n,
         extra_band=extra_band,
-        forced=support,
         threads=threads,
         max_ab=max_ab,
         budget_seconds=remaining,
@@ -206,19 +205,19 @@ def verify_conjecture(
     )
     t_module = time.monotonic() - t1
 
-    computed = set(module.components)
-    missing = sorted(d for d in support if d not in computed)
-    # an exactly computed component is final, so a disagreement there is a
-    # DIFFER even when the run stopped short; on a closed run that computed
-    # the whole support, this is the full comparison
-    diffs = compare_series(module.series, rhs.restricted(computed))
+    settled = set(module.components) | {d for d in support if module.rows[d.c]}
+    missing = sorted(support - settled)
+    # a computed component and a closed row are final, so a disagreement on
+    # them is a DIFFER even when the run stopped short; on a closed run every
+    # degree is settled and this is the full comparison
+    diffs = compare_series(module.series, rhs.restricted(settled))
     if diffs:
         verdict = DIFFER
     else:
         # the delta side has the GL_2 shape too, so a module side without it
         # differs above; a violation here is on both sides
         check_gl2_shape(module)
-        if module.closed and not missing:
+        if module.closed:
             verdict = EQUAL
         else:
             verdict = INCONCLUSIVE

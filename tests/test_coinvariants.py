@@ -19,7 +19,6 @@ from superdelta.coinvariants import (
     spanning_vectors,
 )
 from superdelta.linalg import ConsistencyError, Echelon
-from superdelta.macdonald import rhs_series
 from superdelta.partitions import all_permutations, cycle_type
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
@@ -193,9 +192,8 @@ def test_frobenius_module_threads_deterministic():
     # the pool advances the theta rows in whatever order they finish; the
     # result is the serial one
     for n in range(1, 5):
-        forced = rhs_series(n).support()
-        serial = frobenius_module(n, forced=forced, threads=1)
-        pooled = frobenius_module(n, forced=forced, threads=2)
+        serial = frobenius_module(n, threads=1)
+        pooled = frobenius_module(n, threads=2)
         assert pooled.components == serial.components
         assert pooled.rows == serial.rows and pooled.closed == serial.closed
 
@@ -285,12 +283,11 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
-    forced = rhs_series(4).support()
-    frobenius_module(4, forced=forced)
+    frobenius_module(4)
     serial = sorted(seen)
     seen.clear()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    frobenius_module(4, forced=forced, threads=2)
+    frobenius_module(4, threads=2)
     assert len(serial) == 63 and sorted(seen) == serial
 
 

@@ -29,6 +29,7 @@ from superdelta.superring import (
     enumerate_monomials,
     ideal_generators,
 )
+from superdelta.verifier import ComponentCache
 from unreduced import (
     apply_signed_map,
     signed_coordinate_map,
@@ -391,7 +392,7 @@ def test_mirrored_components_match_the_direct_solve(n):
     # direct solve must give the same component (n = 4 is covered by
     # test_verifier's test_a_mirrored_component_is_cached_as_its_direct_solve,
     # which compares every component of verify_conjecture(4) with its direct solve)
-    components = frobenius_module(n, forced=rhs_series(n).support()).components
+    components = frobenius_module(n).components
     mirrored = [d for d in components if d.a < d.b]
     assert mirrored or n == 1
     for d in mirrored:
@@ -406,8 +407,16 @@ def test_mirror_holds_on_the_n5_low_degrees():
         assert ComponentCharacters(5, d, source.dim, source.mult) == component_characters(5, d), d
 
 
-def test_a_cell_whose_mirror_is_no_cell_is_solved(monkeypatch):
-    # (1, 5, 0) is forced far above row 0's frontier, where (5, 1, 0) is no cell
+def test_a_cell_whose_mirror_is_no_cell_is_solved(tmp_path, monkeypatch):
+    # the cache holds valid zeros at (1, 0, 0) and (2, 0, 0), wrong but with
+    # their true dims, and the true (0, 1, 0) and (0, 2, 0): (3, 0, 0) is
+    # extra_band + 1 steps past the zero (1, 0, 0), so no cell, while (0, 3, 0)
+    # sits above the nonzero (0, 2, 0): a cell whose mirror is no cell
+    cache = ComponentCache(tmp_path)
+    for a in (1, 2):
+        zero = component_characters(3, TriDegree(a, 0, 0))
+        cache.put(ComponentCharacters(3, zero.degree, zero.dim, dict.fromkeys(zero.mult, 0)))
+        cache.put(component_characters(3, TriDegree(0, a, 0)))
     worker = coinvariants._component_worker
     seen = []
 
@@ -416,10 +425,10 @@ def test_a_cell_whose_mirror_is_no_cell_is_solved(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
-    d = TriDegree(1, 5, 0)
-    result = frobenius_module(3, forced={d})
+    d = TriDegree(0, 3, 0)
+    result = frobenius_module(3, component_cache=cache)
     assert result.closed and d in seen
-    assert TriDegree(5, 1, 0) not in result.components
+    assert TriDegree(3, 0, 0) not in result.components
     assert result.components[d] == component_characters(3, d)
     # so are the cells above it; every other a < b cell is mirrored
     unpaired = {e for e in result.components

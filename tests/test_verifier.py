@@ -12,7 +12,8 @@ import superdelta
 import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
 from superdelta.coinvariants import ComponentCharacters, component_characters, frobenius_module
-from superdelta.macdonald import HTILDE_SIZE_LIMIT, rhs_series
+from superdelta.linalg import ConsistencyError
+from superdelta.macdonald import HTILDE_SIZE_LIMIT
 from superdelta.qtz import ONE, Q, T
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
@@ -268,8 +269,8 @@ def test_a_partly_warm_cache_keeps_the_same_components_at_any_thread_count(tmp_p
             path.unlink()
         else:
             cached.add(d)
-    serial, pool = (frobenius_module(3, forced=rhs_series(3).support(), threads=threads,
-                                     budget_seconds=0, component_cache=ComponentCache(tmp_path))
+    serial, pool = (frobenius_module(3, threads=threads, budget_seconds=0,
+                                     component_cache=ComponentCache(tmp_path))
                     for threads in (1, 2))
     assert set(serial.components) == cached and serial.components == pool.components
     assert serial.rows == pool.rows == {0: True, 1: False, 2: False, 3: False}
@@ -483,6 +484,41 @@ def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
     assert report.stats["components_computed"] == 6 and not report.stats["frontier_closed"]
     assert report.verdict == DIFFER
     assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T)]
+
+
+def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
+    # (1, 0, 0) comes back zero, and so does its mirror (0, 1, 0); band 2 of
+    # row 0 lies one step above them and is nonzero, also where the delta
+    # side has support, so the law fails at its first cell
+    def zero_at_100(n, d):
+        comp = component_characters(n, d)
+        if d == (1, 0, 0):
+            comp.mult = dict.fromkeys(comp.mult, 0)
+        return comp
+
+    monkeypatch.setattr(coinvariants, "component_characters", zero_at_100)
+    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 2\), c=0"):
+        verify_conjecture(3)
+
+
+def test_the_delta_side_steers_nothing(monkeypatch):
+    # q^5 at s_(3) lies far beyond row 0's closed frontier: the module side
+    # explores exactly its own cells, and the closed row settles (5, 0, 0) as 0
+    import superdelta.verifier as verifier
+
+    honest_rhs = verifier.rhs_series
+
+    def rhs_with_q5(n):
+        series = honest_rhs(n)
+        series.set_coefficient((3,), series.coefficient((3,)) + Q ** 5)
+        return series
+
+    monkeypatch.setattr(verifier, "rhs_series", rhs_with_q5)
+    report = verify_conjecture(3)
+    assert report.verdict == DIFFER
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), -Q ** 5)]
+    assert report.stats["rhs_support_missing_on_module_side"] == []
+    assert report.stats["components_computed"] == len(frobenius_module(3).components) == 45
 
 
 def test_report_renderings():
