@@ -84,6 +84,20 @@ on which half was solved.  The frontier law and the comparison with the
 delta side still see every cell.  A copy costs no budget, and a cell whose
 mirror was not finished is missing, like one that was not computed.
 
+Inference.  By the GL_2 shape, m_lam(a - 1, b + 1, c) >= m_lam(a, b, c) for
+a - 1 >= b + 1, so a cell (a, b, c) with a - b >= 2 whose inner neighbour
+(a - 1, b + 1, c) is zero is zero as well, and so is every cell further out
+in its band.  The band step of frobenius_module therefore solves each band
+from its middle out: such a cell, when its inner neighbour is a cell of the
+same band and it is not in the cache, waits for that neighbour.  Once the
+neighbour is in hand (solved, read from the cache or itself inferred), a
+zero makes the cell a zero of its ambient dimension, kept like a mirror copy
+(cached, its own a < b mirror copied from it, no budget spent), and a
+nonzero one queues the cell for a solve.  The cells with a - b <= 1 are
+always solved, so every band still solves its largest cells.  A wrong but
+valid cached zero spreads outwards as it does to its mirror, and the
+comparison with the delta side sees the terms it lost.
+
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
@@ -109,8 +123,9 @@ explored until a closed band of zeros is found, then one configurable
 extra band beyond it.  The law relates cells of one theta row only, so each
 row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
 is opened once every cell of its band is in hand: its cache hits are kept
-at once and its solves queued, largest first, behind those already queued,
-so no row waits at a band boundary for a slower row.  Serially the oldest
+at once and its solves queued, largest first, behind those already queued
+(a cell waiting on its inner neighbour joins the queue when that neighbour
+comes in nonzero), so no row waits at a band boundary for a slower row.  Serially the oldest
 queued solve runs next; on the process pool every queued solve is
 submitted and completions are taken as they come.  The time budget is read
 only where a component is solved: nothing is queued after the deadline,
@@ -693,16 +708,21 @@ def frobenius_module(
     put(component).  A band's cache hits are read when the band opens, and
     an a < b cell whose mirror (b, a, c) is a cell of the band is copied
     from its mirror as soon as that is in hand (the Mirror paragraph of the
-    module docstring), at no cost to the budget.  The other cells are
-    solved.  A row's next band is queued as soon as its band is in hand,
-    largest component first, behind the solves already queued; threads
+    module docstring), at no cost to the budget.  A cell with a - b >= 2
+    whose inner neighbour (a - 1, b + 1, c) is a cell of the band waits for
+    that neighbour (the Inference paragraph): once it is in hand, a zero
+    makes the cell a zero at no cost to the budget, and a nonzero one queues
+    the cell for a solve.  The other cells are queued when the band opens.
+    A row's next band is opened as soon as its band is in hand, its solves
+    queued largest component first, behind the solves already queued; threads
     selects only how they run: serially the oldest runs next, on the process
     pool all are submitted and completions are taken as they come.  Nothing
     is queued after the deadline, and no solve is started (serial) or
-    waited for (pool) past it.  So a run stops within one component of its
-    deadline, every component finished by then is in the result, with the
-    mirrors of those finished, and rows[c] is False for every row it cut
-    short.
+    waited for (pool) past it, so a cell whose inner neighbour finishes
+    nonzero after the deadline is not queued.  A run stops within one
+    component of its deadline, every component finished by then is in the
+    result, with the mirrors and the inferred zeros of those finished, and
+    rows[c] is False for every row it cut short.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -728,20 +748,35 @@ def frobenius_module(
     bands = [0] * (n + 1)  # c -> the band a + b row c is in
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
     mirrors: dict[TriDegree, TriDegree] = {}  # cell -> the a < b cell waiting to copy it
+    outer: dict[TriDegree, TriDegree] = {}  # cell -> the cell beyond it waiting on it
+    pending = {}  # task (a future, or serially a degree) -> its row, oldest first
+
+    def queue(todo):
+        # solve these cells, largest first, behind those already queued
+        if deadline is None or time.monotonic() <= deadline:
+            for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
+                pending[d if pool is None else pool.submit(_component_worker, (n, d))] = d.c
 
     def keep(comp, put=True):
-        # in hand (solved, read from the cache or copied): kept, cached unless it
-        # was read from there, and copied at once to the mirror waiting for it
+        # in hand (solved, read from the cache, copied or inferred): kept, cached
+        # unless it was read from there, copied at once to the mirror waiting for
+        # it, and the cell beyond it waiting on it is inferred or queued
         components[comp.degree] = comp
         if put and component_cache is not None:
             component_cache.put(comp)
         mirror = mirrors.pop(comp.degree, None)
         if mirror is not None:
             keep(ComponentCharacters(n, mirror, comp.dim, dict(comp.mult)))
+        beyond = outer.pop(comp.degree, None)
+        if beyond is not None and comp.dim_quotient:
+            queue([beyond])
+        elif beyond is not None:  # zero inside, so zero beyond
+            zero = dict.fromkeys(comp.mult, 0)
+            keep(ComponentCharacters(n, beyond, component_dimension(n, beyond), zero))
 
-    def start(c) -> list[TriDegree]:
-        # open row c's band: stop the row, or read its cache hits and return
-        # the cells left to solve
+    def start(c):
+        # open row c's band: stop the row, or queue the cells it solves at once
+        # and keep its cache hits
         band, row = bands[c], {}
         for a in range(band + 1):
             b = band - a
@@ -761,11 +796,13 @@ def frobenius_module(
                 hits.append(comp)
             elif d.a < d.b and (d.b, d.a, c) in row:
                 mirrors[TriDegree(d.b, d.a, c)] = d
+            elif d.a - d.b >= 2 and (d.a - 1, d.b + 1, c) in row:
+                outer[TriDegree(d.a - 1, d.b + 1, c)] = d
             else:
                 todo.append(d)
+        queue(todo)
         for comp in hits:
             keep(comp, put=False)
-        return todo
 
     def in_hand(c) -> bool:
         return all(d in components for d in cells[c])
@@ -781,17 +818,11 @@ def frobenius_module(
                 )
         bands[c] += 1
 
-    # row by row: a row's next band is queued once its band is in hand
-    pending = {}  # task (a future, or serially a degree) -> its row, oldest first
-
     def advance(c):
+        # row by row: a row's next band is opened once its band is in hand
         while c not in rows:
-            todo = start(c)
-            if todo:
-                if deadline is None or time.monotonic() <= deadline:
-                    todo.sort(key=lambda d: -component_dimension(n, d))
-                    for d in todo:
-                        pending[d if pool is None else pool.submit(_component_worker, (n, d))] = c
+            start(c)
+            if not in_hand(c):
                 return
             finish(c)
 
@@ -836,7 +867,11 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
     pair the symmetry holds by construction.  It still catches a fault in a
     pair read from the cache, and in a cell solved because its mirror was no
     cell of its band.  Unimodality compares different cells, so copying
-    leaves it a real check.
+    leaves it a real check, but frobenius_module infers an outer cell as zero
+    only from a zero inner neighbour: on an inferred cell unimodality holds
+    by construction, a tautology.  It stays a real check on every outer cell
+    that was solved (its inner neighbour nonzero, or no cell of its band)
+    and on a pair read from the cache.
     """
     lams = partitions_of(result.n)
     for c, closed in result.rows.items():

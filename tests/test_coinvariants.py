@@ -230,6 +230,14 @@ def test_budget_configuration():
     assert partial.rows == {c: False for c in range(4)}  # every theta row, each cut short
 
 
+def inferred(components):
+    """The a - b >= 2 cells whose inner neighbour (a - 1, b + 1, c) is a zero
+    among the components: frobenius_module keeps these as zeros, unsolved,
+    when no cache brought them in."""
+    zeros = {d for d, comp in components.items() if comp.dim_quotient == 0}
+    return {d for d in components if d.a - d.b >= 2 and (d.a - 1, d.b + 1, d.c) in zeros}
+
+
 def test_theta_rows_are_explored_band_by_band(monkeypatch):
     worker = coinvariants._component_worker
     seen = []
@@ -241,8 +249,14 @@ def test_theta_rows_are_explored_band_by_band(monkeypatch):
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     result = frobenius_module(3)
     assert result.closed and list(result.rows) == [0, 1, 2, 3]
-    # every a < b cell is mirrored, so the worker sees each a >= b cell once
-    assert sorted(seen) == sorted(d for d in result.components if d.a >= d.b)
+    # every a < b cell is mirrored and every a - b >= 2 cell beyond a zero is
+    # inferred, so the worker sees each other a >= b cell once
+    mirrored = [d for d in result.components if d.a < d.b]
+    skipped = inferred(result.components)
+    assert skipped and all(result.components[d].dim_quotient == 0 for d in skipped)
+    assert sorted(seen) == sorted(d for d in result.components
+                                  if d.a >= d.b and d not in skipped)
+    assert len(seen) + len(mirrored) + len(skipped) == len(result.components)
     bands = [d.a + d.b for d in seen]
     assert bands == sorted(bands)  # a + b never falls back for the next theta row
 
@@ -283,12 +297,18 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
-    frobenius_module(4)
+    result = frobenius_module(4)
     serial = sorted(seen)
     seen.clear()
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     frobenius_module(4, threads=2)
-    assert len(serial) == 63 and sorted(seen) == serial
+    # 111 components: 45 solved, 48 a < b mirrors and 18 zeros inferred from
+    # their inner neighbours
+    mirrored = [d for d in result.components if d.a < d.b]
+    skipped = inferred(result.components)
+    assert (len(serial), len(mirrored), len(skipped)) == (45, 48, 18)
+    assert len(serial) + len(mirrored) + len(skipped) == len(result.components) == 111
+    assert not set(serial) & (set(mirrored) | skipped) and sorted(seen) == serial
 
 
 class DeferredPool:
@@ -393,6 +413,65 @@ def test_the_serial_run_solves_nothing_after_the_deadline(monkeypatch):
     source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
     assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
     assert not partial.closed and partial.rows == {c: False for c in range(4)}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_outer_cell_queued_by_a_cache_hit_is_solved_once(tmp_path, monkeypatch, threads):
+    # the cache holds all of n = 3 but (2,0,0), whose inner neighbour (1,1,0)
+    # is a nonzero hit: (2,0,0) is queued as the hit is read, so its band has
+    # no other solve, and it must wait for (2,0,0) before it finishes
+    cold = verify_conjecture(3, cache_dir=tmp_path).to_json_dict(include_timing=False)
+    cache = ComponentCache(tmp_path)
+    assert cache.get(3, TriDegree(1, 1, 0)).dim_quotient > 0
+    path = cache.entry_path(3, TriDegree(2, 0, 0))
+    entry = path.read_bytes()
+    path.unlink()
+    worker = coinvariants._component_worker
+    seen = []
+
+    def recording_worker(args):
+        seen.append(TriDegree(*args[1]))
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    if threads > 1:
+        DeferredPool(monkeypatch, lambda pending: pending[0])
+    warm = verify_conjecture(3, threads=threads, cache_dir=tmp_path)
+    assert seen == [TriDegree(2, 0, 0)]
+    assert warm.to_json_dict(include_timing=False) == cold
+    assert path.read_bytes() == entry
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_an_outer_cell_is_not_queued_after_the_deadline(monkeypatch, threads):
+    # (2,0,0) waits on its inner neighbour (1,1,0), which is nonzero and
+    # finishes as the clock passes the deadline: (2,0,0) is not queued, so
+    # neither it nor its mirror (0,2,0) is kept, and row 0 is open
+    now = [0.0]
+    worker = coinvariants._component_worker
+    seen, cut = [], []
+
+    def recording_worker(args):
+        seen.append(TriDegree(*args[1]))
+        comp = worker(args)
+        if seen[-1] == TriDegree(1, 1, 0):
+            now[0] = 11
+            cut.append(len(pool.submits) if pool else None)
+        return comp
+
+    monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: now[0]))
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    pool = None
+    if threads > 1:
+        pool = DeferredPool(monkeypatch, lambda pending: None if now[0] > 10 else pending[0])
+    partial = frobenius_module(3, threads=threads, budget_seconds=10)
+    assert seen[-1] == TriDegree(1, 1, 0) and partial.components[seen[-1]].dim_quotient > 0
+    assert TriDegree(2, 0, 0) not in seen
+    assert not {TriDegree(2, 0, 0), TriDegree(0, 2, 0)} & set(partial.components)
+    if pool:
+        assert cut == [len(pool.submits)]  # no submit after (1,1,0) finished
+        assert TriDegree(2, 0, 0) not in [d for d, _ in pool.submits]
+    assert not partial.closed and partial.rows[0] is False
 
 
 def test_budget_pool_path_stops_early():

@@ -407,6 +407,68 @@ def test_mirror_holds_on_the_n5_low_degrees():
         assert ComponentCharacters(5, d, source.dim, source.mult) == component_characters(5, d), d
 
 
+def inferred_cells(monkeypatch, n, cache=None):
+    """frobenius_module(n), and the a - b >= 2 cells it kept without solving
+    them or reading them from the cache: the zeros inferred from their inner
+    neighbours (a - 1, b + 1, c)."""
+    worker = coinvariants._component_worker
+    seen = set()
+
+    def recording_worker(args):
+        seen.add(TriDegree(*args[1]))
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    result = frobenius_module(n, component_cache=cache)
+    return result, sorted(d for d in result.components if d.a - d.b >= 2 and d not in seen
+                          and (cache is None or cache.get(n, d) is None))
+
+
+def assert_cached_as_the_direct_solve(tmp_path, result, cells):
+    kept, direct = ComponentCache(tmp_path / "kept"), ComponentCache(tmp_path / "direct")
+    for d in cells:
+        kept.put(result.components[d])
+        direct.put(component_characters(result.n, d))
+        assert kept.entry_path(result.n, d).read_bytes() == (
+            direct.entry_path(result.n, d).read_bytes()), d
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 8), (4, 18)])
+def test_inferred_components_match_the_direct_solve(tmp_path, monkeypatch, n, count):
+    result, cells = inferred_cells(monkeypatch, n)
+    assert result.closed and len(cells) == count
+    assert_cached_as_the_direct_solve(tmp_path, result, cells)
+
+
+class LowRowsOfTheDeltaSide:
+    """A component cache that reads the n = 5 rows c < 3 off rhs_series(5),
+    misses the rows c >= 3 and writes nothing."""
+
+    def __init__(self):
+        self.rhs = rhs_series(5)
+
+    def get(self, n, d):
+        if d.c >= 3:
+            return None
+        mult = {lam: self.rhs.coefficient(lam).terms.get((d.a, d.b, d.c), 0)
+                for lam in partitions_of(5)}
+        return ComponentCharacters(5, d, component_dimension(5, d), mult)
+
+    def put(self, comp):
+        pass
+
+
+def test_inferred_components_match_the_direct_solve_on_the_n5_high_rows(tmp_path, monkeypatch):
+    # rows c >= 3 of n = 5 are solved (under a second), the others read from
+    # the delta side; their six inferred zeros take about as long to solve
+    cache = LowRowsOfTheDeltaSide()
+    result, cells = inferred_cells(monkeypatch, 5, cache)
+    assert result.closed and result.series == cache.rhs
+    assert cells == [TriDegree(*d) for d in
+                     ((2, 0, 4), (4, 1, 3), (4, 2, 3), (5, 0, 3), (5, 1, 3), (6, 0, 3))]
+    assert_cached_as_the_direct_solve(tmp_path, result, cells)
+
+
 def test_a_cell_whose_mirror_is_no_cell_is_solved(tmp_path, monkeypatch):
     # the cache holds valid zeros at (1, 0, 0) and (2, 0, 0), wrong but with
     # their true dims, and the true (0, 1, 0) and (0, 2, 0): (3, 0, 0) is

@@ -206,11 +206,19 @@ def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
     assert cold.verdict == EQUAL and calls
 
     before = cache_snapshot(tmp_path)
-    # the worker solves the a >= b cells; each a < b cell is its mirror's copy
-    degrees = [TriDegree(*map(int, path.stem.split("_"))) for path in before]
+    # the worker solves the a >= b cells but the zeros inferred from a zero
+    # inner neighbour (a - 1, b + 1, c); each a < b cell is its mirror's copy
+    entries = {TriDegree(*map(int, path.stem.split("_"))): json.loads(data)
+               for path, (data, _) in before.items()}
+    degrees = list(entries)
+    zeros = {d for d, entry in entries.items() if entry["dim"] == 0}
     mirrored = [d for d in degrees if d.a < d.b]
-    assert mirrored and all(d[0] >= d[1] for _, d in calls)
-    assert len(before) == cold.stats["components_computed"] == len(calls) + len(mirrored)
+    inferred = [d for d in degrees if d.a - d.b >= 2 and (d.a - 1, d.b + 1, d.c) in zeros]
+    solved = {TriDegree(*d) for _, d in calls}
+    assert mirrored and inferred and len(solved) == len(calls)
+    assert solved == set(degrees) - set(mirrored) - set(inferred)
+    assert len(before) == cold.stats["components_computed"] == (
+        len(calls) + len(mirrored) + len(inferred))
     calls.clear()
     warm = verify_conjecture(3, cache_dir=tmp_path)
     assert calls == []
@@ -484,6 +492,32 @@ def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
     assert report.stats["components_computed"] == 6 and not report.stats["frontier_closed"]
     assert report.verdict == DIFFER
     assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T)]
+
+
+def test_a_wrong_cached_zero_spreads_to_its_outer_cells(tmp_path, monkeypatch):
+    # a valid but wrong zero at the inner cell (2, 1, 0) makes (3, 0, 0) a zero
+    # inferred from it, with nothing solved there, and (1, 2, 0) and (0, 3, 0)
+    # their copies; the frontier law holds on the wrong row, so the comparison
+    # must catch it: DIFFER, never EQUAL
+    cache = ComponentCache(tmp_path)
+    true = component_characters(3, TriDegree(2, 1, 0))
+    assert true.mult[(1, 1, 1)] == 1
+    cache.put(ComponentCharacters(3, true.degree, true.dim, dict.fromkeys(true.mult, 0)))
+    worker = coinvariants._component_worker
+    calls = []
+
+    def counted_worker(args):
+        calls.append(TriDegree(*args[1]))
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
+    report = verify_conjecture(3, cache_dir=tmp_path)
+    assert report.verdict == DIFFER and report.stats["frontier_closed"]
+    assert not {TriDegree(3, 0, 0), TriDegree(0, 3, 0), TriDegree(1, 2, 0)} & set(calls)
+    for d in ((3, 0, 0), (0, 3, 0), (1, 2, 0)):
+        assert cache.get(3, TriDegree(*d)).dim_quotient == 0, d
+    assert [(d.lam, d.difference) for d in report.diffs] == [
+        ((1, 1, 1), -(Q ** 3 + Q * Q * T + Q * T * T + T ** 3))]
 
 
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
