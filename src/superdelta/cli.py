@@ -24,6 +24,8 @@ from .verifier import (
 )
 
 LONG_RUN_THRESHOLD = 5
+# frobenius --spec: the specialize keywords of each choice, in usage order
+SPECS = {"z=0": {"z": 0}, "t=0": {"t": 0}, "q=t=1": {"q": 1, "t": 1}}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -110,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_frob = sub.add_parser("frobenius", help="print one side's Schur expansion")
     p_frob.add_argument("--n", type=_at_least(1), required=True)
     p_frob.add_argument("--side", required=True, choices=["module", "delta"])
-    p_frob.add_argument("--spec", default=None, choices=["z=0", "t=0", "q=t=1"])
+    p_frob.add_argument("--spec", default=None, choices=list(SPECS))
     p_frob.add_argument("--threads", type=_at_least(1), default=1)
     p_frob.add_argument("--cache-dir", type=_cache_dir, default=None)
     p_frob.add_argument("--long", action="store_true")
@@ -176,12 +178,8 @@ def _dispatch(parser, args) -> int:
             series = rhs_series(args.n)
         else:
             series = _module_side(parser, args).series
-        if args.spec == "z=0":
-            series = series.specialize(z=0)
-        elif args.spec == "t=0":
-            series = series.specialize(t=0)
-        elif args.spec == "q=t=1":
-            series = series.specialize(q=1, t=1)
+        if args.spec is not None:
+            series = series.specialize(**SPECS[args.spec])
         for line in series.pretty_lines():
             print(line)
         return 0

@@ -74,29 +74,28 @@ automorphism that fixes the thetas, commutes with S_n and maps p_{r,s} to
 p_{s,r} and p~_{r,s} to p~_{s,r}.  So it maps I_n onto itself and R_(a,b,c)
 and I_(a,b,c) onto R_(b,a,c) and I_(b,a,c), and M_(a,b,c) and M_(b,a,c) are
 isomorphic S_n-modules with the same ambient dimension: equal as stored, with
-nothing computed.  The band step of frobenius_module therefore solves a cell
-(a, b, c) with a < b only when its mirror (b, a, c) is not a cell of the
-same band, which only a wrong but valid cached component (zero where its
-mirror is not) brings about; any other a < b cell missing from the cache is
-a copy of its mirror, made once the mirror is in hand, solved or read from
-the cache, and cached like a solved cell, so the cache files do not depend
-on which half was solved.  The frontier law and the comparison with the
-delta side still see every cell.  A copy costs no budget, and a cell whose
-mirror was not finished is missing, like one that was not computed.
+nothing computed.
 
 Inference.  By the GL_2 shape, m_lam(a - 1, b + 1, c) >= m_lam(a, b, c) for
 a - 1 >= b + 1, so a cell (a, b, c) with a - b >= 2 whose inner neighbour
 (a - 1, b + 1, c) is zero is zero as well, and so is every cell further out
-in its band.  The band step of frobenius_module therefore solves each band
-from its middle out: such a cell, when its inner neighbour is a cell of the
-same band and it is not in the cache, waits for that neighbour.  Once the
-neighbour is in hand (solved, read from the cache or itself inferred), a
-zero makes the cell a zero of its ambient dimension, kept like a mirror copy
-(cached, its own a < b mirror copied from it, no budget spent), and a
-nonzero one queues the cell for a solve.  The cells with a - b <= 1 are
-always solved, so every band still solves its largest cells.  A wrong but
-valid cached zero spreads outwards as it does to its mirror, and the
-comparison with the delta side sees the terms it lost.
+in its band.
+
+Derived cells.  So a cell has a source: its mirror (b, a, c) when a < b,
+its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the cells with
+a - b <= 1 have none and are always solved.  In the band step of
+frobenius_module a cell that is not in the cache waits on its source when
+that source is a cell of the same band, so each band is solved from its
+middle out.  Once the source is in hand (solved, read from the cache or
+itself derived), an a < b cell is a copy of it, and an outer cell is a
+zero of its ambient dimension when the source is zero and is queued for a
+solve when it is not.  A derived cell costs no budget and is cached like a
+solved one, so the cache files do not depend on which cells were solved; a
+cell whose source was not finished is missing, like one not computed.  A
+cell whose source is no cell of its band is solved (for an a < b cell only
+a wrong but valid cached zero brings that about).  Such a cached zero
+spreads to the cells derived from it, and the comparison with the delta
+side, which like the frontier law sees every cell, sees the terms it lost.
 
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
@@ -123,13 +122,13 @@ explored until a closed band of zeros is found, then one configurable
 extra band beyond it.  The law relates cells of one theta row only, so each
 row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
 is opened once every cell of its band is in hand: its cache hits are kept
-at once and its solves queued, largest first, behind those already queued
-(a cell waiting on its inner neighbour joins the queue when that neighbour
-comes in nonzero), so no row waits at a band boundary for a slower row.  Serially the oldest
-queued solve runs next; on the process pool every queued solve is
-submitted and completions are taken as they come.  The time budget is read
-only where a component is solved: nothing is queued after the deadline,
-and no solve is started (serial) or waited for (pool) past it.
+at once, its derived cells wait on their sources and its other cells are
+queued, largest first, behind those already queued, so no row waits at a
+band boundary for a slower row.  Serially the oldest queued solve runs
+next; on the process pool every queued solve is submitted and completions
+are taken as they come.  The time budget is read only where a component
+is solved: nothing is queued after the deadline, and no solve is started
+(serial) or waited for (pool) past it.
 """
 
 from __future__ import annotations
@@ -705,24 +704,23 @@ def frobenius_module(
     ConsistencyError, checked on a band once all its cells are in hand.
 
     component_cache, when given, must provide get(n, degree) and
-    put(component).  A band's cache hits are read when the band opens, and
-    an a < b cell whose mirror (b, a, c) is a cell of the band is copied
-    from its mirror as soon as that is in hand (the Mirror paragraph of the
-    module docstring), at no cost to the budget.  A cell with a - b >= 2
-    whose inner neighbour (a - 1, b + 1, c) is a cell of the band waits for
-    that neighbour (the Inference paragraph): once it is in hand, a zero
-    makes the cell a zero at no cost to the budget, and a nonzero one queues
-    the cell for a solve.  The other cells are queued when the band opens.
-    A row's next band is opened as soon as its band is in hand, its solves
-    queued largest component first, behind the solves already queued; threads
-    selects only how they run: serially the oldest runs next, on the process
-    pool all are submitted and completions are taken as they come.  Nothing
-    is queued after the deadline, and no solve is started (serial) or
-    waited for (pool) past it, so a cell whose inner neighbour finishes
-    nonzero after the deadline is not queued.  A run stops within one
-    component of its deadline, every component finished by then is in the
-    result, with the mirrors and the inferred zeros of those finished, and
-    rows[c] is False for every row it cut short.
+    put(component).  A band's cache hits are read when the band opens.  A
+    cell that misses the cache waits on its source, its mirror (b, a, c)
+    when a < b or its inner neighbour (a - 1, b + 1, c) when a - b >= 2, if
+    that source is a cell of the band (the Derived cells paragraph of the
+    module docstring).  Once the source is in hand, an a < b cell is copied
+    from it, and an outer cell is kept as a zero if the source is zero and
+    queued for a solve if not; copies and zeros cost no budget.  The other
+    cells are queued when the band opens.  A row's next band is opened as
+    soon as its band is in hand, its solves queued largest component first,
+    behind the solves already queued; threads selects only how they run:
+    serially the oldest runs next, on the process pool all are submitted
+    and completions are taken as they come.  Nothing is queued after the
+    deadline, and no solve is started (serial) or waited for (pool) past
+    it, so a cell whose source finishes nonzero after the deadline is not
+    queued.  A run stops within one component of its deadline, every
+    component finished by then is in the result, with the cells derived
+    from those finished, and rows[c] is False for every row it cut short.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -747,8 +745,7 @@ def frobenius_module(
     rows: dict[int, bool] = {}  # c -> closed, for the rows that stopped
     bands = [0] * (n + 1)  # c -> the band a + b row c is in
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
-    mirrors: dict[TriDegree, TriDegree] = {}  # cell -> the a < b cell waiting to copy it
-    outer: dict[TriDegree, TriDegree] = {}  # cell -> the cell beyond it waiting on it
+    waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
     pending = {}  # task (a future, or serially a degree) -> its row, oldest first
 
     def queue(todo):
@@ -759,24 +756,22 @@ def frobenius_module(
 
     def keep(comp, put=True):
         # in hand (solved, read from the cache, copied or inferred): kept, cached
-        # unless it was read from there, copied at once to the mirror waiting for
-        # it, and the cell beyond it waiting on it is inferred or queued
+        # unless it was read from there, and the cells waiting on it derived
         components[comp.degree] = comp
         if put and component_cache is not None:
             component_cache.put(comp)
-        mirror = mirrors.pop(comp.degree, None)
-        if mirror is not None:
-            keep(ComponentCharacters(n, mirror, comp.dim, dict(comp.mult)))
-        beyond = outer.pop(comp.degree, None)
-        if beyond is not None and comp.dim_quotient:
-            queue([beyond])
-        elif beyond is not None:  # zero inside, so zero beyond
-            zero = dict.fromkeys(comp.mult, 0)
-            keep(ComponentCharacters(n, beyond, component_dimension(n, beyond), zero))
+        for d in waiting.pop(comp.degree, ()):
+            if d.a < d.b:  # a copy of its mirror
+                keep(ComponentCharacters(n, d, comp.dim, dict(comp.mult)))
+            elif comp.dim_quotient:  # nonzero inside: solve it
+                queue([d])
+            else:  # zero inside, so zero beyond
+                zero = dict.fromkeys(comp.mult, 0)
+                keep(ComponentCharacters(n, d, component_dimension(n, d), zero))
 
     def start(c):
-        # open row c's band: stop the row, or queue the cells it solves at once
-        # and keep its cache hits
+        # open row c's band: stop the row, or queue the cells it solves at once,
+        # let the others wait on their source and keep its cache hits
         band, row = bands[c], {}
         for a in range(band + 1):
             b = band - a
@@ -792,39 +787,30 @@ def frobenius_module(
         hits, todo = [], []
         for d in cells[c]:
             comp = component_cache.get(n, d) if component_cache is not None else None
+            mirror, inner = (d.b, d.a, c), (d.a - 1, d.b + 1, c)
+            source = mirror if d.a < d.b else inner if d.a - d.b >= 2 else None
             if comp is not None:
                 hits.append(comp)
-            elif d.a < d.b and (d.b, d.a, c) in row:
-                mirrors[TriDegree(d.b, d.a, c)] = d
-            elif d.a - d.b >= 2 and (d.a - 1, d.b + 1, c) in row:
-                outer[TriDegree(d.a - 1, d.b + 1, c)] = d
+            elif source in row:
+                waiting.setdefault(source, []).append(d)
             else:
                 todo.append(d)
         queue(todo)
         for comp in hits:
             keep(comp, put=False)
 
-    def in_hand(c) -> bool:
-        return all(d in components for d in cells[c])
-
-    def finish(c):
-        # the frontier law on row c's band, every cell in hand; then the next band
-        for d, lvl in cells[c].items():
-            nonzero = components[d].dim_quotient > 0
-            reach[d] = -1 if nonzero else lvl
-            if nonzero and lvl > 0:
-                raise ConsistencyError(
-                    f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
-                )
-        bands[c] += 1
-
     def advance(c):
-        # row by row: a row's next band is opened once its band is in hand
-        while c not in rows:
+        # while row c is open and its band in hand: the frontier law, then the next band
+        while c not in rows and all(d in components for d in cells[c]):
+            for d, lvl in cells[c].items():
+                nonzero = components[d].dim_quotient > 0
+                reach[d] = -1 if nonzero else lvl
+                if nonzero and lvl > 0:
+                    raise ConsistencyError(
+                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
+                    )
+            bands[c] += 1
             start(c)
-            if not in_hand(c):
-                return
-            finish(c)
 
     def finished() -> list[tuple]:
         # the next (task, component) pairs; none once the budget ran out
@@ -839,14 +825,13 @@ def frobenius_module(
 
     try:
         for c in range(n + 1):
+            start(c)
             advance(c)
         while pending and (done := finished()):
             for task, comp in done:
                 c = pending.pop(task)
                 keep(comp)
-                if in_hand(c):
-                    finish(c)
-                    advance(c)
+                advance(c)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -863,15 +848,12 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
     for a >= b (the proof is in the module docstring).  A cell of a closed row
     that was not computed lies above a computed zero, so it counts as 0.
 
-    frobenius_module copies most a < b cells from their mirrors, so on such a
-    pair the symmetry holds by construction.  It still catches a fault in a
-    pair read from the cache, and in a cell solved because its mirror was no
-    cell of its band.  Unimodality compares different cells, so copying
-    leaves it a real check, but frobenius_module infers an outer cell as zero
-    only from a zero inner neighbour: on an inferred cell unimodality holds
-    by construction, a tautology.  It stays a real check on every outer cell
-    that was solved (its inner neighbour nonzero, or no cell of its band)
-    and on a pair read from the cache.
+    frobenius_module derives most cells from their source, and the half of
+    the shape that relates a derived cell to its source holds there by
+    construction, a tautology: the symmetry on a copy of its mirror,
+    unimodality on a zero inferred from its inner neighbour.  Each half stays
+    a real check on every cell that was solved (its source nonzero, or no
+    cell of its band) and on a pair read from the cache.
     """
     lams = partitions_of(result.n)
     for c, closed in result.rows.items():

@@ -311,6 +311,39 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
     assert not set(serial) & (set(mirrored) | skipped) and sorted(seen) == serial
 
 
+# The serial schedule of frobenius_module(4) with a cache that never hits:
+# "s" and a degree abc is a solve, a bare degree a cache put.  A solve is
+# put at once; a copy (a < b) or an inferred zero is put when its source is
+# in hand.  What a budget-cut run keeps depends on this order.
+SERIAL_SCHEDULE_N4 = """
+s000 000 s001 001 s002 002 s003 003 s004 004 s100 100 010 s101 101 011 s102 102 012
+s103 103 013 s104 104 014 s110 110 s111 111 s112 112 s113 113 203 023 s200 200 020
+s201 201 021 s202 202 022 s210 210 120 s211 211 121 s212 212 122 s300 300 030 s301
+301 031 s302 302 032 s220 220 s221 221 s222 222 312 132 402 042 s310 310 130 s311
+311 131 s322 322 232 412 142 502 052 s400 400 040 s401 401 041 s320 320 230 s321 321
+231 s410 410 140 s411 411 141 s500 500 050 s501 501 051 s330 330 s331 331 421 241
+511 151 601 061 s420 420 240 s431 431 341 521 251 611 161 701 071 s510 510 150 s600
+600 060 s430 430 340 520 250 610 160 700 070 s440 440 530 350 620 260 710 170 800
+080
+""".split()
+
+
+def test_the_serial_schedule_is_pinned(monkeypatch):
+    worker = coinvariants._component_worker
+    log = []
+
+    def recording_worker(args):
+        log.append("s" + "".join(map(str, args[1])))
+        return worker(args)
+
+    def put(comp):
+        log.append("".join(map(str, comp.degree)))
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    frobenius_module(4, component_cache=SimpleNamespace(get=lambda n, d: None, put=put))
+    assert log == SERIAL_SCHEDULE_N4
+
+
 class DeferredPool:
     """Stands in for ProcessPoolExecutor and wait: a task runs only inside wait,
     when the test's choose(pending degrees, in submission order) names it;

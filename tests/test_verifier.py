@@ -620,6 +620,16 @@ def test_cli_verify_exit_codes():
     assert rc == 3
 
 
+@pytest.mark.parametrize("spec, expected", [
+    ("z=0", "s(2): 1\ns(1,1): t + q\n"),
+    ("t=0", "s(2): 1\ns(1,1): q + z\n"),
+    ("q=t=1", "s(2): 1\ns(1,1): 2 + z\n"),
+])
+def test_cli_frobenius_spec(spec, expected):
+    rc, out, _ = run_cli("frobenius", "--n", "2", "--side", "delta", "--spec", spec)
+    assert rc == 0 and out == expected
+
+
 def test_cli_subcommands():
     rc, out, _ = run_cli("macdonald", "--mu", "2,1")
     assert rc == 0
@@ -628,8 +638,6 @@ def test_cli_subcommands():
     assert rc == 0 and "chi(2) = -1" in out
     rc, out, _ = run_cli("frobenius", "--n", "2", "--side", "module")
     assert rc == 0 and "s(1,1): t + q + z" in out
-    rc, out, _ = run_cli("frobenius", "--n", "2", "--side", "delta", "--spec", "z=0")
-    assert rc == 0 and "s(1,1): t + q" in out
     rc, out, _ = run_cli("hilbert", "--n", "2")
     assert rc == 0 and "0 0 0 1" in out
     # malformed input is a usage error, exit 3, caught before any computation
