@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, partitions_of, z_mu
+from .rationals import RAT
 
 
 @cache
@@ -72,6 +73,31 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
+@cache
+def standard_kronecker(n: int) -> tuple[tuple[int, ...], ...]:
+    """[s_lam](s_(n-1,1) * s_mu), rows mu and columns lam indexed like partitions_of(n).
+
+    * is the Kronecker product: the character of s_(n-1,1) is fix(g) - 1, so
+    the entry is sum_nu (fix(nu) - 1) chi^mu(nu) chi^lam(nu) / z_nu.  At
+    n = 1 that character is 0, and so is the table.
+    """
+    table = character_table(n)
+    lams = table.partitions
+    out = []
+    for mu in lams:
+        row = []
+        for lam in lams:
+            value = sum(
+                RAT((nu.count(1) - 1) * table.value(mu, nu) * table.value(lam, nu), z_mu(nu))
+                for nu in lams
+            )
+            if value.denominator != 1:
+                raise ValueError(f"non-integer Kronecker coefficient at {mu}, {lam}: {value}")
+            row.append(int(value))
+        out.append(tuple(row))
+    return tuple(out)
+
+
 def _horizontal_strip_predecessors(lam: Partition, size: int):
     """Shapes rho with lam/rho a horizontal strip of the given size."""
     length = len(lam)
@@ -111,4 +137,5 @@ __all__ = [
     "character_table",
     "kostka",
     "mn_character",
+    "standard_kronecker",
 ]

@@ -97,6 +97,30 @@ a wrong but valid cached zero brings that about).  Such a cached zero
 spreads to the cells derived from it, and the comparison with the delta
 side, which like the frontier law sees every cell, sees the terms it lost.
 
+Support bound.  M = R/I_n is generated by 1, and p_{1,0} = sum_i x_i and
+p_{0,1} = sum_i y_i lie in I_n.  For a >= 1 every monomial of degree
+(a, b, c) is some x_i times one of degree (a - 1, b, c), so
+e_i (x) m -> x_i m is an S_n-map from V (x) M_(a-1,b,c) onto M_(a,b,c), V
+the permutation module on e_1, ..., e_n (x_i commutes with the thetas, so
+no sign enters), and it kills (sum_i e_i) (x) m.  So M_(a,b,c) is a
+quotient of V/1 (x) M_(a-1,b,c) = S^(n-1,1) (x) M_(a-1,b,c), and likewise,
+through y_i, of S^(n-1,1) (x) M_(a,b-1,c) when b >= 1: for each lower
+neighbour d - e, m_lam(d) <= [s_lam](s_(n-1,1) * F(M_(d-e))), * the
+Kronecker product (characters.standard_kronecker).  When frobenius_module
+queues a cell, these bounds from its nonzero lower neighbours in hand, and
+for an outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of its
+inner neighbour, give it a support: the lams that all of them allow, each
+with its least bound.  The solve runs the Young system of the support's
+lams (young_system(n, support)): a zero costs a cover of the support and
+one check character, a nonzero cell as many characters as the support has
+lams and one redundancy check, and every m_lam must lie within its bound.
+A zero lower neighbour is never used.  It would prove the cell zero
+outright, and a cell whose computed lower neighbours are all zero lies in
+the extra band beyond a closed band of zeros, which exists to test the
+vanishing law: it keeps the full Young system's cover, so that test stays
+as strong.  A valid but wrong cached cell bounds the cells above it
+wrongly; the comparison with the delta side still sees the cell itself.
+
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
@@ -142,7 +166,7 @@ from itertools import product
 from math import factorial, isfinite, prod
 from threading import TIMEOUT_MAX
 
-from .characters import character_table
+from .characters import character_table, standard_kronecker
 from .linalg import Echelon, ConsistencyError, inverse
 from .partitions import Partition, partitions_of, z_mu
 from .qtz import QTZPoly
@@ -471,16 +495,23 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
 class YoungSystem:
     """Young characters whose pairings K[psi, lam] = <s_lam, h_alpha e_beta> invert.
 
-    extra is one more, dependent character, computed as a redundancy check.
-    The cover is a subset whose characters together pair positively with
-    every s_lam, so all-zero cover dimensions prove every m_lam zero;
-    zero_check is the one more character computed with them.
+    The lams are those of the support, every lam |- n when it is None; the
+    system solves for them and takes every other m_lam to be 0.  extra is
+    one more, dependent character, computed as a redundancy check.  The
+    cover is a subset whose characters together pair positively with every
+    s_lam of the support, so all-zero cover dimensions prove every m_lam
+    zero; zero_check is the one more character computed with them.
     """
 
     n: int
     characters: tuple[YoungCharacter, ...]
     extra: YoungCharacter | None
-    inverse: tuple[tuple[int | RAT, ...], ...]  # K^-1, rows indexed like partitions_of(n)
+    inverse: tuple[tuple[int | RAT, ...], ...]  # K^-1, rows indexed like lams
+    support: tuple[Partition, ...] | None = None
+
+    @property
+    def lams(self) -> tuple[Partition, ...]:
+        return partitions_of(self.n) if self.support is None else self.support
 
     @cached_property
     def cover(self) -> tuple[YoungCharacter, ...]:
@@ -491,7 +522,7 @@ class YoungSystem:
         adds its largest-|H| pairing character: the characters run in
         descending |H|.
         """
-        lams = partitions_of(self.n)
+        lams = self.lams
         pairs = {lam: [psi for psi in self.characters if psi.pairing[lam]] for lam in lams}
         cover: list[YoungCharacter] = []
         for lam in sorted(lams, key=lambda lam: len(pairs[lam])):
@@ -506,8 +537,8 @@ class YoungSystem:
 
     def multiplicities(self, dims: list[int]) -> dict[Partition, int]:
         """Schur multiplicities from the isotypic dimensions; must be in N."""
-        out = {}
-        for lam, row in zip(partitions_of(self.n), self.inverse):
+        out = dict.fromkeys(partitions_of(self.n), 0)
+        for lam, row in zip(self.lams, self.inverse):
             m = sum(k * v for k, v in zip(row, dims))
             if m.denominator != 1 or m < 0:
                 raise ConsistencyError(f"multiplicity of s_{lam} is {m}, not in N")
@@ -528,23 +559,26 @@ def young_candidates(n: int) -> list[YoungCharacter]:
 
 
 @cache
-def young_system(n: int) -> YoungSystem:
-    """Greedy by |H|: take a character whenever its pairing row is independent.
+def young_system(n: int, support: tuple[Partition, ...] | None = None) -> YoungSystem:
+    """Greedy by |H|: take a character whenever its pairing row, restricted
+    to the support's lams, is independent.
 
     The redundancy check uses the first candidate left out, the one with the
     largest |H| outside the set.  The system's cover (n = 4: (3,1)|() and
-    ()|(2,2)) decides the zero components.
+    ()|(2,2)) decides the zero components.  The full support gives the
+    system of support None; an empty one has no characters, and its
+    redundancy check is the first candidate.
     """
-    lams = partitions_of(n)
+    lams = partitions_of(n) if support is None else support
     candidates = young_candidates(n)
     chosen: list[YoungCharacter] = []
     ech = Echelon()
     for psi in candidates:
+        if len(chosen) == len(lams):
+            break
         row = {j: psi.pairing[lam] for j, lam in enumerate(lams) if psi.pairing[lam]}
         if ech.insert(row) is not None:
             chosen.append(psi)
-            if len(chosen) == len(lams):
-                break
     if len(chosen) != len(lams):
         raise ConsistencyError(f"Young characters do not span the class functions of S_{n}")
     extra = next((psi for psi in candidates if psi not in chosen), None)
@@ -552,7 +586,7 @@ def young_system(n: int) -> YoungSystem:
     # integral entries (all for n <= 7) become ints, so each solve is int arithmetic
     matrix = [[psi.pairing[lam] for lam in lams] for psi in chosen]
     inv = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in inverse(matrix))
-    return YoungSystem(n, tuple(chosen), extra, inv)
+    return YoungSystem(n, tuple(chosen), extra, inv, None if lams == partitions_of(n) else lams)
 
 
 @dataclass
@@ -584,20 +618,27 @@ class ComponentCharacters:
         }
 
 
-def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
+def component_characters(
+    n: int, d: TriDegree, support: dict[Partition, int] | None = None
+) -> ComponentCharacters:
     """The Schur multiplicities of the quotient at tri-degree d.
 
-    The cover's isotypic dimensions come first.  All zero proves the
-    component zero, and the zero check's dimension must then be 0 as well.
-    Otherwise the rest of the Young system is computed, K m = (dim M_d^psi)
-    is solved for the multiplicities m, and they are checked against one
-    more dependent character.
+    support, when given, maps the lams the component can hold to their
+    bounds (the Support bound paragraph of the module docstring); every
+    other m_lam is 0, and the solve runs the Young system of the support's
+    lams only.  The cover's isotypic dimensions come first.  All zero
+    proves the component zero, and the zero check's dimension must then be
+    0 as well.  Otherwise the rest of the Young system is computed,
+    K m = (dim M_d^psi) is solved for the multiplicities m, and they are
+    checked against one more dependent character and against their bounds.
     """
     dim = component_dimension(n, d)
     zero = {lam: 0 for lam in partitions_of(n)}
     if dim == 0:
         return ComponentCharacters(n, d, 0, zero)
-    system = young_system(n)
+    lams = None if support is None else tuple(
+        lam for lam in partitions_of(n) if support.get(lam, 0) > 0)
+    system = young_system(n, lams)
     cover_dims = {psi: isotypic_dimension(d, psi) for psi in system.cover}
     if not any(cover_dims.values()):
         check = system.zero_check
@@ -620,6 +661,12 @@ def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
                 f"redundancy check at {d}: dim M^psi = {got} for {system.extra}, "
                 f"the multiplicities give {want}"
             )
+    if support is not None:
+        for lam, bound in support.items():
+            if mult[lam] > bound:
+                raise ConsistencyError(
+                    f"at {d}: multiplicity of s_{lam} is {mult[lam]}, above its bound {bound}"
+                )
     comp = ComponentCharacters(n, d, dim, mult)
     if comp.dim_quotient > dim:
         raise ConsistencyError(
@@ -628,9 +675,36 @@ def component_characters(n: int, d: TriDegree) -> ComponentCharacters:
     return comp
 
 
+def support_bound(n: int, d: TriDegree, components) -> dict[Partition, int] | None:
+    """The lams the cell d can hold, each with its bound, from the cells below it.
+
+    Each lower neighbour (a - 1, b, c) and (a, b - 1, c) that is among the
+    components and nonzero bounds m_lam(d) by [s_lam](s_(n-1,1) * F), F its
+    Frobenius characteristic, and for an outer cell (a - b >= 2) so does its
+    inner neighbour (a - 1, b + 1, c) by its own m_lam, when in hand (the
+    Support bound paragraph of the module docstring).  The least bound is
+    kept for each lam that all of them allow.  None, every lam unbounded,
+    when no lower neighbour is nonzero.
+    """
+    lams = partitions_of(n)
+    bounds = []
+    for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)):
+        comp = components.get(p)
+        if comp is not None and comp.dim_quotient:
+            m = [comp.mult[mu] for mu in lams]
+            bounds.append([sum(x * k for x, k in zip(m, col))
+                           for col in zip(*standard_kronecker(n))])
+    if not bounds:
+        return None
+    inner = components.get((d.a - 1, d.b + 1, d.c))
+    if d.a - d.b >= 2 and inner is not None:
+        bounds.append([inner.mult[lam] for lam in lams])
+    return {lam: least for lam, *bs in zip(lams, *bounds) if (least := min(bs))}
+
+
 def _component_worker(args) -> ComponentCharacters:
-    n, d = args
-    return component_characters(n, TriDegree(*d))
+    n, d, support = args
+    return component_characters(n, TriDegree(*d), support)
 
 
 @dataclass
@@ -721,6 +795,9 @@ def frobenius_module(
     queued.  A run stops within one component of its deadline, every
     component finished by then is in the result, with the cells derived
     from those finished, and rows[c] is False for every row it cut short.
+    Each queued cell is solved for the support that the cells below it in
+    hand allow (support_bound; the Support bound paragraph of the module
+    docstring).
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -746,13 +823,15 @@ def frobenius_module(
     bands = [0] * (n + 1)  # c -> the band a + b row c is in
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
     waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
-    pending = {}  # task (a future, or serially a degree) -> its row, oldest first
+    pending = {}  # task (a future, or serially a degree) -> (n, degree, support), oldest first
 
     def queue(todo):
-        # solve these cells, largest first, behind those already queued
+        # solve these cells, largest first, behind those already queued, each
+        # for the lams that the cells below it in hand allow
         if deadline is None or time.monotonic() <= deadline:
             for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
-                pending[d if pool is None else pool.submit(_component_worker, (n, d))] = d.c
+                args = (n, d, support_bound(n, d, components))
+                pending[d if pool is None else pool.submit(_component_worker, args)] = args
 
     def keep(comp, put=True):
         # in hand (solved, read from the cache, copied or inferred): kept, cached
@@ -818,7 +897,7 @@ def frobenius_module(
             if deadline is not None and time.monotonic() > deadline:
                 return []
             d = next(iter(pending))
-            return [(d, _component_worker((n, d)))]
+            return [(d, _component_worker(pending[d]))]
         timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
         done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
         return [(f, f.result()) for f in pending if f in done]
@@ -829,7 +908,7 @@ def frobenius_module(
             advance(c)
         while pending and (done := finished()):
             for task, comp in done:
-                c = pending.pop(task)
+                c = pending.pop(task)[1].c
                 keep(comp)
                 advance(c)
     finally:

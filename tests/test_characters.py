@@ -4,6 +4,7 @@ from superdelta.characters import (
     character_table,
     kostka,
     mn_character,
+    standard_kronecker,
 )
 from superdelta.partitions import dominates, partitions_of, syt_count, z_mu
 from superdelta.rationals import RAT
@@ -106,3 +107,31 @@ def test_kostka_dominance_triangularity():
 def test_kostka_size_mismatch():
     with pytest.raises(ValueError):
         kostka((2,), (1, 1, 1))
+
+
+def remove_add(mu):
+    """s_(n-1,1) * s_mu by the rule: s_mu restricted to S_(n-1) and induced
+    back (every way to remove a corner box and add a box), less s_mu once."""
+    out = {}
+    for i in range(len(mu)):
+        if i + 1 < len(mu) and mu[i] == mu[i + 1]:
+            continue  # no corner in row i
+        nu = list(mu[:i]) + [mu[i] - 1] * (mu[i] > 1) + list(mu[i + 1:])
+        for j in range(len(nu) + 1):
+            if j == 0 or nu[j - 1] > (nu[j] if j < len(nu) else 0):
+                lam = tuple(nu[:j]) + ((nu[j] + 1,) if j < len(nu) else (1,)) + tuple(nu[j + 1:])
+                out[lam] = out.get(lam, 0) + 1
+    out[mu] -= 1
+    return {lam: m for lam, m in out.items() if m}
+
+
+def test_standard_kronecker_is_remove_a_box_add_a_box():
+    for n in range(1, 8):
+        lams = partitions_of(n)
+        table = standard_kronecker(n)
+        for mu, row in zip(lams, table):
+            assert {lam: k for lam, k in zip(lams, row) if k} == remove_add(mu), mu
+    # s_(n-1,1) does not exist at n = 1: the character fix(g) - 1 is 0
+    assert standard_kronecker(1) == ((0,),)
+    # s_(2,1) * s_(2,1) = s_3 + s_21 + s_111
+    assert standard_kronecker(3)[1] == (1, 1, 1)

@@ -542,8 +542,8 @@ def shifted_components(monkeypatch, shifts):
     """Every component computed from now on gains m at its (degree, lam) in shifts."""
     honest = component_characters
 
-    def shifted(n, d):
-        comp = honest(n, d)
+    def shifted(n, d, support=None):
+        comp = honest(n, d, support)
         for (degree, lam), m in shifts.items():
             if d == degree:
                 comp.mult[lam] += m

@@ -20,7 +20,7 @@ from superdelta.coinvariants import (
 )
 from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.macdonald import rhs_series
-from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type
+from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type, z_mu
 from superdelta.rationals import RAT
 from superdelta.superring import (
     TriDegree,
@@ -69,19 +69,59 @@ def test_matches_trace_method_on_every_visited_component(n):
         assert (comp.dim, comp.rank, comp.chars) == reference_characters(n, d), d
 
 
-def test_matches_trace_method_on_sampled_n4_components():
+def sampled_n4_degrees():
     candidates = sorted(
         TriDegree(a, s - a, c)
         for s in range(7) for a in range(s + 1) for c in range(5)
         if 0 < component_dimension(4, TriDegree(a, s - a, c)) <= 600
     )
-    sample = random.Random(20190109).sample(candidates, 8)
+    return random.Random(20190109).sample(candidates, 8)
+
+
+def test_matches_trace_method_on_sampled_n4_components():
     nonzero = 0
-    for d in sample:
+    for d in sampled_n4_degrees():
         comp = component_characters(4, d)
         assert (comp.dim, comp.rank, comp.chars) == reference_characters(4, d), d
         nonzero += comp.dim_quotient > 0
-    assert 0 < nonzero < len(sample)  # both kinds of component are covered
+    assert 0 < nonzero < 8  # both kinds of component are covered
+
+
+def reference_multiplicities(n, chars):
+    """m_lam of a character, by its inner product with chi^lam."""
+    table = character_table(n)
+    lams = partitions_of(n)
+    return {lam: sum(RAT(chars[mu] * table.value(lam, mu), z_mu(mu)) for mu in lams)
+            for lam in lams}
+
+
+def excluded_by_the_kronecker_bounds(n, d):
+    """Assert m_lam(d) <= [s_lam](s_(n-1,1) * F) for F the Frobenius
+    characteristic of each lower neighbour, all by the trace method (the
+    character of s_(n-1,1) (x) M is (fix - 1) chi_M); return how many lams a
+    nonzero lower neighbour's bound excludes."""
+    mult = reference_multiplicities(n, reference_characters(n, d)[2])
+    excluded = 0
+    for lower in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)):
+        if min(lower) < 0:
+            continue
+        chars = reference_characters(n, TriDegree(*lower))[2]
+        bound = reference_multiplicities(n, {mu: (mu.count(1) - 1) * chi
+                                             for mu, chi in chars.items()})
+        assert all(mult[lam] <= bound[lam] for lam in mult), (d, lower)
+        if any(chars.values()):
+            excluded += sum(not b for b in bound.values())
+    return excluded
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_kronecker_bound_holds_on_every_visited_component(n):
+    excluded = sum(excluded_by_the_kronecker_bounds(n, d) for d in frobenius_module(n).components)
+    assert excluded or n < 3  # at n = 1 and 2 no lam is excluded by a nonzero bound
+
+
+def test_the_kronecker_bound_holds_on_sampled_n4_components():
+    assert sum(excluded_by_the_kronecker_bounds(4, d) for d in sampled_n4_degrees())
 
 
 def canonical(psi, m):
@@ -407,19 +447,24 @@ def test_mirror_holds_on_the_n5_low_degrees():
         assert ComponentCharacters(5, d, source.dim, source.mult) == component_characters(5, d), d
 
 
+def recorded_supports(monkeypatch, n, cache=None):
+    """frobenius_module(n), and the support each cell the worker solved was given."""
+    worker = coinvariants._component_worker
+    supports = {}
+
+    def recording_worker(args):
+        supports[TriDegree(*args[1])] = args[2]
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    return frobenius_module(n, component_cache=cache), supports
+
+
 def inferred_cells(monkeypatch, n, cache=None):
     """frobenius_module(n), and the a - b >= 2 cells it kept without solving
     them or reading them from the cache: the zeros inferred from their inner
     neighbours (a - 1, b + 1, c)."""
-    worker = coinvariants._component_worker
-    seen = set()
-
-    def recording_worker(args):
-        seen.add(TriDegree(*args[1]))
-        return worker(args)
-
-    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
-    result = frobenius_module(n, component_cache=cache)
+    result, seen = recorded_supports(monkeypatch, n, cache)
     return result, sorted(d for d in result.components if d.a - d.b >= 2 and d not in seen
                           and (cache is None or cache.get(n, d) is None))
 
@@ -466,6 +511,25 @@ def test_inferred_components_match_the_direct_solve_on_the_n5_high_rows(tmp_path
     assert result.closed and result.series == cache.rhs
     assert cells == [TriDegree(*d) for d in
                      ((2, 0, 4), (4, 1, 3), (4, 2, 3), (5, 0, 3), (5, 1, 3), (6, 0, 3))]
+    assert_cached_as_the_direct_solve(tmp_path, result, cells)
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 11), (4, 35)])
+def test_restricted_solves_match_the_direct_solve(tmp_path, monkeypatch, n, count):
+    # every solve above band 0 has a nonzero lower neighbour but those of the
+    # extra band, and runs for the support the cells below it allow
+    result, supports = recorded_supports(monkeypatch, n)
+    cells = sorted(d for d, support in supports.items() if support is not None)
+    assert result.closed and len(cells) == count
+    assert_cached_as_the_direct_solve(tmp_path, result, cells)
+
+
+def test_restricted_solves_match_the_direct_solve_on_the_n5_high_rows(tmp_path, monkeypatch):
+    cache = LowRowsOfTheDeltaSide()
+    result, supports = recorded_supports(monkeypatch, 5, cache)
+    cells = sorted(d for d, support in supports.items() if support is not None)
+    assert result.closed and result.series == cache.rhs
+    assert {d.c for d in cells} == {3, 4} and len(cells) == 10
     assert_cached_as_the_direct_solve(tmp_path, result, cells)
 
 
@@ -728,3 +792,64 @@ def test_wrong_isotypic_rank_at_a_zero_cell(monkeypatch, d):
                 assert cover is None
     monkeypatch.undo()
     assert component_characters(n, d).dim_quotient == 0
+
+
+def test_restricted_systems_are_pinned():
+    full = young_system(4)
+    assert young_system(4, partitions_of(4)) == full and full.support is None
+    # no lam: no character, and the first candidate, e_4, checks the zero
+    empty = young_system(4, ())
+    assert (empty.characters, empty.cover, empty.inverse) == ((), (), ())
+    assert empty.zero_check == empty.extra == YoungCharacter((), (4,))
+    assert young_system(1, ()).zero_check == YoungCharacter((1,), ())
+    # <s_lam, h_4> is 1 at lam = (4) and 0 elsewhere: the trivial character
+    # solves the cell, and e_4 checks it
+    trivial = young_system(4, ((4,),))
+    assert trivial.characters == trivial.cover == (YoungCharacter((4,), ()),)
+    assert trivial.inverse == ((1,),) and trivial.zero_check == trivial.extra == YoungCharacter((), (4,))
+    # the commonest two-lam support at n = 4: (1)|(3) pairs with both lams,
+    # so it is the cover, and h_4, which pairs with neither, is the check
+    two = young_system(4, ((2, 1, 1), (1, 1, 1, 1)))
+    assert two.characters == (YoungCharacter((), (4,)), YoungCharacter((1,), (3,)))
+    assert two.cover == (YoungCharacter((1,), (3,)),) and two.inverse == ((-1, 1), (1, 0))
+    assert two.zero_check == YoungCharacter((), (4,)) and two.extra == YoungCharacter((4,), ())
+
+
+def test_a_solve_above_its_bound_is_caught():
+    d = TriDegree(2, 1, 1)
+    comp = component_characters(4, d)
+    assert comp.mult == {(4,): 0, (3, 1): 0, (2, 2): 1, (2, 1, 1): 3, (1, 1, 1, 1): 2}
+    support = {lam: m for lam, m in comp.mult.items() if m}
+    assert component_characters(4, d, support) == comp
+    with pytest.raises(ConsistencyError,
+                       match=r"at TriDegree\(a=2, b=1, c=1\): multiplicity of s_\(1, 1, 1, 1\) "
+                             r"is 2, above its bound 1"):
+        component_characters(4, d, support | {(1, 1, 1, 1): 1})
+
+
+def test_a_cell_above_computed_zeros_only_runs_the_full_cover(monkeypatch):
+    # a cell whose computed lower neighbours are all zero lies in the extra
+    # band beyond a row's first closed band of zeros; no bound is taken from
+    # a zero, so it keeps the full system's cover and zero check
+    system = young_system(4)
+    calls = counted_isotypic_dimension(monkeypatch)
+    worker = coinvariants._component_worker
+    runs = {}
+
+    def recording_worker(args):
+        start = len(calls)
+        comp = worker(args)
+        runs[TriDegree(*args[1])] = args[2], calls[start:]
+        return comp
+
+    monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
+    components = frobenius_module(4).components
+    assert len(calls) == 172  # 240 when every solve runs the full system
+    lower = {d: [components[p] for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)) if p in components]
+             for d in runs}
+    above_zeros = [d for d in runs if lower[d] and not any(c.dim_quotient for c in lower[d])]
+    assert len(above_zeros) == 5
+    for d in above_zeros:
+        assert runs[d] == (None, list(system.cover) + [system.zero_check]), d
+    # every other solve but band 0 runs for its support
+    assert all((runs[d][0] is None) == (not lower[d]) for d in runs if d not in above_zeros)

@@ -11,7 +11,12 @@ import pytest
 import superdelta
 import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
-from superdelta.coinvariants import ComponentCharacters, component_characters, frobenius_module
+from superdelta.coinvariants import (
+    ComponentCharacters,
+    component_characters,
+    frobenius_module,
+    support_bound,
+)
 from superdelta.linalg import ConsistencyError
 from superdelta.macdonald import HTILDE_SIZE_LIMIT
 from superdelta.qtz import ONE, Q, T
@@ -214,7 +219,7 @@ def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
     zeros = {d for d, entry in entries.items() if entry["dim"] == 0}
     mirrored = [d for d in degrees if d.a < d.b]
     inferred = [d for d in degrees if d.a - d.b >= 2 and (d.a - 1, d.b + 1, d.c) in zeros]
-    solved = {TriDegree(*d) for _, d in calls}
+    solved = {TriDegree(*d) for _, d, *_ in calls}
     assert mirrored and inferred and len(solved) == len(calls)
     assert solved == set(degrees) - set(mirrored) - set(inferred)
     assert len(before) == cold.stats["components_computed"] == (
@@ -410,7 +415,7 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
     assert not partial.closed and calls
     # the components are the computed cells and the mirrors of those with a > b
     # (every cell of this run has its mirror in its band)
-    computed = [TriDegree(*d) for _, d in calls]
+    computed = [TriDegree(*d) for _, d, *_ in calls]
     mirrors = [TriDegree(d.b, d.a, d.c) for d in computed if d.a > d.b]
     assert len(partial.components) == len(computed) + len(mirrors)
     assert set(partial.components) == set(computed) | set(mirrors)
@@ -419,7 +424,7 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
     calls.clear()
     report = verify_conjecture(3, threads=1, budget_seconds=0.45)
     assert report.verdict == INCONCLUSIVE
-    mirrored = sum(d[0] > d[1] for _, d in calls)
+    mirrored = sum(d[0] > d[1] for _, d, *_ in calls)
     assert calls and report.stats["components_computed"] == len(calls) + mirrored
 
 
@@ -470,8 +475,8 @@ def wrong_component():
 
 
 def test_a_wrong_component_is_a_differ_under_max_ab(monkeypatch):
-    monkeypatch.setattr(coinvariants, "component_characters", lambda n, d: (
-        wrong_component() if d == (1, 0, 0) else component_characters(n, d)))
+    monkeypatch.setattr(coinvariants, "component_characters", lambda n, d, support=None: (
+        wrong_component() if d == (1, 0, 0) else component_characters(n, d, support)))
     assert verify_conjecture(3).verdict == DIFFER
     report = verify_conjecture(3, max_ab=2)
     assert not report.stats["frontier_closed"] and report.stats["rhs_support_missing_on_module_side"]
@@ -520,12 +525,34 @@ def test_a_wrong_cached_zero_spreads_to_its_outer_cells(tmp_path, monkeypatch):
         ((1, 1, 1), -(Q ** 3 + Q * Q * T + Q * T * T + T ** 3))]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
+    # a valid but wrong nonzero (2, 0, 0) at n = 4: s_(3,1) moved to s_(2,1,1),
+    # both of dimension 3; the cell above it, (2, 1, 0), is solved for the lams
+    # that the wrong cell's Kronecker bound allows, and the comparison must
+    # still catch the wrong cell: DIFFER, never EQUAL
+    true = component_characters(4, TriDegree(2, 0, 0))
+    assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 0)
+    wrong = ComponentCharacters(4, true.degree, true.dim, {**true.mult, (3, 1): 0, (2, 1, 1): 1})
+    ComponentCache(tmp_path).put(wrong)
+    inner = component_characters(4, TriDegree(1, 1, 0))
+    above = TriDegree(2, 1, 0)
+    assert (support_bound(4, above, {true.degree: wrong, inner.degree: inner})
+            != support_bound(4, above, {true.degree: true, inner.degree: inner}))
+    report = verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+    assert report.verdict == DIFFER and report.stats["frontier_closed"]
+    # only the wrong cell and its mirror (0, 2, 0) differ
+    assert [(d.lam, d.difference) for d in report.diffs] == [
+        ((3, 1), -(Q * Q + T * T)), ((2, 1, 1), Q * Q + T * T)]
+    assert ComponentCache(tmp_path).get(4, above) == component_characters(4, above)
+
+
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
     # (1, 0, 0) comes back zero, and so does its mirror (0, 1, 0); band 2 of
     # row 0 lies one step above them and is nonzero, also where the delta
     # side has support, so the law fails at its first cell
-    def zero_at_100(n, d):
-        comp = component_characters(n, d)
+    def zero_at_100(n, d, support=None):
+        comp = component_characters(n, d, support)
         if d == (1, 0, 0):
             comp.mult = dict.fromkeys(comp.mult, 0)
         return comp
