@@ -119,13 +119,15 @@ outright, and a cell whose computed lower neighbours are all zero lies in
 the extra band beyond a closed band of zeros, which exists to test the
 vanishing law: it keeps the full Young system's cover, so that test stays
 as strong.  A valid but wrong cached cell bounds the cells above it
-wrongly; the comparison with the delta side still sees the cell itself.
+wrongly; the comparison with the delta side still sees the cell itself, and
+a solve that breaks such a bound names the cells that set it in its error.
 
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
-monomial coordinates and their sparse mod-p full-rank certificate stay here
-for now, unused by the engine, because the benchmark's tracer names them.
+monomial coordinates (spanning_vectors, ideal_component) and their sparse
+mod-p full-rank certificate (_modp_is_full_rank) stay here for now, unused
+by the engine, because the benchmark's tracer names them.
 
 Per-process tables.  The building blocks of an isotypic system that do not
 depend on the system are computed once per process and shared by every
@@ -187,22 +189,26 @@ MODP_PRIME = 1_048_573
 
 
 def spanning_vectors(n: int, d: TriDegree, index: dict[SuperMonomial, int]):
-    """Ideal spanning vectors of tri-degree d, one per generator * monomial."""
-    for _name, e, gen in ideal_generators(n):
-        rem = TriDegree(d.a - e.a, d.b - e.b, d.c - e.c)
+    """Ideal spanning vectors of tri-degree d, one per generator * monomial,
+    each generator (r, s, e) written as its terms x_i^r y_i^s theta_i^e, i ascending."""
+    for _name, (r, s, e) in ideal_generators(n):
+        rem = TriDegree(d.a - r, d.b - s, d.c - e)
         if rem.a < 0 or rem.b < 0 or rem.c < 0:
             continue
+        terms = [SuperMonomial(tuple(r if j == i else 0 for j in range(n)),
+                               tuple(s if j == i else 0 for j in range(n)),
+                               (i + 1,) if e else ()) for i in range(n)]
         for m in enumerate_monomials(n, rem):
             vec: dict[int, int] = {}
-            for gm, coeff in gen.terms.items():
+            for gm in terms:
                 prod = mono_mul(gm, m)
                 if prod is None:
                     continue
                 sign, pm = prod
                 i = index[pm]
-                s = vec.get(i, 0) + sign * coeff
-                if s:
-                    vec[i] = s
+                v = vec.get(i, 0) + sign
+                if v:
+                    vec[i] = v
                 elif i in vec:
                     del vec[i]
             if vec:
@@ -419,7 +425,7 @@ def _quotients(
     x, y, t = triple
     return tuple(
         (k, (x - r, y - s, t - e), e)
-        for k, (_name, (r, s, e), _gen) in enumerate(ideal_generators(n))
+        for k, (_name, (r, s, e)) in enumerate(ideal_generators(n))
         if x >= r and y >= s and t >= e
     )
 
@@ -546,8 +552,10 @@ class YoungSystem:
         return out
 
 
-def young_candidates(n: int) -> list[YoungCharacter]:
-    """Every (alpha, beta) with no part 1 in beta, by |H| descending, then (alpha, beta)."""
+@cache
+def young_candidates(n: int) -> tuple[YoungCharacter, ...]:
+    """Every (alpha, beta) with no part 1 in beta, by |H| descending, then (alpha, beta);
+    kept per process, so each character's pairing is computed once."""
     out = [
         YoungCharacter(alpha, beta)
         for k in range(n + 1)
@@ -555,7 +563,7 @@ def young_candidates(n: int) -> list[YoungCharacter]:
         for beta in partitions_of(n - k)
         if 1 not in beta
     ]
-    return sorted(out, key=lambda psi: (-psi.order, psi.alpha, psi.beta))
+    return tuple(sorted(out, key=lambda psi: (-psi.order, psi.alpha, psi.beta)))
 
 
 @cache
@@ -678,28 +686,35 @@ def component_characters(
 def support_bound(n: int, d: TriDegree, components) -> dict[Partition, int] | None:
     """The lams the cell d can hold, each with its bound, from the cells below it.
 
-    Each lower neighbour (a - 1, b, c) and (a, b - 1, c) that is among the
-    components and nonzero bounds m_lam(d) by [s_lam](s_(n-1,1) * F), F its
-    Frobenius characteristic, and for an outer cell (a - b >= 2) so does its
-    inner neighbour (a - 1, b + 1, c) by its own m_lam, when in hand (the
-    Support bound paragraph of the module docstring).  The least bound is
-    kept for each lam that all of them allow.  None, every lam unbounded,
-    when no lower neighbour is nonzero.
+    Each cell of bounding_cells bounds m_lam(d): a lower neighbour by
+    [s_lam](s_(n-1,1) * F), F its Frobenius characteristic, the inner
+    neighbour by its own m_lam (the Support bound paragraph of the module
+    docstring).  The least bound is kept for each lam that all of them
+    allow.  None, every lam unbounded, when no lower neighbour is nonzero.
     """
     lams = partitions_of(n)
     bounds = []
-    for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)):
-        comp = components.get(p)
-        if comp is not None and comp.dim_quotient:
-            m = [comp.mult[mu] for mu in lams]
+    for p in bounding_cells(d, components):
+        m = [components[p].mult[mu] for mu in lams]
+        if p[1] > d.b:  # the inner neighbour
+            bounds.append(m)
+        else:
             bounds.append([sum(x * k for x, k in zip(m, col))
                            for col in zip(*standard_kronecker(n))])
     if not bounds:
         return None
-    inner = components.get((d.a - 1, d.b + 1, d.c))
-    if d.a - d.b >= 2 and inner is not None:
-        bounds.append([inner.mult[lam] for lam in lams])
     return {lam: least for lam, *bs in zip(lams, *bounds) if (least := min(bs))}
+
+
+def bounding_cells(d: TriDegree, components) -> list[tuple[int, int, int]]:
+    """The cells in hand that bound the cell d: its nonzero lower neighbours and,
+    if it has one, for an outer cell (a - b >= 2) its inner neighbour."""
+    cells = [p for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c))
+             if p in components and components[p].dim_quotient]
+    inner = (d.a - 1, d.b + 1, d.c)
+    if cells and d.a - d.b >= 2 and inner in components:
+        cells.append(inner)
+    return cells
 
 
 def _component_worker(args) -> ComponentCharacters:
@@ -797,7 +812,8 @@ def frobenius_module(
     from those finished, and rows[c] is False for every row it cut short.
     Each queued cell is solved for the support that the cells below it in
     hand allow (support_bound; the Support bound paragraph of the module
-    docstring).
+    docstring), and a solve that fails its checks within that support raises
+    a ConsistencyError that names those cells.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -891,16 +907,29 @@ def frobenius_module(
             bands[c] += 1
             start(c)
 
+    def result(task) -> ComponentCharacters:
+        # a solve that fails within its support names the cells that set it: a
+        # wrong one among them (a wrong cached cell) breaks the solve's checks
+        try:
+            return _component_worker(pending[task]) if pool is None else task.result()
+        except ConsistencyError as exc:
+            _, d, support = pending[task]
+            if support is None:
+                raise
+            cells = ", ".join(str(p) for p in bounding_cells(d, components))
+            raise ConsistencyError(f"{exc}; solved within the bounds set by the cells "
+                                   f"{cells}, so one of them may be wrong") from exc
+
     def finished() -> list[tuple]:
         # the next (task, component) pairs; none once the budget ran out
         if pool is None:  # the oldest task, run here
             if deadline is not None and time.monotonic() > deadline:
                 return []
             d = next(iter(pending))
-            return [(d, _component_worker(pending[d]))]
+            return [(d, result(d))]
         timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
         done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-        return [(f, f.result()) for f in pending if f in done]
+        return [(f, result(f)) for f in pending if f in done]
 
     try:
         for c in range(n + 1):

@@ -15,7 +15,6 @@ images[k-1].
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations as _itertools_permutations
 from math import factorial
 
 Partition = tuple[int, ...]
@@ -121,10 +120,6 @@ def syt_count(mu: Partition) -> int:
 # --- permutations -----------------------------------------------------------
 
 
-def identity_perm(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
-
-
 def cycles_of(sigma: Permutation) -> list[list[int]]:
     """Cycle decomposition; each cycle starts at its smallest unseen letter."""
     n = len(sigma)
@@ -156,20 +151,4 @@ def perm_of_cycle_type(mu: Partition) -> Permutation:
         images.extend(range(start + 1, start + part))
         images.append(start)
         start += part
-    return tuple(images)
-
-
-def compose(sigma: Permutation, tau: Permutation) -> Permutation:
-    """sigma after tau: k -> sigma(tau(k))."""
-    return tuple(sigma[t - 1] for t in tau)
-
-
-def all_permutations(n: int):
-    for images in _itertools_permutations(range(1, n + 1)):
-        yield images
-
-
-def transposition(n: int, a: int, b: int) -> Permutation:
-    images = list(range(1, n + 1))
-    images[a - 1], images[b - 1] = b, a
     return tuple(images)

@@ -104,9 +104,6 @@ class QTZPoly:
             other = QTZPoly.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other) -> QTZPoly:
-        return (-self) + other
-
     def __mul__(self, other) -> QTZPoly:
         if isinstance(other, int):
             if not other:

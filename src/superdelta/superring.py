@@ -1,10 +1,13 @@
-"""The ring Q[x_1..x_n, y_1..y_n, theta_1..theta_n] with Grassmann thetas.
+"""Monomials of Q[x_1..x_n, y_1..y_n, theta_1..theta_n] with Grassmann thetas.
 
 x and y variables commute with everything; the theta_i anticommute and
 square to zero.  Monomials are kept in normal form: theta indices strictly
-increasing, with any reordering sign absorbed into the coefficient.  The
+increasing, with any reordering sign returned beside the monomial by the
+signed product (mono_mul) and the signed action (apply_perm_mono).  The
 symmetric group acts by permuting the indices of all three families of
-variables at once, which is a degree-preserving ring homomorphism.
+variables at once, which is a degree-preserving ring homomorphism.  An
+ideal generator is named by its degree (r, s, e) alone: it is the sum of the
+terms x_i^r y_i^s theta_i^e over i, so the signed action fixes it.
 """
 
 from __future__ import annotations
@@ -88,132 +91,17 @@ def apply_perm_mono(sigma: Permutation, m: SuperMonomial) -> tuple[int, SuperMon
     return sign, SuperMonomial(tuple(xexp), tuple(yexp), theta)
 
 
-class SuperPoly:
-    """Sparse element of the super ring on n index triples."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[SuperMonomial, object] | None = None,
-                 clean: bool = True):
-        self.n = n
-        if terms is None:
-            self.terms = {}
-        elif clean:
-            self.terms = {m: c for m, c in terms.items() if c}
-        else:
-            self.terms = terms
-
-    @classmethod
-    def from_monomial(cls, n: int, m: SuperMonomial, coeff=1) -> SuperPoly:
-        return cls(n, {m: coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SuperPoly):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __add__(self, other: SuperPoly) -> SuperPoly:
-        acc = dict(self.terms)
-        for m, c in other.terms.items():
-            s = acc.get(m, 0) + c
-            if s:
-                acc[m] = s
-            elif m in acc:
-                del acc[m]
-        return SuperPoly(self.n, acc, clean=False)
-
-    def __neg__(self) -> SuperPoly:
-        return SuperPoly(self.n, {m: -c for m, c in self.terms.items()}, clean=False)
-
-    def __sub__(self, other: SuperPoly) -> SuperPoly:
-        return self + (-other)
-
-    def scaled(self, coeff) -> SuperPoly:
-        if not coeff:
-            return SuperPoly(self.n)
-        return SuperPoly(self.n, {m: c * coeff for m, c in self.terms.items()}, clean=False)
-
-    def __mul__(self, other: SuperPoly) -> SuperPoly:
-        acc: dict[SuperMonomial, object] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                prod = mono_mul(m1, m2)
-                if prod is None:
-                    continue
-                sign, m = prod
-                s = acc.get(m, 0) + sign * c1 * c2
-                if s:
-                    acc[m] = s
-                elif m in acc:
-                    del acc[m]
-        return SuperPoly(self.n, acc)
-
-    def tri_degree(self) -> TriDegree:
-        """Degree of a homogeneous polynomial (raises if mixed)."""
-        degrees = {m.tri_degree() for m in self.terms}
-        if len(degrees) != 1:
-            raise ValueError(f"not homogeneous: degrees {sorted(degrees)}")
-        return degrees.pop()
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms):
-            c = self.terms[m]
-            parts.append(f"{c}*{mono_str(m)}" if c != 1 else mono_str(m))
-        return " + ".join(parts)
-
-    __repr__ = __str__
-
-
-def apply_perm(sigma: Permutation, f: SuperPoly) -> SuperPoly:
-    acc: dict[SuperMonomial, object] = {}
-    for m, c in f.terms.items():
-        sign, image = apply_perm_mono(sigma, m)
-        acc[image] = sign * c
-    return SuperPoly(f.n, acc, clean=False)
-
-
-def gen_p(n: int, r: int, s: int) -> SuperPoly:
-    """Polarized power sum x_1^r y_1^s + ... + x_n^r y_n^s, 0 < r+s <= n."""
-    if not 0 < r + s <= n:
-        raise ValueError(f"gen_p requires 0 < r+s <= n, got r={r} s={s} n={n}")
-    terms = {}
-    for i in range(n):
-        xexp = tuple(r if j == i else 0 for j in range(n))
-        yexp = tuple(s if j == i else 0 for j in range(n))
-        terms[SuperMonomial(xexp, yexp, ())] = 1
-    return SuperPoly(n, terms, clean=False)
-
-
-def gen_ptilde(n: int, r: int, s: int) -> SuperPoly:
-    """Theta-twisted sum x_1^r y_1^s theta_1 + ..., 0 <= r+s < n."""
-    if not 0 <= r + s < n:
-        raise ValueError(f"gen_ptilde requires 0 <= r+s < n, got r={r} s={s} n={n}")
-    terms = {}
-    for i in range(n):
-        xexp = tuple(r if j == i else 0 for j in range(n))
-        yexp = tuple(s if j == i else 0 for j in range(n))
-        terms[SuperMonomial(xexp, yexp, (i + 1,))] = 1
-    return SuperPoly(n, terms, clean=False)
-
-
 @cache
-def ideal_generators(n: int) -> tuple[tuple[str, TriDegree, SuperPoly], ...]:
-    """All ideal generators, each family in (r+s, r) lexicographic order."""
+def ideal_generators(n: int) -> tuple[tuple[str, TriDegree], ...]:
+    """(name, degree) of every ideal generator, each family in (r+s, r) order:
+    p[r,s] of degree (r, s, 0), 0 < r+s <= n, and pt[r,s] of (r, s, 1), r+s < n."""
     gens = []
     for d in range(1, n + 1):
         for r in range(d + 1):
-            s = d - r
-            gens.append((f"p[{r},{s}]", TriDegree(r, s, 0), gen_p(n, r, s)))
+            gens.append((f"p[{r},{d - r}]", TriDegree(r, d - r, 0)))
     for d in range(n):
         for r in range(d + 1):
-            s = d - r
-            gens.append((f"pt[{r},{s}]", TriDegree(r, s, 1), gen_ptilde(n, r, s)))
+            gens.append((f"pt[{r},{d - r}]", TriDegree(r, d - r, 1)))
     return tuple(gens)
 
 

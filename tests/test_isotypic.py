@@ -192,7 +192,7 @@ def reference_columns(d, psi):
     sorted by canonical (one call per distinct cofactor) and each row keyed
     by max(row)."""
     targets = reference_live_orbits(psi, d)[::-1]
-    gens = [e for _name, e, _gen in ideal_generators(psi.n)
+    gens = [e for _name, e in ideal_generators(psi.n)
             if e.a <= d.a and e.b <= d.b and e.c <= d.c]
     canon = {}
     rows = [{} for _ in gens]
@@ -227,7 +227,7 @@ def reference_isotypic_dimension(d, psi):
     targets = psi.live_orbits(d)
     if not targets:
         return 0
-    gens = [e for _name, e, _gen in ideal_generators(psi.n)
+    gens = [e for _name, e in ideal_generators(psi.n)
             if e.a <= d.a and e.b <= d.b and e.c <= d.c]
     ech = Echelon()
     for r, s, e in reversed(gens):

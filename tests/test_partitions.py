@@ -1,26 +1,23 @@
+from itertools import permutations
 from math import factorial
 
 import pytest
 
 from superdelta.partitions import (
-    all_permutations,
     arm,
     cells,
     check_partition,
-    compose,
     conjugate,
     cycle_type,
     cycles_of,
     dominates,
     hook_lengths,
-    identity_perm,
     leg,
     partition_from_str,
     partition_to_str,
     partitions_of,
     perm_of_cycle_type,
     syt_count,
-    transposition,
     z_mu,
 )
 
@@ -107,7 +104,7 @@ def test_z_mu_counts_permutations_by_type():
     # the number of permutations of cycle type mu is n!/z_mu
     for n in range(1, 7):
         counts = {}
-        for perm in all_permutations(n):
+        for perm in permutations(range(1, n + 1)):
             t = cycle_type(perm)
             counts[t] = counts.get(t, 0) + 1
         assert set(counts) == set(partitions_of(n))
@@ -127,12 +124,13 @@ def test_perm_of_cycle_type_roundtrip():
             assert cycle_type(perm_of_cycle_type(mu)) == mu
 
 
-def test_cycles_and_compose():
+def test_cycles_of():
     sigma = perm_of_cycle_type((3, 2))
     assert [len(c) for c in cycles_of(sigma)] == [3, 2]
-    tau = transposition(5, 1, 4)
-    assert compose(sigma, identity_perm(5)) == sigma
-    assert cycle_type(compose(tau, tau)) == (1, 1, 1, 1, 1)
+    tau = (4, 2, 3, 1, 5)  # the transposition of 1 and 4
+    assert cycles_of(tau) == [[1, 4], [2], [3], [5]]
+    assert cycle_type(tau) == (2, 1, 1, 1)
+    assert cycles_of((1, 2, 3, 4, 5)) == [[1], [2], [3], [4], [5]]
 
 
 def test_conjugate():

@@ -547,6 +547,21 @@ def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
     assert ComponentCache(tmp_path).get(4, above) == component_characters(4, above)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_wrong_cached_cell_that_breaks_a_bound_is_named(tmp_path, threads):
+    # a valid but wrong nonzero (1, 1, 0) at n = 4, the only cached cell: its
+    # unit of s_(3,1) moved to s_(2,1,1), both of dimension 3; the solve of
+    # (2, 1, 0) above it breaks the bound the wrong cell sets, and the error
+    # names the cells that set its bounds, the cached one among them
+    true = component_characters(4, TriDegree(1, 1, 0))
+    assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 1)
+    wrong = {**true.mult, (3, 1): 0, (2, 1, 1): 2}
+    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, true.dim, wrong))
+    with pytest.raises(ConsistencyError, match=r"at TriDegree\(a=2, b=1, c=0\): .* "
+                       r"bounds set by the cells \(1, 1, 0\), \(2, 0, 0\),"):
+        verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+
+
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
     # (1, 0, 0) comes back zero, and so does its mirror (0, 1, 0); band 2 of
     # row 0 lies one step above them and is nonzero, also where the delta
