@@ -1,4 +1,4 @@
-"""Irreducible symmetric group characters and Kostka numbers.
+"""Irreducible symmetric group characters and integer Schur pairings.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion,
 implemented on beta-sets (first-column hook lengths): removing a strip of
@@ -9,9 +9,9 @@ length ell from lam is replacing a beta number b by b - ell, with sign
 from __future__ import annotations
 
 from functools import cache
+from itertools import product
 
-from .partitions import Partition, partitions_of, z_mu
-from .rationals import RAT
+from .partitions import Partition, conjugate, partitions_of
 
 
 @cache
@@ -53,19 +53,15 @@ class CharacterTable:
     """All values chi^lam(mu) for lam, mu partitions of n."""
 
     def __init__(self, n: int):
-        self.n = n
-        self.partitions = partitions_of(n)
+        lams = partitions_of(n)
         self.table = {
             (lam, mu): mn_character(lam, mu)
-            for lam in self.partitions
-            for mu in self.partitions
+            for lam in lams
+            for mu in lams
         }
 
     def value(self, lam: Partition, mu: Partition) -> int:
         return self.table[(lam, mu)]
-
-    def dimension(self, lam: Partition) -> int:
-        return self.table[(lam, (1,) * self.n)]
 
 
 @cache
@@ -73,63 +69,55 @@ def character_table(n: int) -> CharacterTable:
     return CharacterTable(n)
 
 
+def _horizontal_strip_predecessors(lam: Partition, size: int):
+    """Shapes rho with lam/rho a horizontal strip of the given size:
+    lam_(i+1) <= rho_i <= lam_i in every row i."""
+    total = sum(lam) - size
+    for rho in product(*(range(low, part + 1) for part, low in zip(lam, lam[1:] + (0,)))):
+        if sum(rho) == total:
+            yield tuple(p for p in rho if p)
+
+
+@cache
+def strip_count(lam: Partition, parts: tuple[tuple[int, bool], ...]) -> int:
+    """<s_lam, prod h_k or e_k>, one (k, vertical) per factor, e_k when vertical.
+
+    By the Pieri rules (Macdonald, Symmetric Functions and Hall Polynomials,
+    I.5) s_rho h_k (s_rho e_k) adds every horizontal (vertical) strip of k
+    boxes to rho, so this counts the chains of strips from () to lam, the
+    last factor's removed first; a vertical strip of lam is a horizontal
+    strip of its conjugate.
+    """
+    if not parts:
+        return 0 if lam else 1
+    k, vertical = parts[-1]
+    if vertical:
+        below = (conjugate(rho) for rho in _horizontal_strip_predecessors(conjugate(lam), k))
+    else:
+        below = _horizontal_strip_predecessors(lam, k)
+    return sum(strip_count(rho, parts[:-1]) for rho in below)
+
+
+def kostka(lam: Partition, nu: Partition) -> int:
+    """Number of semistandard tableaux of shape lam and content nu: <s_lam, h_nu>."""
+    if sum(lam) != sum(nu):
+        raise ValueError(f"size mismatch: |{lam}| != |{nu}|")
+    return strip_count(lam, tuple((k, False) for k in nu))
+
+
 @cache
 def standard_kronecker(n: int) -> tuple[tuple[int, ...], ...]:
     """[s_lam](s_(n-1,1) * s_mu), rows mu and columns lam indexed like partitions_of(n).
 
-    * is the Kronecker product: the character of s_(n-1,1) is fix(g) - 1, so
-    the entry is sum_nu (fix(nu) - 1) chi^mu(nu) chi^lam(nu) / z_nu.  At
-    n = 1 that character is 0, and so is the table.
+    * is the Kronecker product: s_(n-1,1) has character fix(g) - 1, and
+    fix(g) chi^mu is chi^mu restricted to S_(n-1) and induced back, so the
+    entry counts the rho |- n - 1 one box below both mu and lam, less 1 at
+    lam = mu (0 throughout at n = 1, where that character is 0).
     """
-    table = character_table(n)
-    lams = table.partitions
-    out = []
-    for mu in lams:
-        row = []
-        for lam in lams:
-            value = sum(
-                RAT((nu.count(1) - 1) * table.value(mu, nu) * table.value(lam, nu), z_mu(nu))
-                for nu in lams
-            )
-            if value.denominator != 1:
-                raise ValueError(f"non-integer Kronecker coefficient at {mu}, {lam}: {value}")
-            row.append(int(value))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _horizontal_strip_predecessors(lam: Partition, size: int):
-    """Shapes rho with lam/rho a horizontal strip of the given size."""
-    length = len(lam)
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == length:
-            if remaining == 0:
-                yield tuple(p for p in prefix if p > 0)
-            return
-        lo = lam[i + 1] if i + 1 < length else 0
-        for rho_i in range(lam[i], lo - 1, -1):
-            removed = lam[i] - rho_i
-            if removed > remaining:
-                break
-            yield from rec(i + 1, remaining - removed, prefix + (rho_i,))
-
-    yield from rec(0, size, ())
-
-
-@cache
-def kostka(lam: Partition, nu: Partition) -> int:
-    """Number of semistandard tableaux of shape lam and content nu."""
-    if sum(lam) != sum(nu):
-        raise ValueError(f"size mismatch: |{lam}| != |{nu}|")
-    if not lam:
-        return 1
-    if not nu:
-        return 0
-    total = 0
-    for rho in _horizontal_strip_predecessors(lam, nu[-1]):
-        total += kostka(rho, nu[:-1])
-    return total
+    lams = partitions_of(n)
+    below = {lam: set(_horizontal_strip_predecessors(lam, 1)) for lam in lams}
+    return tuple(tuple(len(below[mu] & below[lam]) - (lam == mu) for lam in lams)
+                 for mu in lams)
 
 
 __all__ = [
@@ -138,4 +126,5 @@ __all__ = [
     "kostka",
     "mn_character",
     "standard_kronecker",
+    "strip_count",
 ]

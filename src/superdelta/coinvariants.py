@@ -38,9 +38,10 @@ transposed system: one vector per live orbit, whose coordinates are the
 labelled rows g * v_O, so the echelon eliminates one vector per column
 rather than one per row, where many rows depend on the others.  A fixed set of
 such psi per n whose pairing matrix K[psi, lam] = <s_lam, h_alpha e_beta>
-is invertible turns these dimensions into the multiplicities m_lam, which
-must be nonnegative integers.  A component is stored as these m_lam: the
-quotient dimension is sum_lam m_lam f^lam, the series gains
+(characters.strip_count) is invertible turns these dimensions into the
+multiplicities m_lam: K m = dims is solved on the same integer Echelon, and
+each m_lam must be a nonnegative integer.  A component is stored as these
+m_lam: the quotient dimension is sum_lam m_lam f^lam, the series gains
 q^a t^b z^c m_lam at s_lam, and the characters chi_M(mu) =
 sum_lam m_lam chi^lam(mu) are derived on demand.  One more, dependent psi
 is computed as a redundancy check.
@@ -120,14 +121,16 @@ the extra band beyond a closed band of zeros, which exists to test the
 vanishing law: it keeps the full Young system's cover, so that test stays
 as strong.  A valid but wrong cached cell bounds the cells above it
 wrongly; the comparison with the delta side still sees the cell itself, and
-a solve that breaks such a bound names the cells that set it in its error.
+a solve that breaks such a bound, or a frontier-law error above a zero so
+bounded, names it in its error.
 
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
 whole components) lives in tests/unreduced.py.  Its ideal components in
 monomial coordinates (spanning_vectors, ideal_component) and their sparse
 mod-p full-rank certificate (_modp_is_full_rank) stay here for now, unused
-by the engine, because the benchmark's tracer names them.
+by the engine, because the benchmark's tracer names them; the
+Echelon.reduce_fully they call is engine code, the Young solve's.
 
 Per-process tables.  The building blocks of an isotypic system that do not
 depend on the system are computed once per process and shared by every
@@ -168,11 +171,10 @@ from itertools import product
 from math import factorial, isfinite, prod
 from threading import TIMEOUT_MAX
 
-from .characters import character_table, standard_kronecker
-from .linalg import Echelon, ConsistencyError, inverse
-from .partitions import Partition, partitions_of, z_mu
+from .characters import character_table, standard_kronecker, strip_count
+from .linalg import Echelon, ConsistencyError
+from .partitions import Partition, partitions_of, syt_count
 from .qtz import QTZPoly
-from .rationals import RAT
 from .series import FrobeniusSeries
 from .superring import (
     SuperMonomial,
@@ -316,9 +318,9 @@ class YoungCharacter:
         return prod(factorial(k) for k in self.alpha + self.beta)
 
     @property
-    def parts(self) -> list[tuple[int, bool]]:
+    def parts(self) -> tuple[tuple[int, bool], ...]:
         """(block size, signed) for each block, alpha's first."""
-        return [(k, False) for k in self.alpha] + [(k, True) for k in self.beta]
+        return tuple([(k, False) for k in self.alpha] + [(k, True) for k in self.beta])
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, int, bool], ...]:
@@ -374,24 +376,8 @@ class YoungCharacter:
 
     @cached_property
     def pairing(self) -> dict[Partition, int]:
-        """<s_lam, h_alpha e_beta> for every lam |- n, through the p basis."""
-        coeffs = {(): RAT(1)}
-        for size, signed in self.parts:
-            step: dict[Partition, object] = {}
-            for nu, c in coeffs.items():
-                for mu in partitions_of(size):
-                    sign = -1 if signed and (size - len(mu)) % 2 else 1
-                    key = tuple(sorted(nu + mu, reverse=True))
-                    step[key] = step.get(key, 0) + c * RAT(sign, z_mu(mu))
-            coeffs = step
-        table = character_table(self.n)
-        out = {}
-        for lam in partitions_of(self.n):
-            value = sum(c * table.value(lam, nu) for nu, c in coeffs.items())
-            if value.denominator != 1:
-                raise ConsistencyError(f"non-integer pairing <s_{lam}, {self}>: {value}")
-            out[lam] = int(value)
-        return out
+        """<s_lam, h_alpha e_beta> for every lam |- n, a count of strips."""
+        return {lam: strip_count(lam, self.parts) for lam in partitions_of(self.n)}
 
 
 # bounded: an n = 5 worker reads 1.5k runs of blocks smaller than n (3.5 MB),
@@ -512,7 +498,6 @@ class YoungSystem:
     n: int
     characters: tuple[YoungCharacter, ...]
     extra: YoungCharacter | None
-    inverse: tuple[tuple[int | RAT, ...], ...]  # K^-1, rows indexed like lams
     support: tuple[Partition, ...] | None = None
 
     @property
@@ -542,13 +527,21 @@ class YoungSystem:
         return next((psi for psi in self.characters if psi not in self.cover), self.extra)
 
     def multiplicities(self, dims: list[int]) -> dict[Partition, int]:
-        """Schur multiplicities from the isotypic dimensions; must be in N."""
+        """Schur multiplicities, K m = dims solved on an Echelon of the rows
+        [K_psi | dim]: fully reduced, row j gives m_lam = num / den; must be in N."""
+        lams = self.lams
+        size = len(lams)
+        ech = Echelon()
+        for psi, dim in zip(self.characters, dims):
+            ech.insert({**{j: psi.pairing[lam] for j, lam in enumerate(lams)}, size: dim})
+        ech.reduce_fully()
         out = dict.fromkeys(partitions_of(self.n), 0)
-        for lam, row in zip(self.lams, self.inverse):
-            m = sum(k * v for k, v in zip(row, dims))
-            if m.denominator != 1 or m < 0:
+        for j, lam in enumerate(lams):
+            num, den = ech.pivots[j].get(size, 0), ech.pivots[j][j]
+            if num % den or num < 0:
+                m = num if den == 1 else f"{num}/{den}"
                 raise ConsistencyError(f"multiplicity of s_{lam} is {m}, not in N")
-            out[lam] = int(m)
+            out[lam] = num // den
         return out
 
 
@@ -590,11 +583,7 @@ def young_system(n: int, support: tuple[Partition, ...] | None = None) -> YoungS
     if len(chosen) != len(lams):
         raise ConsistencyError(f"Young characters do not span the class functions of S_{n}")
     extra = next((psi for psi in candidates if psi not in chosen), None)
-    # columns of K are indexed by lam, rows by psi: K^-1 maps dims to multiplicities;
-    # integral entries (all for n <= 7) become ints, so each solve is int arithmetic
-    matrix = [[psi.pairing[lam] for lam in lams] for psi in chosen]
-    inv = tuple(tuple(int(x) if x.denominator == 1 else x for x in row) for row in inverse(matrix))
-    return YoungSystem(n, tuple(chosen), extra, inv, None if lams == partitions_of(n) else lams)
+    return YoungSystem(n, tuple(chosen), extra, None if lams == partitions_of(n) else lams)
 
 
 @dataclass
@@ -608,8 +597,7 @@ class ComponentCharacters:
 
     @property
     def dim_quotient(self) -> int:
-        table = character_table(self.n)
-        return sum(m * table.dimension(lam) for lam, m in self.mult.items())
+        return sum(m * syt_count(lam) for lam, m in self.mult.items())
 
     @property
     def rank(self) -> int:
@@ -813,7 +801,9 @@ def frobenius_module(
     Each queued cell is solved for the support that the cells below it in
     hand allow (support_bound; the Support bound paragraph of the module
     docstring), and a solve that fails its checks within that support raises
-    a ConsistencyError that names those cells.
+    a ConsistencyError that names those cells, then the cells that shaped
+    them in turn (a copy or an inferred zero is shaped by its source); the
+    frontier law's error names the zero cells below its cell in the same way.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -840,12 +830,18 @@ def frobenius_module(
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
     waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
     pending = {}  # task (a future, or serially a degree) -> (n, degree, support), oldest first
+    shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells whose bounds shaped it
+
+    def behind(cells):
+        # these cells, then the cells that shaped them
+        return list(dict.fromkeys(cells + [p for q in cells for p in shaped[q]]))
 
     def queue(todo):
         # solve these cells, largest first, behind those already queued, each
         # for the lams that the cells below it in hand allow
         if deadline is None or time.monotonic() <= deadline:
             for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
+                shaped[d] = behind(bounding_cells(d, components))
                 args = (n, d, support_bound(n, d, components))
                 pending[d if pool is None else pool.submit(_component_worker, args)] = args
 
@@ -853,13 +849,16 @@ def frobenius_module(
         # in hand (solved, read from the cache, copied or inferred): kept, cached
         # unless it was read from there, and the cells waiting on it derived
         components[comp.degree] = comp
+        shaped.setdefault(comp.degree, [])  # a cache hit rests on no cell
         if put and component_cache is not None:
             component_cache.put(comp)
         for d in waiting.pop(comp.degree, ()):
+            if comp.dim_quotient and d.a >= d.b:  # nonzero inside: solve it
+                queue([d])
+                continue
+            shaped[d] = behind([tuple(comp.degree)])
             if d.a < d.b:  # a copy of its mirror
                 keep(ComponentCharacters(n, d, comp.dim, dict(comp.mult)))
-            elif comp.dim_quotient:  # nonzero inside: solve it
-                queue([d])
             else:  # zero inside, so zero beyond
                 zero = dict.fromkeys(comp.mult, 0)
                 keep(ComponentCharacters(n, d, component_dimension(n, d), zero))
@@ -900,10 +899,12 @@ def frobenius_module(
             for d, lvl in cells[c].items():
                 nonzero = components[d].dim_quotient > 0
                 reach[d] = -1 if nonzero else lvl
-                if nonzero and lvl > 0:
+                if nonzero and lvl > 0:  # every lower neighbour in hand is zero
+                    zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c)) if p in reach]
                     raise ConsistencyError(
-                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}"
-                    )
+                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}; "
+                        "the zero cells below it and the cells that shaped them are "
+                        f"{', '.join(map(str, behind(zeros)))}, so one of them may be wrong")
             bands[c] += 1
             start(c)
 
@@ -916,7 +917,7 @@ def frobenius_module(
             _, d, support = pending[task]
             if support is None:
                 raise
-            cells = ", ".join(str(p) for p in bounding_cells(d, components))
+            cells = ", ".join(str(p) for p in shaped[d])
             raise ConsistencyError(f"{exc}; solved within the bounds set by the cells "
                                    f"{cells}, so one of them may be wrong") from exc
 

@@ -1,4 +1,4 @@
-"""Exact sparse linear algebra over the rationals.
+"""Exact sparse linear algebra over the integers.
 
 Vectors are dicts {coordinate: value}; the elimination core works on
 integer vectors with fraction-free cross-multiplication updates and gcd
@@ -10,8 +10,6 @@ nonzero coordinate.
 from __future__ import annotations
 
 from math import gcd
-
-from .rationals import RAT
 
 
 class ConsistencyError(Exception):
@@ -95,26 +93,3 @@ class Echelon:
                 self._eliminate(row, self.pivots[c], c)
             self.pivots[j] = _strip_content(row, j)
 
-
-def inverse(matrix: list[list[int]]) -> list[list[RAT]]:
-    """Exact inverse of a square integer matrix K (ValueError if singular).
-
-    The rows [K_i | e_i] go into an Echelon, whose pivots are then exactly the
-    columns of K.  Reducing [e_j | 0 | 1] against them leaves [0 | -s x | s],
-    where x K = e_j and s is the scale the fraction-free elimination applied,
-    so row j of K^-1 is -(middle block) / s.
-    """
-    size = len(matrix)
-    ech = Echelon()
-    for i, row in enumerate(matrix):
-        v = {j: val for j, val in enumerate(row) if val}
-        v[size + i] = 1
-        ech.insert(v)
-    if sorted(ech.pivots) != list(range(size)):
-        raise ValueError("matrix is singular")
-    out = []
-    for j in range(size):
-        r = ech.residual({j: 1, 2 * size: 1})
-        s = r[2 * size]
-        out.append([RAT(-r.get(size + i, 0), s) for i in range(size)])
-    return out

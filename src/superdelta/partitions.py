@@ -107,6 +107,7 @@ def hook_lengths(mu: Partition) -> list[int]:
     return [mu[j] - i + conj[i] - j - 1 for j, i in cells(mu)]
 
 
+@cache
 def syt_count(mu: Partition) -> int:
     """Number of standard Young tableaux of shape mu (hook length formula)."""
     if not mu:

@@ -1,7 +1,7 @@
-"""The one rational type.
+"""The one rational type, outside the engine, which computes in integers.
 
-Polynomial coefficients are Python ints.  `RAT` serves the few genuine
-divisions: the Young pairings and the K^-1 solve.
+`RAT` stays for the environment record of perfbench/run.py, the tests and
+demo 01.
 """
 
 from fractions import Fraction as RAT

@@ -5,8 +5,9 @@ from superdelta.characters import (
     kostka,
     mn_character,
     standard_kronecker,
+    strip_count,
 )
-from superdelta.partitions import dominates, partitions_of, syt_count, z_mu
+from superdelta.partitions import conjugate, dominates, partitions_of, syt_count, z_mu
 from superdelta.rationals import RAT
 
 
@@ -66,7 +67,7 @@ def test_identity_column_is_syt_count():
     for n in range(1, 8):
         for lam in partitions_of(n):
             assert mn_character(lam, (1,) * n) == syt_count(lam)
-            assert character_table(n).dimension(lam) == syt_count(lam)
+            assert character_table(n).value(lam, (1,) * n) == syt_count(lam)
 
 
 def test_orthogonality():
@@ -109,6 +110,18 @@ def test_kostka_size_mismatch():
         kostka((2,), (1, 1, 1))
 
 
+def test_vertical_strips_count_tableaux_of_the_conjugate():
+    # <s_lam, e_nu> = <s_lam', h_nu> (omega), and mixed factors commute
+    for n in range(1, 7):
+        for lam in partitions_of(n):
+            for nu in partitions_of(n):
+                assert strip_count(lam, tuple((k, True) for k in nu)) == kostka(conjugate(lam), nu)
+                mixed = tuple((k, i % 2 == 1) for i, k in enumerate(nu))
+                assert strip_count(lam, mixed) == strip_count(lam, mixed[::-1]), (lam, nu)
+            assert strip_count(lam, ((n, True),)) == (lam == (1,) * n)
+    assert strip_count((2, 1), ((1, False),)) == 0  # sizes differ: no chain of strips
+
+
 def remove_add(mu):
     """s_(n-1,1) * s_mu by the rule: s_mu restricted to S_(n-1) and induced
     back (every way to remove a corner box and add a box), less s_mu once."""
@@ -135,3 +148,15 @@ def test_standard_kronecker_is_remove_a_box_add_a_box():
     assert standard_kronecker(1) == ((0,),)
     # s_(2,1) * s_(2,1) = s_3 + s_21 + s_111
     assert standard_kronecker(3)[1] == (1, 1, 1)
+
+
+def test_standard_kronecker_is_the_character_sum():
+    # the character route: [s_lam](s_(n-1,1) * s_mu) = <(fix - 1) chi^mu, chi^lam>
+    for n in range(1, 8):
+        table = character_table(n)
+        lams = partitions_of(n)
+        want = tuple(
+            tuple(sum(RAT((nu.count(1) - 1) * table.value(mu, nu) * table.value(lam, nu), z_mu(nu))
+                      for nu in lams) for lam in lams)
+            for mu in lams)
+        assert standard_kronecker(n) == want, n

@@ -20,7 +20,7 @@ from superdelta.coinvariants import (
 )
 from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.macdonald import rhs_series
-from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type, z_mu
+from superdelta.partitions import cycle_type, partitions_of, perm_of_cycle_type, syt_count, z_mu
 from superdelta.rationals import RAT
 from superdelta.superring import (
     TriDegree,
@@ -618,19 +618,50 @@ def test_canonicalization_agrees_with_bruteforce_projection(n):
             assert sorted(reps) == psi.live_orbits(d), (psi, d)
 
 
+def pairing_dims(system, mult):
+    """dims = K m: the isotypic dimensions that the multiplicities give."""
+    return [sum(psi.pairing[lam] * m for lam, m in mult.items()) for psi in system.characters]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_young_system_inverts(n):
+    # the solve gives back m from dims = K m, for every unit vector and a
+    # seeded sample of nonnegative m
     system = young_system(n)
     lams = partitions_of(n)
     assert len(system.characters) == len(lams)
-    kmat = [[psi.pairing[lam] for lam in lams] for psi in system.characters]
-    for i in range(len(lams)):
-        for j in range(len(lams)):
-            entry = sum(system.inverse[i][k] * kmat[k][j] for k in range(len(lams)))
-            assert entry == (1 if i == j else 0)
+    rng = random.Random(n)
+    units = [{lam: int(lam == mu) for lam in lams} for mu in lams]
+    sample = [{lam: rng.randrange(5) for lam in lams} for _ in range(20)]
+    for mult in units + sample:
+        got = system.multiplicities(pairing_dims(system, mult))
+        assert got == mult and all(type(m) is int for m in got.values())
     if n > 1:
         assert system.extra is not None and system.extra not in system.characters
         assert system.extra == next(p for p in young_candidates(n) if p not in system.characters)
+
+
+def power_sum_pairing(psi):
+    """<s_lam, h_alpha e_beta> through the p basis: h_k = sum_mu p_mu / z_mu,
+    e_k = sum_mu (-1)^(k - len(mu)) p_mu / z_mu, paired with chi^lam."""
+    coeffs = {(): RAT(1)}
+    for size, signed in psi.parts:
+        step = {}
+        for nu, c in coeffs.items():
+            for mu in partitions_of(size):
+                sign = -1 if signed and (size - len(mu)) % 2 else 1
+                key = tuple(sorted(nu + mu, reverse=True))
+                step[key] = step.get(key, 0) + c * RAT(sign, z_mu(mu))
+        coeffs = step
+    table = character_table(psi.n)
+    return {lam: sum(c * table.value(lam, nu) for nu, c in coeffs.items())
+            for lam in partitions_of(psi.n)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pairing_matches_the_power_sum_route(n):
+    for psi in young_candidates(n):
+        assert psi.pairing == power_sum_pairing(psi), psi
 
 
 def test_pairing_is_reciprocity():
@@ -672,14 +703,21 @@ def test_quotient_above_ambient_is_caught(monkeypatch):
 
 
 def test_fractional_inverse_gives_int_multiplicities_or_fails():
-    # K^-1 is integral for n <= 7; a Fraction entry must still give int
-    # multiplicities (assemble_series takes ints only) or a ConsistencyError
-    system = young_system(2)
-    halved = YoungSystem(2, system.characters, None, ((RAT(1, 2), 0), (0, 1)))
-    mult = halved.multiplicities([2, 3])
-    assert mult == {(2,): 1, (1, 1): 3} and all(type(m) is int for m in mult.values())
-    with pytest.raises(ConsistencyError, match="1/2"):
-        halved.multiplicities([1, 3])
+    # h_3, e_3 and h_1 e_1 e_1, the last outside the candidates (a part 1 in
+    # beta), pair as K = [[1, 0, 0], [0, 0, 1], [1, 2, 1]], |det K| = 2: a
+    # solve must give int multiplicities (assemble_series takes ints only) for
+    # dims in the image of K on N^3, and a ConsistencyError for any other
+    psis = (YoungCharacter((3,), ()), YoungCharacter((), (3,)), YoungCharacter((1,), (1, 1)))
+    assert [[psi.pairing[lam] for lam in partitions_of(3)] for psi in psis] == [
+        [1, 0, 0], [0, 0, 1], [1, 2, 1]]
+    halved = YoungSystem(3, psis, None)
+    want = {(3,): 1, (2, 1): 2, (1, 1, 1): 3}
+    mult = halved.multiplicities(pairing_dims(halved, want))
+    assert mult == want and all(type(m) is int for m in mult.values())
+    with pytest.raises(ConsistencyError, match=r"multiplicity of s_\(2, 1\) is 3/2, not in N"):
+        halved.multiplicities([1, 3, 7])
+    with pytest.raises(ConsistencyError, match=r"multiplicity of s_\(2, 1\) is -1, not in N"):
+        halved.multiplicities([1, 3, 2])
 
 
 def full_solve(n, d):
@@ -693,8 +731,7 @@ def full_solve(n, d):
         want = sum(m * system.extra.pairing[lam] for lam, m in mult.items())
         if coinvariants.isotypic_dimension(d, system.extra) != want:
             raise ConsistencyError(f"redundancy check at {d}")
-    table = character_table(n)
-    if sum(m * table.dimension(lam) for lam, m in mult.items()) > component_dimension(n, d):
+    if sum(m * syt_count(lam) for lam, m in mult.items()) > component_dimension(n, d):
         raise ConsistencyError(f"at {d}: the quotient exceeds the ambient dimension")
     return mult
 
@@ -799,19 +836,26 @@ def test_restricted_systems_are_pinned():
     assert young_system(4, partitions_of(4)) == full and full.support is None
     # no lam: no character, and the first candidate, e_4, checks the zero
     empty = young_system(4, ())
-    assert (empty.characters, empty.cover, empty.inverse) == ((), (), ())
+    assert (empty.characters, empty.cover) == ((), ())
+    assert empty.multiplicities([]) == dict.fromkeys(partitions_of(4), 0)
     assert empty.zero_check == empty.extra == YoungCharacter((), (4,))
     assert young_system(1, ()).zero_check == YoungCharacter((1,), ())
     # <s_lam, h_4> is 1 at lam = (4) and 0 elsewhere: the trivial character
     # solves the cell, and e_4 checks it
     trivial = young_system(4, ((4,),))
     assert trivial.characters == trivial.cover == (YoungCharacter((4,), ()),)
-    assert trivial.inverse == ((1,),) and trivial.zero_check == trivial.extra == YoungCharacter((), (4,))
+    assert trivial.multiplicities([5]) == {**dict.fromkeys(partitions_of(4), 0), (4,): 5}
+    assert trivial.zero_check == trivial.extra == YoungCharacter((), (4,))
     # the commonest two-lam support at n = 4: (1)|(3) pairs with both lams,
     # so it is the cover, and h_4, which pairs with neither, is the check
     two = young_system(4, ((2, 1, 1), (1, 1, 1, 1)))
     assert two.characters == (YoungCharacter((), (4,)), YoungCharacter((1,), (3,)))
-    assert two.cover == (YoungCharacter((1,), (3,)),) and two.inverse == ((-1, 1), (1, 0))
+    assert two.cover == (YoungCharacter((1,), (3,)),)
+    # K = [[0, 1], [1, 1]]: m_(1,1,1,1) = dim for e_4, m_(2,1,1) the rest of (1)|(3)
+    assert two.multiplicities([2, 5]) == {
+        **dict.fromkeys(partitions_of(4), 0), (2, 1, 1): 3, (1, 1, 1, 1): 2}
+    with pytest.raises(ConsistencyError, match=r"s_\(2, 1, 1\) is -1, not in N"):
+        two.multiplicities([3, 2])
     assert two.zero_check == YoungCharacter((), (4,)) and two.extra == YoungCharacter((4,), ())
 
 

@@ -1,9 +1,7 @@
 import random
 
-import pytest
-
 from superdelta.coinvariants import MODP_PRIME, _modp_is_full_rank
-from superdelta.linalg import Echelon, inverse
+from superdelta.linalg import Echelon
 from superdelta.rationals import RAT
 from unreduced import basis_rows, trace_on_reduced_basis
 
@@ -206,25 +204,6 @@ def test_row_rank_equals_column_rank():
         cols_deficient += rank < ncols
         empty += any(not any(col) for col in transpose(m, ncols))
     assert 0 < rows_deficient < 200 and 0 < cols_deficient < 200 and empty > 0
-
-
-def test_inverse_random_and_singular():
-    rng = random.Random(11)
-    for size in range(1, 7):
-        for _ in range(10):
-            m = random_matrix(rng, size, size, -4, 4)
-            if echelon_of(m).rank < size:
-                with pytest.raises(ValueError):
-                    inverse(m)
-                continue
-            inv = inverse(m)
-            for i in range(size):
-                for j in range(size):
-                    entry = sum(inv[i][k] * m[k][j] for k in range(size))
-                    assert entry == (1 if i == j else 0)
-    assert inverse([[2, 0], [0, 4]]) == [[RAT(1, 2), 0], [0, RAT(1, 4)]]
-    with pytest.raises(ValueError):
-        inverse([[1, 2], [2, 4]])
 
 
 def test_modp_certificate_matches_exact_full_rank():

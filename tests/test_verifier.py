@@ -562,6 +562,22 @@ def test_a_wrong_cached_cell_that_breaks_a_bound_is_named(tmp_path, threads):
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_wrong_cached_cell_behind_a_frontier_error_is_named(tmp_path, threads):
+    # a valid but wrong (0, 0, 0) at n = 4, the only cached cell: its unit of
+    # s_(4) moved to s_(1,1,1,1), both of dimension 1.  (1, 0, 0) is solved
+    # within the bound it sets and comes back zero, its mirror (0, 1, 0) is a
+    # copy, and (0, 2, 0) above them is nonzero: the frontier-law error names
+    # the zero cell below it and the cells that shaped it, the cached one last
+    true = component_characters(4, TriDegree(0, 0, 0))
+    assert (true.mult[(4,)], true.mult[(1, 1, 1, 1)]) == (1, 0)
+    wrong = {**true.mult, (4,): 0, (1, 1, 1, 1): 1}
+    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, true.dim, wrong))
+    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 2\), c=0; .* "
+                       r"\(0, 1, 0\), \(1, 0, 0\), \(0, 0, 0\), so one of them may be wrong"):
+        verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+
+
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
     # (1, 0, 0) comes back zero, and so does its mirror (0, 1, 0); band 2 of
     # row 0 lies one step above them and is nonzero, also where the delta
