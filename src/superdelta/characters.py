@@ -49,26 +49,6 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return _chi(tuple(lam), tuple(sorted(mu, reverse=True)))
 
 
-class CharacterTable:
-    """All values chi^lam(mu) for lam, mu partitions of n."""
-
-    def __init__(self, n: int):
-        lams = partitions_of(n)
-        self.table = {
-            (lam, mu): mn_character(lam, mu)
-            for lam in lams
-            for mu in lams
-        }
-
-    def value(self, lam: Partition, mu: Partition) -> int:
-        return self.table[(lam, mu)]
-
-
-@cache
-def character_table(n: int) -> CharacterTable:
-    return CharacterTable(n)
-
-
 def _horizontal_strip_predecessors(lam: Partition, size: int):
     """Shapes rho with lam/rho a horizontal strip of the given size:
     lam_(i+1) <= rho_i <= lam_i in every row i."""
@@ -121,8 +101,6 @@ def standard_kronecker(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 __all__ = [
-    "CharacterTable",
-    "character_table",
     "kostka",
     "mn_character",
     "standard_kronecker",

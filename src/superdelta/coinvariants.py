@@ -112,7 +112,7 @@ queues a cell, these bounds from its nonzero lower neighbours in hand, and
 for an outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of its
 inner neighbour, give it a support: the lams that all of them allow, each
 with its least bound.  The solve runs the Young system of the support's
-lams (young_system(n, support)): a zero costs a cover of the support and
+lams (young_system(n, lams)): a zero costs a cover of the support and
 one check character, a nonzero cell as many characters as the support has
 lams and one redundancy check, and every m_lam must lie within its bound.
 A zero lower neighbour is never used.  It would prove the cell zero
@@ -142,7 +142,10 @@ end of an n = 5 worker); a block on all n letters is a whole system's
 targets, read once, and is enumerated without being stored.  The cofactors
 have one entry per triple of the explored degrees (156 at the end of an
 n = 5 worker).  The systems themselves, their orbit products, targets and
-rows, are built per call and dropped.
+rows, are built per call and dropped; the orbit products have no memo of
+their own, since over at most three blocks each split of a degree is
+visited once.  The character values behind ComponentCharacters.chars come
+from mn_character, whose border-strip recursion is cached per process.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
@@ -164,14 +167,13 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import product
 from math import factorial, isfinite, prod
 from threading import TIMEOUT_MAX
 
-from .characters import character_table, standard_kronecker, strip_count
+from .characters import mn_character, standard_kronecker, strip_count
 from .linalg import Echelon, ConsistencyError
 from .partitions import Partition, partitions_of, syt_count
 from .qtz import QTZPoly
@@ -353,14 +355,17 @@ class YoungCharacter:
         most recently used entries) shared by every character and degree: a
         block's runs depend only on its size, sign and degree, and are stored
         as tuples, so no caller can change them.  The products over the
-        blocks are built per call and not kept.  A block on all n letters is
-        a whole system's targets, read once per degree and character, so its
-        runs are enumerated without being stored (their sub-blocks still are).
+        blocks are built per call, unmemoized, and not kept: with at most
+        three blocks (every character of the full systems for n <= 8; those
+        solved at n <= 5 have at most two) each split of d among the
+        first blocks is visited once, and the last block's runs come from
+        _runs.  A block on all n letters is a whole system's targets, read
+        once per degree and character, so its runs are enumerated without
+        being stored (their sub-blocks still are).
         """
         parts = self.parts
 
-        @cache
-        def orbits(k: int, a: int, b: int, c: int) -> Sequence[Triples]:
+        def orbits(k: int, a: int, b: int, c: int):
             """The live orbits on the blocks k, k + 1, ... of degree (a, b, c)."""
             size, signed = parts[k]
             if k == len(parts) - 1:
@@ -487,22 +492,17 @@ def isotypic_dimension(d: TriDegree, psi: YoungCharacter) -> int:
 class YoungSystem:
     """Young characters whose pairings K[psi, lam] = <s_lam, h_alpha e_beta> invert.
 
-    The lams are those of the support, every lam |- n when it is None; the
-    system solves for them and takes every other m_lam to be 0.  extra is
-    one more, dependent character, computed as a redundancy check.  The
-    cover is a subset whose characters together pair positively with every
-    s_lam of the support, so all-zero cover dimensions prove every m_lam
-    zero; zero_check is the one more character computed with them.
+    The system solves for the m_lam of its lams and takes every other m_lam
+    to be 0.  extra is one more, dependent character, computed as a
+    redundancy check.  The cover is a subset whose characters together pair
+    positively with every s_lam of lams, so all-zero cover dimensions prove
+    every m_lam zero; zero_check is the one more character computed with them.
     """
 
     n: int
+    lams: tuple[Partition, ...]
     characters: tuple[YoungCharacter, ...]
     extra: YoungCharacter | None
-    support: tuple[Partition, ...] | None = None
-
-    @property
-    def lams(self) -> tuple[Partition, ...]:
-        return partitions_of(self.n) if self.support is None else self.support
 
     @cached_property
     def cover(self) -> tuple[YoungCharacter, ...]:
@@ -560,17 +560,16 @@ def young_candidates(n: int) -> tuple[YoungCharacter, ...]:
 
 
 @cache
-def young_system(n: int, support: tuple[Partition, ...] | None = None) -> YoungSystem:
+def young_system(n: int, lams: tuple[Partition, ...] | None = None) -> YoungSystem:
     """Greedy by |H|: take a character whenever its pairing row, restricted
-    to the support's lams, is independent.
+    to lams (every lam |- n when None), is independent.
 
     The redundancy check uses the first candidate left out, the one with the
     largest |H| outside the set.  The system's cover (n = 4: (3,1)|() and
-    ()|(2,2)) decides the zero components.  The full support gives the
-    system of support None; an empty one has no characters, and its
-    redundancy check is the first candidate.
+    ()|(2,2)) decides the zero components.  No lams give no characters, and
+    the redundancy check is then the first candidate.
     """
-    lams = partitions_of(n) if support is None else support
+    lams = partitions_of(n) if lams is None else lams
     candidates = young_candidates(n)
     chosen: list[YoungCharacter] = []
     ech = Echelon()
@@ -583,7 +582,7 @@ def young_system(n: int, support: tuple[Partition, ...] | None = None) -> YoungS
     if len(chosen) != len(lams):
         raise ConsistencyError(f"Young characters do not span the class functions of S_{n}")
     extra = next((psi for psi in candidates if psi not in chosen), None)
-    return YoungSystem(n, tuple(chosen), extra, None if lams == partitions_of(n) else lams)
+    return YoungSystem(n, lams, tuple(chosen), extra)
 
 
 @dataclass
@@ -607,9 +606,8 @@ class ComponentCharacters:
     @property
     def chars(self) -> dict[Partition, int]:
         """Quotient character values chi_M(mu) = sum_lam m_lam chi^lam(mu)."""
-        table = character_table(self.n)
         return {
-            mu: sum(m * table.value(lam, mu) for lam, m in self.mult.items())
+            mu: sum(m * mn_character(lam, mu) for lam, m in self.mult.items())
             for mu in partitions_of(self.n)
         }
 

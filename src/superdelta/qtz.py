@@ -225,16 +225,20 @@ class Kronecker:
     packed sums and products.  It is injective on polynomials of q-degree
     < D with coefficients in (-2^(B-1), 2^(B-1)), one balanced digit per
     slot a + D*b, so a result unpacks exactly when it fits; the caller
-    guarantees that through `D` and `bound`.  Slots are whole bytes, which
-    makes packing and unpacking linear-time byte conversions.
+    guarantees that through `D` and `bound`.  Slots are whole bytes, at most
+    8 (6 at n = 8, the delta side's limit), so each slot reads as one signed
+    array item and packing and unpacking are linear-time byte conversions.
     """
 
     __slots__ = ("D", "width", "half")
 
     def __init__(self, D: int, bound: int):
-        """Slots for q-degree < D and coefficients of absolute value <= bound."""
+        """Slots for q-degree < D and coefficients of absolute value <= bound;
+        raise ValueError for a bound that needs slots wider than 8 bytes."""
         self.D = D
         self.width = (bound.bit_length() + 8) // 8  # bytes, with a spare sign bit
+        if self.width > 8:
+            raise ValueError(f"a coefficient bound of {bound} needs slots wider than 8 bytes")
         self.half = 1 << (8 * self.width - 1)
 
     def _bias(self, slots: int) -> int:
@@ -286,22 +290,16 @@ class Kronecker:
         # + bias makes every digit d + 2^(B-1) nonnegative, ^ bias leaves d in
         # two's complement: each slot then reads as a signed w-byte integer
         raw = ((x + bias) ^ bias).to_bytes(slots * w, "little")
-        size = min((s for s in _SIGNED_TYPECODES if s >= w), default=None)
-        if size is None:
-            digits = [
-                int.from_bytes(raw[i : i + w], "little", signed=True)
-                for i in range(0, len(raw), w)
-            ]
-        else:
-            # each slot fills the high end of an array item, which reads as d << pad
-            buf = bytearray(size * slots)
-            for i in range(w):
-                buf[size - w + i :: size] = raw[i::w]
-            items = array(_SIGNED_TYPECODES[size], buf)
-            if sys.byteorder == "big":
-                items.byteswap()
-            pad = 8 * (size - w)
-            digits = [d >> pad for d in items] if pad else items.tolist()
+        # each slot fills the high end of an array item, which reads as d << pad
+        size = min(s for s in _SIGNED_TYPECODES if s >= w)
+        buf = bytearray(size * slots)
+        for i in range(w):
+            buf[size - w + i :: size] = raw[i::w]
+        items = array(_SIGNED_TYPECODES[size], buf)
+        if sys.byteorder == "big":
+            items.byteswap()
+        pad = 8 * (size - w)
+        digits = [d >> pad for d in items] if pad else items.tolist()
         return QTZPoly({(i % D, i // D, 0): d for i, d in enumerate(digits) if d}, clean=False)
 
 

@@ -6,7 +6,7 @@ from itertools import permutations, product
 import pytest
 
 import superdelta.coinvariants as coinvariants
-from superdelta.characters import character_table
+from superdelta.characters import mn_character
 from superdelta.coinvariants import (
     ComponentCharacters,
     YoungCharacter,
@@ -89,20 +89,20 @@ def test_matches_trace_method_on_sampled_n4_components():
 
 def reference_multiplicities(n, chars):
     """m_lam of a character, by its inner product with chi^lam."""
-    table = character_table(n)
     lams = partitions_of(n)
-    return {lam: sum(RAT(chars[mu] * table.value(lam, mu), z_mu(mu)) for mu in lams)
+    return {lam: sum(RAT(chars[mu] * mn_character(lam, mu), z_mu(mu)) for mu in lams)
             for lam in lams}
 
 
-def excluded_by_the_kronecker_bounds(n, d):
+def excluded_by_the_kronecker_bounds(n, d, steps=((1, 0, 0), (0, 1, 0))):
     """Assert m_lam(d) <= [s_lam](s_(n-1,1) * F) for F the Frobenius
-    characteristic of each lower neighbour, all by the trace method (the
-    character of s_(n-1,1) (x) M is (fix - 1) chi_M); return how many lams a
-    nonzero lower neighbour's bound excludes."""
+    characteristic of each cell d - e, e in steps (by default the lower
+    neighbours), all by the trace method (the character of s_(n-1,1) (x) M
+    is (fix - 1) chi_M); return how many lams a nonzero lower cell's bound
+    excludes."""
     mult = reference_multiplicities(n, reference_characters(n, d)[2])
     excluded = 0
-    for lower in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)):
+    for lower in (tuple(x - e for x, e in zip(d, step)) for step in steps):
         if min(lower) < 0:
             continue
         chars = reference_characters(n, TriDegree(*lower))[2]
@@ -122,6 +122,32 @@ def test_the_kronecker_bound_holds_on_every_visited_component(n):
 
 def test_the_kronecker_bound_holds_on_sampled_n4_components():
     assert sum(excluded_by_the_kronecker_bounds(4, d) for d in sampled_n4_degrees())
+
+
+def excluded_by_the_theta_bound(n, degrees):
+    """m_lam(a, b, c) <= [s_lam](s_(n-1,1) * F(M_(a,b,c-1))) for every c >= 1.
+
+    e_i (x) m -> theta_i m maps V (x) M_(a,b,c-1) onto M_(a,b,c), V the
+    permutation module on e_1, ..., e_n: it is well defined because
+    theta_i I_n lies in I_n, onto because every monomial of degree (a, b, c)
+    is +-theta_i times one of degree (a, b, c - 1), and S_n-equivariant
+    because sigma is an algebra automorphism with sigma(theta_i) =
+    theta_sigma(i).  It kills (sum_i e_i) (x) m, as sum_i theta_i = pt[0,0]
+    lies in I_n.  So M_(a,b,c) is a quotient of V/1 (x) M_(a,b,c-1) =
+    S^(n-1,1) (x) M_(a,b,c-1), and each m_lam is at most that module's.
+    Returns how many lams a nonzero M_(a,b,c-1) excludes.
+    """
+    return sum(excluded_by_the_kronecker_bounds(n, d, ((0, 0, 1),)) for d in degrees if d.c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_theta_bound_holds_on_every_visited_component(n):
+    # at n = 1, V/1 = 0 bounds every m_lam of c >= 1 by 0
+    assert excluded_by_the_theta_bound(n, frobenius_module(n).components)
+
+
+def test_the_theta_bound_holds_on_sampled_n4_components():
+    assert excluded_by_the_theta_bound(4, sampled_n4_degrees())
 
 
 def canonical(psi, m):
@@ -653,8 +679,7 @@ def power_sum_pairing(psi):
                 key = tuple(sorted(nu + mu, reverse=True))
                 step[key] = step.get(key, 0) + c * RAT(sign, z_mu(mu))
         coeffs = step
-    table = character_table(psi.n)
-    return {lam: sum(c * table.value(lam, nu) for nu, c in coeffs.items())
+    return {lam: sum(c * mn_character(lam, nu) for nu, c in coeffs.items())
             for lam in partitions_of(psi.n)}
 
 
@@ -667,12 +692,11 @@ def test_pairing_matches_the_power_sum_route(n):
 def test_pairing_is_reciprocity():
     # <s_lam, h_alpha e_beta> = |H|^-1 sum_h psi(h) chi^lam(h), summed by brute force
     for n in (3, 4):
-        table = character_table(n)
         for psi in young_candidates(n):
             for lam in partitions_of(n):
                 total = 0
                 for h, value in young_group(psi):
-                    total += value * table.value(lam, cycle_type(h))
+                    total += value * mn_character(lam, cycle_type(h))
                 assert total == psi.pairing[lam] * psi.order, (psi, lam)
 
 
@@ -710,7 +734,7 @@ def test_fractional_inverse_gives_int_multiplicities_or_fails():
     psis = (YoungCharacter((3,), ()), YoungCharacter((), (3,)), YoungCharacter((1,), (1, 1)))
     assert [[psi.pairing[lam] for lam in partitions_of(3)] for psi in psis] == [
         [1, 0, 0], [0, 0, 1], [1, 2, 1]]
-    halved = YoungSystem(3, psis, None)
+    halved = YoungSystem(3, partitions_of(3), psis, None)
     want = {(3,): 1, (2, 1): 2, (1, 1, 1): 3}
     mult = halved.multiplicities(pairing_dims(halved, want))
     assert mult == want and all(type(m) is int for m in mult.values())
@@ -833,7 +857,7 @@ def test_wrong_isotypic_rank_at_a_zero_cell(monkeypatch, d):
 
 def test_restricted_systems_are_pinned():
     full = young_system(4)
-    assert young_system(4, partitions_of(4)) == full and full.support is None
+    assert young_system(4, partitions_of(4)) == full and full.lams == partitions_of(4)
     # no lam: no character, and the first candidate, e_4, checks the zero
     empty = young_system(4, ())
     assert (empty.characters, empty.cover) == ((), ())

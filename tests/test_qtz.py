@@ -241,11 +241,10 @@ def test_kronecker_rejects_inputs_that_do_not_fit():
             packing.pack(bad)
 
 
-# slots of 1, 2, 4 and 8 bytes are array items, slots of 3 and 5 bytes are
-# padded to one, and slots wider than any item are read one by one
+# slots of 1, 2, 4 and 8 bytes are array items, and slots of 3 and 5 bytes are
+# padded to one
 @pytest.mark.parametrize("bound,width", [(127, 1), (2**15 - 1, 2), (2**20, 3),
-                                         (2**31 - 1, 4), (2**32, 5), (2**62, 8),
-                                         (2**70, 9)])
+                                         (2**31 - 1, 4), (2**32, 5), (2**62, 8)])
 def test_kronecker_unpack_grid(bound, width):
     packing = Kronecker(4, bound)
     assert packing.width == width
@@ -258,6 +257,14 @@ def test_kronecker_unpack_grid(bound, width):
     ):
         for sign in (1, -1):
             assert packing.unpack(sign * packing.pack(p)) == sign * p, (p, sign)
+
+
+def test_kronecker_refuses_slots_wider_than_8_bytes():
+    # no array item holds a 9-byte slot; the delta side needs 6 at n = 8
+    assert Kronecker(4, 2**63 - 1).width == 8
+    for bound in (2**63, 2**70):
+        with pytest.raises(ValueError, match="wider than 8 bytes"):
+            Kronecker(4, bound)
 
 
 @given(small_polys(with_z=False), small_polys(with_z=False))
