@@ -96,32 +96,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="superdelta", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="compare both sides of the identity")
-    p_verify.add_argument("--n", type=_at_least(1), required=True)
+    # the options of every command that runs the module side
+    module = argparse.ArgumentParser(add_help=False)
+    module.add_argument("--n", type=_at_least(1), required=True)
+    module.add_argument("--threads", type=_at_least(1), default=1)
+    module.add_argument("--cache-dir", type=_cache_dir, default=None)
+    module.add_argument("--long", action="store_true",
+                        help="allow the long-running module side for n >= 5")
+
+    p_verify = sub.add_parser("verify", parents=[module], help="compare both sides of the identity")
     p_verify.add_argument("--extra-band", type=_at_least(0), default=1)
-    p_verify.add_argument("--threads", type=_at_least(1), default=1)
-    p_verify.add_argument("--cache-dir", type=_cache_dir, default=None)
     p_verify.add_argument("--format", default="text",
                           choices=["json", "csv", "latex", "text"])
     p_verify.add_argument("--budget-seconds", type=_at_least(0, float), default=None)
     p_verify.add_argument("--max-degree", type=_at_least(0), default=None,
                           help="frontier budget on a+b per theta row")
-    p_verify.add_argument("--long", action="store_true",
-                          help="allow the long-running module side for n >= 5")
 
-    p_frob = sub.add_parser("frobenius", help="print one side's Schur expansion")
-    p_frob.add_argument("--n", type=_at_least(1), required=True)
+    p_frob = sub.add_parser("frobenius", parents=[module], help="print one side's Schur expansion")
     p_frob.add_argument("--side", required=True, choices=["module", "delta"])
     p_frob.add_argument("--spec", default=None, choices=list(SPECS))
-    p_frob.add_argument("--threads", type=_at_least(1), default=1)
-    p_frob.add_argument("--cache-dir", type=_cache_dir, default=None)
-    p_frob.add_argument("--long", action="store_true")
 
-    p_hilb = sub.add_parser("hilbert", help="module-side dimensions per tri-degree")
-    p_hilb.add_argument("--n", type=_at_least(1), required=True)
-    p_hilb.add_argument("--threads", type=_at_least(1), default=1)
-    p_hilb.add_argument("--cache-dir", type=_cache_dir, default=None)
-    p_hilb.add_argument("--long", action="store_true")
+    sub.add_parser("hilbert", parents=[module], help="module-side dimensions per tri-degree")
 
     p_mac = sub.add_parser("macdonald", help="Schur expansion of one H~_mu")
     p_mac.add_argument("--mu", type=_parse_mu, required=True,

@@ -587,12 +587,16 @@ def young_system(n: int, lams: tuple[Partition, ...] | None = None) -> YoungSyst
 
 @dataclass
 class ComponentCharacters:
-    """Schur multiplicities of the quotient at one tri-graded component."""
+    """Schur multiplicities of the quotient at one tri-graded component; the
+    ambient dimension `dim` is derived from n and the degree, never stored."""
 
     n: int
     degree: TriDegree
-    dim: int  # ambient component dimension
     mult: dict[Partition, int]  # m_lam for every lam |- n
+
+    @property
+    def dim(self) -> int:
+        return component_dimension(self.n, self.degree)
 
     @property
     def dim_quotient(self) -> int:
@@ -629,7 +633,7 @@ def component_characters(
     dim = component_dimension(n, d)
     zero = {lam: 0 for lam in partitions_of(n)}
     if dim == 0:
-        return ComponentCharacters(n, d, 0, zero)
+        return ComponentCharacters(n, d, zero)
     lams = None if support is None else tuple(
         lam for lam in partitions_of(n) if support.get(lam, 0) > 0)
     system = young_system(n, lams)
@@ -640,7 +644,7 @@ def component_characters(
             raise ConsistencyError(
                 f"zero check at {d}: dim M^psi = {got} for {check}, the cover proves it 0"
             )
-        return ComponentCharacters(n, d, dim, zero)
+        return ComponentCharacters(n, d, zero)
     dims = [cover_dims[psi] if psi in cover_dims else isotypic_dimension(d, psi)
             for psi in system.characters]
     try:
@@ -661,7 +665,7 @@ def component_characters(
                 raise ConsistencyError(
                     f"at {d}: multiplicity of s_{lam} is {mult[lam]}, above its bound {bound}"
                 )
-    comp = ComponentCharacters(n, d, dim, mult)
+    comp = ComponentCharacters(n, d, mult)
     if comp.dim_quotient > dim:
         raise ConsistencyError(
             f"at {d}: the quotient dimension {comp.dim_quotient} exceeds the ambient {dim}"
@@ -669,18 +673,18 @@ def component_characters(
     return comp
 
 
-def support_bound(n: int, d: TriDegree, components) -> dict[Partition, int] | None:
+def support_bound(n: int, d: TriDegree, cells, components) -> dict[Partition, int] | None:
     """The lams the cell d can hold, each with its bound, from the cells below it.
 
-    Each cell of bounding_cells bounds m_lam(d): a lower neighbour by
-    [s_lam](s_(n-1,1) * F), F its Frobenius characteristic, the inner
-    neighbour by its own m_lam (the Support bound paragraph of the module
-    docstring).  The least bound is kept for each lam that all of them
-    allow.  None, every lam unbounded, when no lower neighbour is nonzero.
+    cells is bounding_cells(d, components), the list a failed solve's error
+    names.  Each bounds m_lam(d): a lower neighbour by [s_lam](s_(n-1,1) * F),
+    F its Frobenius characteristic, the inner neighbour by its own m_lam (the
+    Support bound paragraph of the module docstring).  The least bound is kept
+    for each lam that all allow; None, every lam unbounded, for no cells.
     """
     lams = partitions_of(n)
     bounds = []
-    for p in bounding_cells(d, components):
+    for p in cells:
         m = [components[p].mult[mu] for mu in lams]
         if p[1] > d.b:  # the inner neighbour
             bounds.append(m)
@@ -839,8 +843,9 @@ def frobenius_module(
         # for the lams that the cells below it in hand allow
         if deadline is None or time.monotonic() <= deadline:
             for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
-                shaped[d] = behind(bounding_cells(d, components))
-                args = (n, d, support_bound(n, d, components))
+                cells = bounding_cells(d, components)
+                shaped[d] = behind(cells)
+                args = (n, d, support_bound(n, d, cells, components))
                 pending[d if pool is None else pool.submit(_component_worker, args)] = args
 
     def keep(comp, put=True):
@@ -856,10 +861,10 @@ def frobenius_module(
                 continue
             shaped[d] = behind([tuple(comp.degree)])
             if d.a < d.b:  # a copy of its mirror
-                keep(ComponentCharacters(n, d, comp.dim, dict(comp.mult)))
+                keep(ComponentCharacters(n, d, dict(comp.mult)))
             else:  # zero inside, so zero beyond
                 zero = dict.fromkeys(comp.mult, 0)
-                keep(ComponentCharacters(n, d, component_dimension(n, d), zero))
+                keep(ComponentCharacters(n, d, zero))
 
     def start(c):
         # open row c's band: stop the row, or queue the cells it solves at once,

@@ -32,8 +32,8 @@ def _strip_content(v: dict[int, int], lead: int) -> dict[int, int]:
 class Echelon:
     """Incremental integer row echelon form, rows keyed by pivot column.
 
-    insert and residual copy the incoming row once, dropping its zeros, and
-    then reduce that copy in place; the caller's dict is never changed.
+    insert stores what residual leaves; residual copies the incoming row once,
+    dropping its zeros, and reduces the copy, so the caller's dict is unchanged.
     """
 
     def __init__(self):
@@ -63,15 +63,12 @@ class Echelon:
 
         Returns the new pivot column, or None if v reduced to zero.
         """
-        v = {c: val for c, val in v.items() if val}
-        while v:
-            j = min(v)
-            p = self.pivots.get(j)
-            if p is None:
-                self.pivots[j] = _strip_content(v, j)
-                return j
-            self._eliminate(v, p, j)
-        return None
+        v = self.residual(v)
+        if not v:
+            return None
+        j = min(v)
+        self.pivots[j] = _strip_content(v, j)
+        return j
 
     def residual(self, v: dict[int, int]) -> dict[int, int]:
         """Reduce v without inserting; empty iff v lies in the row space."""

@@ -318,7 +318,8 @@ def _delta_context(n: int) -> list[dict[Partition, QTZPoly]]:
     packing = Kronecker(D, bound)
     sbase = {mu: _times(packing.pack(b), packing.atom_shifts(a)) for mu, (b, a) in factors.items()}
     # e_1[B_mu - 1] is the cell alphabet, one term of coefficient 1 per cell
-    letters = {mu: [s for _, s in packing.shifts(ek_pleth(mu, 1))] if n > 1 else [] for mu in mus}
+    letters = {mu: [packing.shift(a, b) for a, b, _ in ek_pleth(mu, 1).terms] if n > 1 else []
+               for mu in mus}
     divisor = PackedDivisor(packing, list(l_atoms.elements()))
     out: list[dict[Partition, QTZPoly]] = [{} for _ in range(n)]
     # lam = (1^n) and k = n-1 first: their quotients are the largest, so the

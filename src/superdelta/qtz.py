@@ -228,6 +228,8 @@ class Kronecker:
     guarantees that through `D` and `bound`.  Slots are whole bytes, at most
     8 (6 at n = 8, the delta side's limit), so each slot reads as one signed
     array item and packing and unpacking are linear-time byte conversions.
+    A product by q^a t^b is a shift by `shift(a, b)` bits, the one primitive
+    of the products by two-term atoms and by the cells of a diagram.
     """
 
     __slots__ = ("D", "width", "half")
@@ -262,25 +264,13 @@ class Kronecker:
             buf[i : i + w] = (x + half).to_bytes(w, "little")
         return int.from_bytes(buf, "little") - self._bias(slots)
 
-    def shifts(self, p: QTZPoly) -> list[tuple[int, int]]:
-        """(c, s) per term c q^a t^b of p, with s = B * (a + D*b) bits.
-
-        x * pack(p) == sum(c * x << s), so a product by a short p is a few
-        shifted adds.  Raise ValueError unless p is integral, free of z and
-        of q-degree < D; its coefficients need not fit a slot.
-        """
-        bits = 8 * self.width
-        out = []
-        for e, x in p.terms.items():
-            if not isinstance(x, int):
-                raise ValueError(f"coefficient {x} is not an integer")
-            out.append((x, bits * self._slot(*e)))
-        return out
+    def shift(self, a: int, b: int) -> int:
+        """x * pack(q^a t^b) == x << shift(a, b); ValueError unless a < D."""
+        return 8 * self.width * self._slot(a, b)
 
     def atom_shifts(self, atoms: list[Atom]) -> list[tuple[int, int]]:
         """(s1, s2) per atom m1 - m2: x * pack(m1 - m2) == (x << s1) - (x << s2)."""
-        bits = 8 * self.width
-        return [(bits * self._slot(*m1), bits * self._slot(*m2)) for m1, m2 in atoms]
+        return [(self.shift(*m1), self.shift(*m2)) for m1, m2 in atoms]
 
     def unpack(self, x: int) -> QTZPoly:
         """The polynomial that packs to x, provided one fits the slots."""

@@ -30,7 +30,7 @@ from .macdonald import rhs_series
 from .partitions import Partition, partition_to_str, partitions_of
 from .qtz import QTZPoly
 from .series import FrobeniusSeries
-from .superring import TriDegree, component_dimension
+from .superring import TriDegree
 
 ENGINE_VERSION = "0.2.0"
 CACHE_SCHEMA_VERSION = 2
@@ -82,8 +82,7 @@ class ComponentCache:
         lams = {partition_to_str(lam): lam for lam in partitions_of(n)}
         if set(mult) != set(lams):
             return None
-        comp = ComponentCharacters(n, d, component_dimension(n, d),
-                                   {lam: mult[key] for key, lam in lams.items()})
+        comp = ComponentCharacters(n, d, {lam: mult[key] for key, lam in lams.items()})
         if any(m < 0 for m in comp.mult.values()):
             return None
         if comp.dim_quotient != data["dim"] or comp.rank < 0:  # dim above the ambient

@@ -201,7 +201,7 @@ def test_frobenius_module_threads_deterministic():
 
 def test_assemble_series_rejects_noninteger():
     comp = ComponentCharacters(
-        n=2, degree=TriDegree(0, 0, 0), dim=2,
+        n=2, degree=TriDegree(0, 0, 0),
         mult={(2,): Fraction(1, 2), (1, 1): Fraction(1, 2)},  # not a genuine module
     )
     with pytest.raises(ConsistencyError):
@@ -210,7 +210,7 @@ def test_assemble_series_rejects_noninteger():
 
 def test_assemble_series_rejects_negative():
     comp = ComponentCharacters(
-        n=2, degree=TriDegree(0, 0, 0), dim=1,
+        n=2, degree=TriDegree(0, 0, 0),
         mult={(2,): -1, (1, 1): 0},  # minus the trivial representation
     )
     with pytest.raises(ConsistencyError):

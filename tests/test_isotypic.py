@@ -117,7 +117,7 @@ def excluded_by_the_kronecker_bounds(n, d, steps=((1, 0, 0), (0, 1, 0))):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_the_kronecker_bound_holds_on_every_visited_component(n):
     excluded = sum(excluded_by_the_kronecker_bounds(n, d) for d in frobenius_module(n).components)
-    assert excluded or n < 3  # at n = 1 and 2 no lam is excluded by a nonzero bound
+    assert excluded  # a nonzero bound excludes some lam at every n (2 at n = 1, 8 at n = 2)
 
 
 def test_the_kronecker_bound_holds_on_sampled_n4_components():
@@ -470,7 +470,7 @@ def test_mirror_holds_on_the_n5_low_degrees():
     assert len(mirrored) == 24
     for d in mirrored:
         source = component_characters(5, TriDegree(d.b, d.a, d.c))
-        assert ComponentCharacters(5, d, source.dim, source.mult) == component_characters(5, d), d
+        assert ComponentCharacters(5, d, source.mult) == component_characters(5, d), d
 
 
 def recorded_supports(monkeypatch, n, cache=None):
@@ -523,7 +523,7 @@ class LowRowsOfTheDeltaSide:
             return None
         mult = {lam: self.rhs.coefficient(lam).terms.get((d.a, d.b, d.c), 0)
                 for lam in partitions_of(5)}
-        return ComponentCharacters(5, d, component_dimension(5, d), mult)
+        return ComponentCharacters(5, d, mult)
 
     def put(self, comp):
         pass
@@ -567,7 +567,7 @@ def test_a_cell_whose_mirror_is_no_cell_is_solved(tmp_path, monkeypatch):
     cache = ComponentCache(tmp_path)
     for a in (1, 2):
         zero = component_characters(3, TriDegree(a, 0, 0))
-        cache.put(ComponentCharacters(3, zero.degree, zero.dim, dict.fromkeys(zero.mult, 0)))
+        cache.put(ComponentCharacters(3, zero.degree, dict.fromkeys(zero.mult, 0)))
         cache.put(component_characters(3, TriDegree(0, a, 0)))
     worker = coinvariants._component_worker
     seen = []

@@ -1,4 +1,7 @@
 import random
+from math import gcd
+
+from hypothesis import given, strategies as st
 
 from superdelta.coinvariants import MODP_PRIME, _modp_is_full_rank
 from superdelta.linalg import Echelon
@@ -158,6 +161,25 @@ def test_insert_and_residual_leave_the_callers_row():
     assert left and left is not probe and all(left.values())
     member = {0: 1, 1: 2}
     assert ech.residual(member) == {} and member == {0: 1, 1: 2}
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-6, 6), max_size=6), max_size=8))
+def test_insert_stores_what_residual_leaves(rows):
+    # insert is residual plus storing the remainder: it inserts nothing for a
+    # row residual reduces to zero, and otherwise stores that remainder under
+    # its least coordinate, content stripped and lead positive
+    ech = Echelon()
+    for row in rows:
+        before, pivots = dict(row), dict(ech.pivots)
+        left = ech.residual(row)
+        j = ech.insert(row)
+        assert row == before
+        if not left:
+            assert j is None and ech.pivots == pivots
+            continue
+        assert j == min(left) and j not in pivots
+        g = gcd(*left.values()) * (1 if left[j] > 0 else -1)
+        assert ech.pivots == {**pivots, j: {c: x // g for c, x in left.items()}}
 
 
 def test_rank_invariant_under_row_and_column_permutations():

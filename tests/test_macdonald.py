@@ -26,6 +26,7 @@ from superdelta.macdonald import (
 from superdelta.partitions import arm, cells, conjugate, leg, partitions_of, syt_count
 from superdelta.qtz import ONE, Q, QTZPoly, T, Z
 from superdelta.series import FrobeniusSeries
+from superdelta.verifier import verify_conjecture
 
 
 def test_macdonald_scalars_single_box():
@@ -316,6 +317,29 @@ def test_rhs_series_is_pinned_beyond_the_reference():
     for n, digest in digests.items():
         text = json.dumps(rhs_series(n).to_json_dict(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+
+def test_verify_reports_and_cache_files_are_pinned(tmp_path):
+    # the report JSON (timing dropped) of verify_conjecture(n) for n <= 4, and
+    # every cache file of n = 4 (relative path, NUL, bytes, in path order),
+    # are pinned to their SHA-256: a refactor of either side keeps them
+    digests = {
+        1: "9d1f45371c93316f67f734755d0180ac9eb31636e0d57c3741f5741863c39e30",
+        2: "9c9cd9a32cd7b9bae83a041e51211ccf488e29a3992ad6ced03202f48f048567",
+        3: "28b9567f24f98cd24ec80040cd49856bfa417e46975bcde4db3080e63c5aa0f9",
+        4: "f2b1acb6921adc020cff8111cbf4f88adfcc89217d13be08257419c879cea467",
+    }
+    for n, digest in digests.items():
+        report = verify_conjecture(n, threads=1).to_json_dict(include_timing=False)
+        text = json.dumps(report, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+    verify_conjecture(4, cache_dir=tmp_path)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert len(files) == 111
+    cache = hashlib.sha256()
+    for p in files:
+        cache.update(str(p.relative_to(tmp_path)).encode() + b"\0" + p.read_bytes())
+    assert cache.hexdigest() == "eeb9d867ba903e24ee7e05e9e622b04f33d3edf7f1aebbff6d66fa50dedfd2ba"
 
 
 def test_ek_terms_must_fit_the_packing(monkeypatch):

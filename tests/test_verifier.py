@@ -13,6 +13,7 @@ import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
 from superdelta.coinvariants import (
     ComponentCharacters,
+    bounding_cells,
     component_characters,
     frobenius_module,
     support_bound,
@@ -82,7 +83,7 @@ def test_cache_roundtrip(tmp_path):
     cache = ComponentCache(tmp_path)
     write_entry(cache, sample_entry())
     comp = cache.get(2, SAMPLE_DEGREE)
-    assert comp == ComponentCharacters(2, SAMPLE_DEGREE, 2, {(2,): 0, (1, 1): 1})
+    assert comp == ComponentCharacters(2, SAMPLE_DEGREE, {(2,): 0, (1, 1): 1}) and comp.dim == 2
     other = ComponentCache(tmp_path / "other")
     other.put(comp)
     assert read_entry(other) == sample_entry()
@@ -507,7 +508,7 @@ def test_a_wrong_cached_zero_spreads_to_its_outer_cells(tmp_path, monkeypatch):
     cache = ComponentCache(tmp_path)
     true = component_characters(3, TriDegree(2, 1, 0))
     assert true.mult[(1, 1, 1)] == 1
-    cache.put(ComponentCharacters(3, true.degree, true.dim, dict.fromkeys(true.mult, 0)))
+    cache.put(ComponentCharacters(3, true.degree, dict.fromkeys(true.mult, 0)))
     worker = coinvariants._component_worker
     calls = []
 
@@ -533,12 +534,14 @@ def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
     # still catch the wrong cell: DIFFER, never EQUAL
     true = component_characters(4, TriDegree(2, 0, 0))
     assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 0)
-    wrong = ComponentCharacters(4, true.degree, true.dim, {**true.mult, (3, 1): 0, (2, 1, 1): 1})
+    wrong = ComponentCharacters(4, true.degree, {**true.mult, (3, 1): 0, (2, 1, 1): 1})
     ComponentCache(tmp_path).put(wrong)
     inner = component_characters(4, TriDegree(1, 1, 0))
     above = TriDegree(2, 1, 0)
-    assert (support_bound(4, above, {true.degree: wrong, inner.degree: inner})
-            != support_bound(4, above, {true.degree: true, inner.degree: inner}))
+    bounds = [support_bound(4, above, bounding_cells(above, below), below)
+              for below in ({true.degree: wrong, inner.degree: inner},
+                            {true.degree: true, inner.degree: inner})]
+    assert bounds[0] != bounds[1]
     report = verify_conjecture(4, threads=threads, cache_dir=tmp_path)
     assert report.verdict == DIFFER and report.stats["frontier_closed"]
     # only the wrong cell and its mirror (0, 2, 0) differ
@@ -556,7 +559,7 @@ def test_a_wrong_cached_cell_that_breaks_a_bound_is_named(tmp_path, threads):
     true = component_characters(4, TriDegree(1, 1, 0))
     assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 1)
     wrong = {**true.mult, (3, 1): 0, (2, 1, 1): 2}
-    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, true.dim, wrong))
+    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, wrong))
     with pytest.raises(ConsistencyError, match=r"at TriDegree\(a=2, b=1, c=0\): .* "
                        r"bounds set by the cells \(1, 1, 0\), \(2, 0, 0\),"):
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
@@ -572,7 +575,7 @@ def test_a_wrong_cached_cell_behind_a_frontier_error_is_named(tmp_path, threads)
     true = component_characters(4, TriDegree(0, 0, 0))
     assert (true.mult[(4,)], true.mult[(1, 1, 1, 1)]) == (1, 0)
     wrong = {**true.mult, (4,): 0, (1, 1, 1, 1): 1}
-    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, true.dim, wrong))
+    ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, wrong))
     with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 2\), c=0; .* "
                        r"\(0, 1, 0\), \(1, 0, 0\), \(0, 0, 0\), so one of them may be wrong"):
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
