@@ -156,22 +156,22 @@ row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
 is opened once every cell of its band is in hand: its cache hits are kept
 at once, its derived cells wait on their sources and its other cells are
 queued, largest first, behind those already queued, so no row waits at a
-band boundary for a slower row.  Serially the oldest queued solve runs
-next; on the process pool every queued solve is submitted and completions
-are taken as they come.  The time budget is read only where a component
-is solved: nothing is queued after the deadline, and no solve is started
-(serial) or waited for (pool) past it.
+band boundary for a slower row.  The oldest queued solve starts as soon as
+a worker is free (serially there is one, the calling process), and
+completions are taken as they come.  The time budget is read only where a
+solve starts: no solve starts after the deadline, and a solve running at
+the deadline is finished and kept.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import product
 from math import factorial, isfinite, prod
-from threading import TIMEOUT_MAX
 
 from .characters import mn_character, standard_kronecker, strip_count
 from .linalg import Echelon, ConsistencyError
@@ -792,14 +792,14 @@ def frobenius_module(
     queued for a solve if not; copies and zeros cost no budget.  The other
     cells are queued when the band opens.  A row's next band is opened as
     soon as its band is in hand, its solves queued largest component first,
-    behind the solves already queued; threads selects only how they run:
-    serially the oldest runs next, on the process pool all are submitted
-    and completions are taken as they come.  Nothing is queued after the
-    deadline, and no solve is started (serial) or waited for (pool) past
-    it, so a cell whose source finishes nonzero after the deadline is not
-    queued.  A run stops within one component of its deadline, every
-    component finished by then is in the result, with the cells derived
-    from those finished, and rows[c] is False for every row it cut short.
+    behind the solves already queued; threads selects only how many run at
+    once: the oldest starts as soon as one of min(threads, cores) workers
+    is free (serially the calling process), and completions are taken as
+    they come.  No solve starts after the deadline, so a cell whose source
+    finishes nonzero after it is not solved, and a solve running at the
+    deadline is finished and kept.  A run stops within one component of its
+    deadline, every component it solved is in the result, with the cells
+    derived from them, and rows[c] is False for every row it cut short.
     Each queued cell is solved for the support that the cells below it in
     hand allow (support_bound; the Support bound paragraph of the module
     docstring), and a solve that fails its checks within that support raises
@@ -815,15 +815,14 @@ def frobenius_module(
     check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
     if max_ab is None:
         max_ab = n * (n - 1) + 2
-    deadline = None  # capped: a pool's wait longer than threading.TIMEOUT_MAX overflows
-    if budget_seconds is not None:
-        deadline = time.monotonic() + min(budget_seconds, TIMEOUT_MAX)
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    workers = min(threads, os.cpu_count() or 1)
     pool = None
     if threads > 1:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         # a fork pool starts all its workers at the first submit
-        pool = ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1))
+        pool = ProcessPoolExecutor(max_workers=workers)
 
     components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
     reach: dict[TriDegree, int] = {}  # computed cell -> -1 if nonzero, else its level
@@ -831,7 +830,8 @@ def frobenius_module(
     bands = [0] * (n + 1)  # c -> the band a + b row c is in
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
     waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
-    pending = {}  # task (a future, or serially a degree) -> (n, degree, support), oldest first
+    queued = deque()  # (n, degree, support) of the solves not started, oldest first
+    running = {}  # task (a future, or serially a degree) -> (n, degree, support)
     shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells whose bounds shaped it
 
     def behind(cells):
@@ -841,12 +841,10 @@ def frobenius_module(
     def queue(todo):
         # solve these cells, largest first, behind those already queued, each
         # for the lams that the cells below it in hand allow
-        if deadline is None or time.monotonic() <= deadline:
-            for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
-                cells = bounding_cells(d, components)
-                shaped[d] = behind(cells)
-                args = (n, d, support_bound(n, d, cells, components))
-                pending[d if pool is None else pool.submit(_component_worker, args)] = args
+        for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
+            cells = bounding_cells(d, components)
+            shaped[d] = behind(cells)
+            queued.append((n, d, support_bound(n, d, cells, components)))
 
     def keep(comp, put=True):
         # in hand (solved, read from the cache, copied or inferred): kept, cached
@@ -915,9 +913,9 @@ def frobenius_module(
         # a solve that fails within its support names the cells that set it: a
         # wrong one among them (a wrong cached cell) breaks the solve's checks
         try:
-            return _component_worker(pending[task]) if pool is None else task.result()
+            return _component_worker(running[task]) if pool is None else task.result()
         except ConsistencyError as exc:
-            _, d, support = pending[task]
+            _, d, support = running[task]
             if support is None:
                 raise
             cells = ", ".join(str(p) for p in shaped[d])
@@ -925,28 +923,29 @@ def frobenius_module(
                                    f"{cells}, so one of them may be wrong") from exc
 
     def finished() -> list[tuple]:
-        # the next (task, component) pairs; none once the budget ran out
-        if pool is None:  # the oldest task, run here
-            if deadline is not None and time.monotonic() > deadline:
-                return []
-            d = next(iter(pending))
-            return [(d, result(d))]
-        timeout = None if deadline is None else max(0.0, deadline - time.monotonic())
-        done, _ = wait(pending, timeout=timeout, return_when=FIRST_COMPLETED)
-        return [(f, result(f)) for f in pending if f in done]
+        # start the oldest queued solves on the free workers until the deadline,
+        # then the next (task, component) pairs: every solve started is kept
+        while (queued and len(running) < workers
+               and (deadline is None or time.monotonic() <= deadline)):
+            args = queued.popleft()
+            running[args[1] if pool is None else pool.submit(_component_worker, args)] = args
+        if pool is None or not running:  # serially the started task runs here
+            return [(d, result(d)) for d in running]
+        done, _ = wait(running, return_when=FIRST_COMPLETED)
+        return [(f, result(f)) for f in running if f in done]
 
     try:
         for c in range(n + 1):
             start(c)
             advance(c)
-        while pending and (done := finished()):
+        while done := finished():
             for task, comp in done:
-                c = pending.pop(task)[1].c
+                c = running.pop(task)[1].c
                 keep(comp)
                 advance(c)
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown()
 
     rows = {c: rows.get(c, False) for c in range(n + 1)}
     series = assemble_series(n, components)

@@ -275,7 +275,7 @@ class InlineExecutor:
         fut.set_result(fn(*args))
         return fut
 
-    def shutdown(self, cancel_futures=False):
+    def shutdown(self):
         pass
 
 
@@ -346,14 +346,15 @@ def test_the_serial_schedule_is_pinned(monkeypatch):
 
 
 class DeferredPool:
-    """Stands in for ProcessPoolExecutor and wait: a task runs only inside wait,
-    when the test's choose(pending degrees, in submission order) names it;
-    choose returns None when nothing more finishes."""
+    """Stands in for ProcessPoolExecutor and wait on two cores: a task runs
+    only inside wait, which finishes the one that the test's choose(pending
+    degrees, in submission order) names."""
 
     def __init__(self, monkeypatch, choose):
         self.choose = choose
         self.pending = {}  # degree -> (future, fn, args)
         self.submits = []  # (degree, the degrees pending when it was submitted)
+        monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: self)
         monkeypatch.setattr(concurrent.futures, "wait", self.wait)
 
@@ -364,20 +365,14 @@ class DeferredPool:
         self.pending[degree] = (fut, fn, args)
         return fut
 
-    def wait(self, fs, timeout=None, return_when=concurrent.futures.ALL_COMPLETED):
-        done = set()
-        while asked := [d for d, (fut, _, _) in self.pending.items() if fut in fs]:
-            degree = self.choose(asked)
-            if degree is None:
-                break
-            fut, fn, args = self.pending.pop(degree)
-            fut.set_result(fn(*args))
-            done.add(fut)
-            if return_when == concurrent.futures.FIRST_COMPLETED:
-                break
-        return done, set(fs) - done
+    def wait(self, fs, return_when):
+        assert return_when == concurrent.futures.FIRST_COMPLETED
+        fut, fn, args = self.pending.pop(self.choose(
+            [d for d, (fut, _, _) in self.pending.items() if fut in fs]))
+        fut.set_result(fn(*args))
+        return {fut}, set(fs) - {fut}
 
-    def shutdown(self, cancel_futures=False):
+    def shutdown(self):
         pass
 
 
@@ -400,14 +395,13 @@ def test_a_theta_row_runs_ahead_of_a_pending_row(monkeypatch):
 def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
     # the pool-path twin of test_budget_keeps_the_row_in_progress: (1,0,0)
     # finishes as the clock passes the deadline; its mirror (0,1,0) is copied,
-    # which puts row 0's band 1 in hand, but the row's band 2 is not submitted
+    # which puts row 0's band 1 in hand, but the row's band 2 is not submitted;
+    # (1,0,1), running on the other worker, is finished and kept, with its mirror
     now = [0.0]
     cut = []
     monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: now[0]))
 
     def first_until_the_deadline(pending):
-        if now[0] > 10:
-            return None  # nothing finishes after the deadline
         if pending[0] == TriDegree(1, 0, 0):
             now[0] = 11
             cut.append(len(pool.submits))
@@ -417,7 +411,8 @@ def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
     partial = frobenius_module(3, threads=2, budget_seconds=10)
     assert cut == [len(pool.submits)]  # no submit after (1,0,0) finished
     band_0 = {TriDegree(0, 0, c) for c in range(4)}
-    assert set(partial.components) == band_0 | {TriDegree(1, 0, 0), TriDegree(0, 1, 0)}
+    band_1 = {TriDegree(*d) for d in ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))}
+    assert set(partial.components) == band_0 | band_1
     source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
     assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
     assert not partial.closed and partial.rows == {c: False for c in range(4)}
@@ -477,10 +472,11 @@ def test_an_outer_cell_queued_by_a_cache_hit_is_solved_once(tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_an_outer_cell_is_not_queued_after_the_deadline(monkeypatch, threads):
+def test_an_outer_cell_is_not_solved_after_the_deadline(monkeypatch, threads):
     # (2,0,0) waits on its inner neighbour (1,1,0), which is nonzero and
-    # finishes as the clock passes the deadline: (2,0,0) is not queued, so
-    # neither it nor its mirror (0,2,0) is kept, and row 0 is open
+    # finishes as the clock passes the deadline: (2,0,0) is queued but never
+    # started, so neither it nor its mirror (0,2,0) is kept, and row 0 is open;
+    # on the pool the solve running beside (1,1,0) still finishes
     now = [0.0]
     worker = coinvariants._component_worker
     seen, cut = [], []
@@ -497,24 +493,27 @@ def test_an_outer_cell_is_not_queued_after_the_deadline(monkeypatch, threads):
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     pool = None
     if threads > 1:
-        pool = DeferredPool(monkeypatch, lambda pending: None if now[0] > 10 else pending[0])
+        pool = DeferredPool(monkeypatch, lambda pending: pending[0])
     partial = frobenius_module(3, threads=threads, budget_seconds=10)
-    assert seen[-1] == TriDegree(1, 1, 0) and partial.components[seen[-1]].dim_quotient > 0
+    assert partial.components[TriDegree(1, 1, 0)].dim_quotient > 0
     assert TriDegree(2, 0, 0) not in seen
     assert not {TriDegree(2, 0, 0), TriDegree(0, 2, 0)} & set(partial.components)
     if pool:
         assert cut == [len(pool.submits)]  # no submit after (1,1,0) finished
         assert TriDegree(2, 0, 0) not in [d for d, _ in pool.submits]
+    else:
+        assert seen[-1] == TriDegree(1, 1, 0)
     assert not partial.closed and partial.rows[0] is False
 
 
 def test_budget_pool_path_stops_early():
-    # the pool path waits only for the remaining time, then cancels; the whole
-    # of n = 4 takes about 0.25 s on two cores, so 0.1 s cuts it
+    # the pool starts no solve after the deadline and finishes those it
+    # started; the whole of n = 4 takes about 0.14 s on two cores, and by
+    # 0.1 s it may have started its last solve, so 0.02 s cuts it
     start = time.monotonic()
-    partial = frobenius_module(4, threads=2, budget_seconds=0.1)
+    partial = frobenius_module(4, threads=2, budget_seconds=0.02)
     assert not partial.closed
-    assert time.monotonic() - start < 0.1 + 2.0  # the slowest n = 4 component is under 0.1 s
+    assert time.monotonic() - start < 0.02 + 2.0  # the slowest n = 4 component is under 0.1 s
 
 
 class RecordingCache:

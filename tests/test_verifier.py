@@ -397,6 +397,28 @@ def test_budget_stops_within_one_component(monkeypatch):
     assert elapsed < budget + 0.4
 
 
+def slow_component_worker(args):
+    # a solve slowed to 0.3 s; at module level, so that the pool pickles it by
+    # name, and a fork pool's workers see it in place of _component_worker
+    time.sleep(0.3)
+    n, d, support = args
+    return component_characters(n, TriDegree(*d), support)
+
+
+def test_the_pool_budget_stops_within_one_component(monkeypatch):
+    # the pool starts a solve only on a free worker and none after the
+    # deadline, and finishes and keeps every solve it started.  Two workers
+    # solve in rounds of 0.3 s, so the deadline at 0.5 s falls in the second
+    # round and the run ends near 0.6 s, within one solve of it; a pool handed
+    # every queued solve at once runs some past the deadline, to 0.9 s or later
+    monkeypatch.setattr(coinvariants, "_component_worker", slow_component_worker)
+    start = time.monotonic()
+    partial = frobenius_module(4, threads=2, budget_seconds=0.5)
+    assert time.monotonic() - start < 0.5 + 0.3 + 0.05 and not partial.closed
+    # a budget shorter than one solve keeps the solves it started
+    assert frobenius_module(4, threads=2, budget_seconds=0.1).components
+
+
 def test_budget_keeps_the_row_in_progress(monkeypatch):
     import superdelta.coinvariants as coinvariants
 
@@ -717,7 +739,7 @@ def test_cli_subcommands():
         ("verify", "--n", "2", "--max-degree", "-1"),
         ("verify", "--n", "2", "--budget-seconds", "-1"),
         ("verify", "--n", "2", "--budget-seconds", "nan"),
-        # a pool's wait for inf seconds overflows; the serial run refuses it too
+        # a budget must be finite, on the pool as on the serial run
         ("verify", "--n", "2", "--threads", "2", "--budget-seconds", "inf"),
         ("verify", "--n", "2", "--budget-seconds", "Infinity"),
         ("verify", "--n", "2", "--threads", "0"),
@@ -807,6 +829,6 @@ def test_module_budget_must_be_finite_and_may_be_huge():
             verify_conjecture(2, threads=2, budget_seconds=budget)
         with pytest.raises(ValueError, match="budget_seconds"):
             frobenius_module(2, budget_seconds=budget)
-    # beyond threading.TIMEOUT_MAX (about 9.2e9 s) the pool's wait would overflow
+    # a budget that no run reaches runs as no budget
     for threads in (1, 2):
         assert verify_conjecture(2, threads=threads, budget_seconds=1e10).verdict == EQUAL
