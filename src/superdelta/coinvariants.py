@@ -157,17 +157,20 @@ is opened once every cell of its band is in hand: its cache hits are kept
 at once, its derived cells wait on their sources and its other cells are
 queued, largest first, behind those already queued, so no row waits at a
 band boundary for a slower row.  The oldest queued solve starts as soon as
-a worker is free (serially there is one, the calling process), and
-completions are taken as they come.  The time budget is read only where a
-solve starts: no solve starts after the deadline, and a solve running at
-the deadline is finished and kept.
+a worker is free, and completions are taken as they come.  Serially the one
+worker is the calling process; two or more are forked from it on demand
+(ForkedWorkers), and a worker freed by a finished solve takes the oldest
+queued one before the finished one is kept.  The time budget is read only
+where a solve starts: no solve starts after the deadline, and a solve
+running at the deadline is finished and kept.
 """
 
 from __future__ import annotations
 
+import marshal
 import os
 import time
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import product
@@ -712,6 +715,135 @@ def _component_worker(args) -> ComponentCharacters:
     return component_characters(n, TriDegree(*d), support)
 
 
+def _solve(args) -> ComponentCharacters | Exception:
+    """The component of one solve, or the error it raised."""
+    try:
+        return _component_worker(args)
+    except Exception as exc:
+        return exc
+
+
+class ForkedWorkers:
+    """Worker processes forked from this one, each running one solve at a time.
+
+    A worker is forked when a solve starts and every worker forked so far is
+    busy, so the caller, which bounds the solves running at once, bounds the
+    workers.  Each has a task pipe and a result pipe of its own and speaks
+    marshal over them: (n, degree, support) goes out, and (mult, None) or
+    (None, (error type, message)) comes back.  A worker ignores SIGINT, so an
+    interrupt reaches this process alone, exits when its task pipe closes,
+    and leaves only through os._exit.  Forking is safe because the engine
+    starts no threads.
+    """
+
+    Worker = namedtuple("Worker", "pid tasks results")  # tasks' write end, results' read end
+
+    def __init__(self):
+        self.workers = []  # every live worker
+        self.busy = {}  # result fd -> (worker, the solve it runs)
+
+    def submit(self, args) -> None:
+        """Start the solve args = (n, degree, support) on a free worker."""
+        free = [w for w in self.workers if w.results.fileno() not in self.busy]
+        worker = free[0] if free else self._fork()
+        n, d, support = args
+        marshal.dump((n, tuple(d), support), worker.tasks)
+        worker.tasks.flush()
+        self.busy[worker.results.fileno()] = (worker, args)
+
+    def wait(self) -> list[tuple]:
+        """Block until a solve finishes: (args, component or error) for each
+        finished one.  A worker that died raises, naming its degree."""
+        import select
+
+        ready, _, _ = select.select(list(self.busy), [], [])
+        done = []
+        for fd in ready:
+            worker, args = self.busy.pop(fd)
+            n, d, _ = args
+            try:
+                mult, error = marshal.load(worker.results)
+            except EOFError:
+                raise RuntimeError(f"the worker solving {tuple(d)} died with exit status "
+                                   f"{self._reap(worker)}") from None
+            if error is None:
+                done.append((args, ComponentCharacters(n, d, mult)))
+            elif error[0] == ConsistencyError.__name__:
+                done.append((args, ConsistencyError(error[1])))
+            else:
+                done.append((args, RuntimeError(f"the solve at {tuple(d)} raised {error[0]}: "
+                                                f"{error[1]}")))
+        return done
+
+    def close(self) -> None:
+        """Kill the workers still busy, then close every pipe and reap every worker."""
+        if self.busy:
+            import signal
+
+            for worker, _ in self.busy.values():
+                os.kill(worker.pid, signal.SIGKILL)
+            self.busy.clear()
+        for worker in list(self.workers):
+            self._reap(worker)
+
+    def _reap(self, worker) -> int:
+        # close the worker's pipes and wait for it: its exit code
+        self.workers.remove(worker)
+        worker.tasks.close()
+        worker.results.close()
+        return os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
+
+    def _fork(self):
+        import signal
+
+        tasks, results = os.pipe(), os.pipe()  # (read end, write end) each
+        # a SIGINT before the child ignores it would unwind the child into the caller
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            pid = os.fork()
+            if pid == 0:
+                others = [f.fileno() for w in self.workers for f in (w.tasks, w.results)]
+                _serve(tasks[0], results[1], [*others, tasks[1], results[0]], mask)
+        except OSError:
+            for fd in (*tasks, *results):
+                os.close(fd)
+            raise
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(tasks[0])
+        os.close(results[1])
+        worker = self.Worker(pid, os.fdopen(tasks[1], "wb"), os.fdopen(results[0], "rb"))
+        self.workers.append(worker)
+        return worker
+
+
+def _serve(tasks: int, results: int, others: list[int], mask) -> None:
+    """A forked worker: solve each task read from the pipe tasks and write its
+    reply to the pipe results until tasks closes, then exit; never returns."""
+    import signal
+
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for fd in others:
+            os.close(fd)
+        with os.fdopen(tasks, "rb") as inbox, os.fdopen(results, "wb") as outbox:
+            while True:
+                try:
+                    got = _solve(marshal.load(inbox))
+                except EOFError:
+                    break
+                if isinstance(got, Exception):
+                    marshal.dump((None, (type(got).__name__, str(got))), outbox)
+                else:
+                    marshal.dump((got.mult, None), outbox)
+                outbox.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
 @dataclass
 class ModuleSideResult:
     n: int
@@ -757,6 +889,8 @@ def check_module_arguments(
         raise ValueError(f"extra_band must be >= 0, got {extra_band}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"threads > 1 needs os.fork, which this platform lacks, got {threads}")
     if max_ab is not None and max_ab < 0:
         raise ValueError(f"max_ab must be >= 0, got {max_ab}")
     if budget_seconds is not None and not (isfinite(budget_seconds) and budget_seconds >= 0):
@@ -794,12 +928,15 @@ def frobenius_module(
     soon as its band is in hand, its solves queued largest component first,
     behind the solves already queued; threads selects only how many run at
     once: the oldest starts as soon as one of min(threads, cores) workers
-    is free (serially the calling process), and completions are taken as
-    they come.  No solve starts after the deadline, so a cell whose source
-    finishes nonzero after it is not solved, and a solve running at the
-    deadline is finished and kept.  A run stops within one component of its
-    deadline, every component it solved is in the result, with the cells
-    derived from them, and rows[c] is False for every row it cut short.
+    is free, and completions are taken as they come.  One worker is the
+    calling process; more are forked from it on demand, so threads > 1
+    needs os.fork, and a worker freed by a finished solve takes the oldest
+    queued one before the finished one is kept.  No solve starts after the
+    deadline, so a cell whose source finishes nonzero after it is not
+    solved, and a solve running at the deadline is finished and kept.  A
+    run stops within one component of its deadline, every component it
+    solved is in the result, with the cells derived from them, and rows[c]
+    is False for every row it cut short.
     Each queued cell is solved for the support that the cells below it in
     hand allow (support_bound; the Support bound paragraph of the module
     docstring), and a solve that fails its checks within that support raises
@@ -817,12 +954,7 @@ def frobenius_module(
         max_ab = n * (n - 1) + 2
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     workers = min(threads, os.cpu_count() or 1)
-    pool = None
-    if threads > 1:
-        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-
-        # a fork pool starts all its workers at the first submit
-        pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ForkedWorkers() if workers > 1 else None
 
     components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
     reach: dict[TriDegree, int] = {}  # computed cell -> -1 if nonzero, else its level
@@ -831,7 +963,7 @@ def frobenius_module(
     cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
     waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
     queued = deque()  # (n, degree, support) of the solves not started, oldest first
-    running = {}  # task (a future, or serially a degree) -> (n, degree, support)
+    running = []  # the solves started and not yet taken, oldest first
     shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells whose bounds shaped it
 
     def behind(cells):
@@ -909,43 +1041,47 @@ def frobenius_module(
             bands[c] += 1
             start(c)
 
-    def result(task) -> ComponentCharacters:
-        # a solve that fails within its support names the cells that set it: a
-        # wrong one among them (a wrong cached cell) breaks the solve's checks
-        try:
-            return _component_worker(running[task]) if pool is None else task.result()
-        except ConsistencyError as exc:
-            _, d, support = running[task]
-            if support is None:
-                raise
+    def settle(args, got) -> ComponentCharacters:
+        # the component of a finished solve, or its error raised; a solve that
+        # fails within its support names the cells that set it: a wrong one
+        # among them (a wrong cached cell) breaks the solve's checks
+        if not isinstance(got, Exception):
+            return got
+        _, d, support = args
+        if isinstance(got, ConsistencyError) and support is not None:
             cells = ", ".join(str(p) for p in shaped[d])
-            raise ConsistencyError(f"{exc}; solved within the bounds set by the cells "
-                                   f"{cells}, so one of them may be wrong") from exc
+            raise ConsistencyError(f"{got}; solved within the bounds set by the cells "
+                                   f"{cells}, so one of them may be wrong") from got
+        raise got
 
-    def finished() -> list[tuple]:
-        # start the oldest queued solves on the free workers until the deadline,
-        # then the next (task, component) pairs: every solve started is kept
+    def refill():
+        # start the oldest queued solves on the free workers until the deadline
         while (queued and len(running) < workers
                and (deadline is None or time.monotonic() <= deadline)):
-            args = queued.popleft()
-            running[args[1] if pool is None else pool.submit(_component_worker, args)] = args
-        if pool is None or not running:  # serially the started task runs here
-            return [(d, result(d)) for d in running]
-        done, _ = wait(running, return_when=FIRST_COMPLETED)
-        return [(f, result(f)) for f in running if f in done]
+            running.append(queued.popleft())
+            if pool is not None:
+                pool.submit(running[-1])
 
     try:
         for c in range(n + 1):
             start(c)
             advance(c)
-        while done := finished():
-            for task, comp in done:
-                c = running.pop(task)[1].c
-                keep(comp)
-                advance(c)
+        refill()
+        while running:
+            # the (solve, component or error) pairs of the solves that finished;
+            # serially the one started solve runs here
+            done = [(args, _solve(args)) for args in running] if pool is None else pool.wait()
+            for args, _ in done:
+                running.remove(args)
+            if pool is not None:
+                refill()  # a freed worker takes the oldest queued solve before the keeps
+            for args, got in done:
+                keep(settle(args, got))
+                advance(args[1].c)
+            refill()
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.close()
 
     rows = {c: rows.get(c, False) for c in range(n + 1)}
     series = assemble_series(n, components)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,6 +57,7 @@ class ComponentCache:
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self.made: set[Path] = set()  # the entry directories made by put
 
     def entry_path(self, n: int, d: TriDegree) -> Path:
         return self.root / f"n={n}" / f"{d.a}_{d.b}_{d.c}.json"
@@ -91,7 +91,9 @@ class ComponentCache:
 
     def put(self, comp: ComponentCharacters) -> None:
         path = self.entry_path(comp.n, comp.degree)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.parent not in self.made:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            self.made.add(path.parent)
         payload = json.dumps({
             "schema_version": CACHE_SCHEMA_VERSION,
             "engine_version": ENGINE_VERSION,
@@ -99,11 +101,16 @@ class ComponentCache:
             "degree": list(comp.degree),
             "dim": comp.dim_quotient,
             "multiplicities": {partition_to_str(lam): m for lam, m in comp.mult.items()},
-        }, sort_keys=True, indent=1)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        }, sort_keys=True, indent=1).encode("utf-8")
+        tmp = f"{path}.{os.getpid()}.tmp"  # the pid keeps two processes apart
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+            try:
+                view = memoryview(payload)
+                while view:
+                    view = view[os.write(fd, view):]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
             try:

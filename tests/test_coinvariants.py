@@ -1,6 +1,5 @@
-import concurrent.futures
+import os
 import time
-from concurrent.futures import Future
 from fractions import Fraction
 from itertools import permutations
 from types import SimpleNamespace
@@ -262,31 +261,37 @@ def test_theta_rows_are_explored_band_by_band(monkeypatch):
     assert bands == sorted(bands)  # a + b never falls back for the next theta row
 
 
-class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs each task at once."""
+class InlineWorkers:
+    """Stands in for ForkedWorkers: runs each solve in this process as it is
+    submitted, and records the most solves running at once."""
 
-    sizes = []
+    peaks = []
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def __init__(self):
+        self.done = []
+        self.peaks.append(0)
 
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
+    def submit(self, args):
+        self.done.append((args, coinvariants._solve(args)))
+        self.peaks[-1] = max(self.peaks[-1], len(self.done))
 
-    def shutdown(self):
+    def wait(self):
+        done, self.done = self.done, []
+        return done
+
+    def close(self):
         pass
 
 
 @pytest.mark.parametrize("cores, threads, workers", [(2, 100_000, 2), (None, 8, 1), (4, 3, 3)])
 def test_pool_size_is_bounded_by_the_cores(monkeypatch, cores, threads, workers):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(coinvariants, "ForkedWorkers", InlineWorkers)
     monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: cores)
-    InlineExecutor.sizes = []
+    InlineWorkers.peaks = []
     report = verify_conjecture(2, threads=threads)
     assert report.verdict == EQUAL and report.timing["threads"] == threads
-    assert InlineExecutor.sizes == [workers]
+    # one worker is the calling process, so no worker is forked
+    assert InlineWorkers.peaks == ([workers] if workers > 1 else [])
 
 
 def test_both_paths_solve_the_same_cells(monkeypatch):
@@ -301,7 +306,8 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
     result = frobenius_module(4)
     serial = sorted(seen)
     seen.clear()
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(coinvariants, "ForkedWorkers", InlineWorkers)
+    monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
     frobenius_module(4, threads=2)
     # 111 components: 45 solved, 48 a < b mirrors and 18 zeros inferred from
     # their inner neighbours
@@ -346,33 +352,27 @@ def test_the_serial_schedule_is_pinned(monkeypatch):
 
 
 class DeferredPool:
-    """Stands in for ProcessPoolExecutor and wait on two cores: a task runs
-    only inside wait, which finishes the one that the test's choose(pending
-    degrees, in submission order) names."""
+    """Stands in for ForkedWorkers on two cores: a solve runs only inside
+    wait, which finishes the one that the test's choose(pending degrees, in
+    submission order) names."""
 
     def __init__(self, monkeypatch, choose):
         self.choose = choose
-        self.pending = {}  # degree -> (future, fn, args)
+        self.pending = {}  # degree -> the solve's args
         self.submits = []  # (degree, the degrees pending when it was submitted)
         monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: self)
-        monkeypatch.setattr(concurrent.futures, "wait", self.wait)
+        monkeypatch.setattr(coinvariants, "ForkedWorkers", lambda: self)
 
-    def submit(self, fn, *args):
-        degree = TriDegree(*args[0][1])
+    def submit(self, args):
+        degree = TriDegree(*args[1])
         self.submits.append((degree, list(self.pending)))
-        fut = Future()
-        self.pending[degree] = (fut, fn, args)
-        return fut
+        self.pending[degree] = args
 
-    def wait(self, fs, return_when):
-        assert return_when == concurrent.futures.FIRST_COMPLETED
-        fut, fn, args = self.pending.pop(self.choose(
-            [d for d, (fut, _, _) in self.pending.items() if fut in fs]))
-        fut.set_result(fn(*args))
-        return {fut}, set(fs) - {fut}
+    def wait(self):
+        args = self.pending.pop(self.choose(list(self.pending)))
+        return [(args, coinvariants._solve(args))]
 
-    def shutdown(self):
+    def close(self):
         pass
 
 
@@ -390,6 +390,26 @@ def test_a_theta_row_runs_ahead_of_a_pending_row(monkeypatch):
     assert TriDegree(1, 0, 0) in ahead and any(d.a + d.b > 1 for d in ahead)
     assert all(TriDegree(0, 0, 1) in before
                for d, before in pool.submits if d.c != 1 and d.a + d.b > 0)
+
+
+def test_a_freed_worker_is_refilled_before_the_keep(monkeypatch):
+    # band 0 queues (0,0,c) for c = 0..3 and two of them start; when (0,0,0)
+    # finishes, the worker it frees takes (0,0,2) before (0,0,0) is kept
+    # ("s" and a degree abc is a submit, a bare degree a cache put)
+    log = []
+    pool = DeferredPool(monkeypatch, lambda pending: pending[0])
+    submit = pool.submit
+
+    def logged_submit(args):
+        log.append("s" + "".join(map(str, args[1])))
+        submit(args)
+
+    def put(comp):
+        log.append("".join(map(str, comp.degree)))
+
+    pool.submit = logged_submit
+    frobenius_module(3, threads=2, component_cache=SimpleNamespace(get=lambda n, d: None, put=put))
+    assert log[:5] == ["s000", "s001", "s002", "000", "s003"]
 
 
 def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
@@ -504,6 +524,45 @@ def test_an_outer_cell_is_not_solved_after_the_deadline(monkeypatch, threads):
     else:
         assert seen[-1] == TriDegree(1, 1, 0)
     assert not partial.closed and partial.rows[0] is False
+
+
+@pytest.mark.parametrize("failure, error, message", [
+    ("exit", RuntimeError, r"^the worker solving \(1, 0, 0\) died with exit status 7$"),
+    ("raise", RuntimeError, r"^the solve at \(1, 0, 0\) raised KeyError: 'planted'$"),
+    ("inconsistent", ConsistencyError,
+     r"^planted; solved within the bounds set by the cells \(0, 0, 0\), so one"),
+], ids=["exit", "raise", "inconsistent"])
+def test_a_failing_worker_fails_the_run_and_leaves_no_process(monkeypatch, failure, error,
+                                                               message):
+    # (1,0,0) fails in a forked worker: it exits, raises an error of its own,
+    # or fails a check within the support its lower neighbour (0,0,0) set; the
+    # run raises at once, naming the degree, and every worker is reaped
+    parent = os.getpid()
+    worker = coinvariants._component_worker
+
+    def failing_worker(args):
+        if tuple(args[1]) != (1, 0, 0) or os.getpid() == parent:
+            return worker(args)
+        if failure == "exit":
+            os._exit(7)
+        raise KeyError("planted") if failure == "raise" else ConsistencyError("planted")
+
+    monkeypatch.setattr(coinvariants, "_component_worker", failing_worker)
+    monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(error, match=message):
+        frobenius_module(3, threads=2)
+    assert time.monotonic() - start < 5
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threads_need_fork(monkeypatch):
+    # the workers are forked, so more than one thread needs os.fork
+    monkeypatch.delattr(coinvariants.os, "fork")
+    with pytest.raises(ValueError, match="os.fork"):
+        frobenius_module(2, threads=2)
+    assert frobenius_module(2, threads=1).closed
 
 
 def test_budget_pool_path_stops_early():

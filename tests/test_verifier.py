@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import signal
 import subprocess
 import sys
 import time
@@ -417,6 +418,63 @@ def test_the_pool_budget_stops_within_one_component(monkeypatch):
     assert time.monotonic() - start < 0.5 + 0.3 + 0.05 and not partial.closed
     # a budget shorter than one solve keeps the solves it started
     assert frobenius_module(4, threads=2, budget_seconds=0.1).components
+
+
+NO_POOL_MACHINERY = """
+import os, sys
+os.cpu_count = lambda: 2  # two workers are forked on any machine
+import superdelta
+print("pickle" in sys.modules)
+assert superdelta.verify_conjecture(3, threads=2).verdict == "EQUAL"
+print(sorted(m for m in sys.modules if m.split(".")[0] in ("multiprocessing", "concurrent")))
+"""
+
+
+def test_the_pool_loads_no_pool_machinery():
+    # the workers are forked and spoken to in marshal: neither import
+    # superdelta nor a pooled run loads pickle's or a process pool's modules
+    proc = run_python(NO_POOL_MACHINERY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
+INTERRUPTED = """
+import os, time
+os.cpu_count = lambda: 2
+import superdelta.coinvariants as coinvariants
+solve = coinvariants._component_worker
+
+def slow(args):
+    time.sleep(60)
+    return solve(args)
+
+coinvariants._component_worker = slow
+print("started", flush=True)
+coinvariants.frobenius_module(3, threads=2)
+"""
+
+
+def test_an_interrupted_pool_leaves_no_process():
+    # SIGINT to the whole process group, as a terminal's ^C or timeout -s INT
+    # sends it: the workers ignore it, and the run kills their minute-long
+    # solves and reaps them before it exits, so nothing of the group is left
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=checkout_env(),
+                            start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "started\n"
+        time.sleep(1)  # both workers are forked and inside a solve
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        assert proc.returncode != 0 and "KeyboardInterrupt" in err
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
 
 
 def test_budget_keeps_the_row_in_progress(monkeypatch):
