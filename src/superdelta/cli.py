@@ -1,7 +1,7 @@
 """Command line interface.
 
 Exit codes: 0 = EQUAL / success, 1 = DIFFER, 2 = INCONCLUSIVE,
-3 = usage error, 4 = internal error.
+3 = usage error, 4 = internal error, 130 = interrupted (^C).
 """
 
 from __future__ import annotations
@@ -147,6 +147,9 @@ def main(argv=None) -> int:
         return _dispatch(parser, args)
     except BrokenPipeError:
         return 4
+    except KeyboardInterrupt:  # the conventional 128 + SIGINT, without a traceback
+        print("superdelta: interrupted", file=sys.stderr)
+        return 130
     except SystemExit:
         raise
     except Exception as exc:  # internal errors must exit with code > 2

@@ -84,19 +84,19 @@ in its band.
 
 Derived cells.  So a cell has a source: its mirror (b, a, c) when a < b,
 its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the cells with
-a - b <= 1 have none and are always solved.  In the band step of
-frobenius_module a cell that is not in the cache waits on its source when
-that source is a cell of the same band, so each band is solved from its
-middle out.  Once the source is in hand (solved, read from the cache or
-itself derived), an a < b cell is a copy of it, and an outer cell is a
-zero of its ambient dimension when the source is zero and is queued for a
-solve when it is not.  A derived cell costs no budget and is cached like a
-solved one, so the cache files do not depend on which cells were solved; a
-cell whose source was not finished is missing, like one not computed.  A
-cell whose source is no cell of its band is solved (for an a < b cell only
-a wrong but valid cached zero brings that about).  Such a cached zero
-spreads to the cells derived from it, and the comparison with the delta
-side, which like the frontier law sees every cell, sees the terms it lost.
+a - b <= 1 have none and are always solved.  When Plan opens a band, a
+cell that is not in the cache waits on its source when that source is a
+cell of the same band, so each band is solved from its middle out.  Once
+the source is in hand (solved, read from the cache or itself derived), an
+a < b cell is a copy of it, and an outer cell is a zero of its ambient
+dimension when the source is zero and is queued for a solve when it is not.
+A derived cell costs no budget and is cached like a solved one, so the
+cache files do not depend on which cells were solved; a cell whose source
+was not finished is missing, like one not computed.  A cell whose source is
+no cell of its band is solved (for an a < b cell only a wrong but valid
+cached zero brings that about).  Such a cached zero spreads to the cells
+derived from it, and the comparison with the delta side, which like the
+frontier law sees every cell, sees the terms it lost.
 
 Support bound.  M = R/I_n is generated by 1, and p_{1,0} = sum_i x_i and
 p_{0,1} = sum_i y_i lie in I_n.  For a >= 1 every monomial of degree
@@ -107,10 +107,10 @@ no sign enters), and it kills (sum_i e_i) (x) m.  So M_(a,b,c) is a
 quotient of V/1 (x) M_(a-1,b,c) = S^(n-1,1) (x) M_(a-1,b,c), and likewise,
 through y_i, of S^(n-1,1) (x) M_(a,b-1,c) when b >= 1: for each lower
 neighbour d - e, m_lam(d) <= [s_lam](s_(n-1,1) * F(M_(d-e))), * the
-Kronecker product (characters.standard_kronecker).  When frobenius_module
-queues a cell, these bounds from its nonzero lower neighbours in hand, and
-for an outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of its
-inner neighbour, give it a support: the lams that all of them allow, each
+Kronecker product (characters.standard_kronecker).  When Plan queues a
+cell, these bounds from its nonzero lower neighbours in hand, and for an
+outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of its inner
+neighbour, give it a support: the lams that all of them allow, each
 with its least bound.  The solve runs the Young system of the support's
 lams (young_system(n, lams)): a zero costs a cover of the support and
 one check character, a nonzero cell as many characters as the support has
@@ -149,20 +149,10 @@ from mn_character, whose border-strip recursion is cached per process.
 
 Degree exploration is frontier-driven.  If a component vanishes, so do the
 components one step up in a or b (any higher monomial is a variable times
-a monomial lying in the ideal), so each theta-row of the degree lattice is
+a monomial lying in the ideal), so each theta row of the degree lattice is
 explored until a closed band of zeros is found, then one configurable
-extra band beyond it.  The law relates cells of one theta row only, so each
-row moves through its own bands a + b = 0, 1, 2, ..., and a row's next band
-is opened once every cell of its band is in hand: its cache hits are kept
-at once, its derived cells wait on their sources and its other cells are
-queued, largest first, behind those already queued, so no row waits at a
-band boundary for a slower row.  The oldest queued solve starts as soon as
-a worker is free, and completions are taken as they come.  Serially the one
-worker is the calling process; two or more are forked from it on demand
-(ForkedWorkers), and a worker freed by a finished solve takes the oldest
-queued one before the finished one is kept.  The time budget is read only
-where a solve starts: no solve starts after the deadline, and a solve
-running at the deadline is finished and kept.
+extra band beyond it.  Plan holds that lattice and queues its solves;
+frobenius_module starts them on its workers and keeps the time budget.
 """
 
 from __future__ import annotations
@@ -723,6 +713,24 @@ def _solve(args) -> ComponentCharacters | Exception:
         return exc
 
 
+class InProcess:
+    """The calling process as the one worker: a started solve runs when it is
+    waited on.  It speaks ForkedWorkers' submit, wait, close and busy."""
+
+    def __init__(self):
+        self.busy = []  # the solve started and not yet run
+
+    def submit(self, args) -> None:
+        self.busy.append(args)
+
+    def wait(self) -> list[tuple]:
+        done, self.busy = self.busy, []
+        return [(args, _solve(args)) for args in done]
+
+    def close(self) -> None:
+        pass
+
+
 class ForkedWorkers:
     """Worker processes forked from this one, each running one solve at a time.
 
@@ -897,6 +905,128 @@ def check_module_arguments(
         raise ValueError(f"budget_seconds must be finite and >= 0, got {budget_seconds}")
 
 
+class Plan:
+    """The degree lattice of one run: the cells in hand, the cells waiting
+    on a source and the solves queued, oldest first.  It reads no clock and
+    starts no solve; frobenius_module starts the queued ones and hands each
+    finished one to accept.
+
+    Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
+    A cell (a, b, c) of an open row's band is computed when it is the origin
+    or sits within extra_band steps above a computed zero bordering the
+    nonzero support.  A row closes at its first band without such a cell,
+    and is final: the vanishing law makes every cell beyond it zero; one
+    that needs a band beyond max_ab stays open.  A row's next band opens as
+    soon as its band is in hand: its cache hits are kept, a cell whose
+    source is a cell of the band waits on it (the Derived cells paragraph
+    of the module docstring), and the others are queued, largest first,
+    behind the solves already queued (so no row waits for a slower one),
+    each for the support that the cells below it in hand allow
+    (support_bound).  A nonzero cell strictly beyond a zero breaks the
+    vanishing law, and a solve can fail its checks within its support:
+    either raises ConsistencyError, naming the cells below the cell, then
+    the cells that shaped them in turn (a copy or an inferred zero is
+    shaped by its source), since a wrong cached one among them can cause it.
+    """
+
+    def __init__(self, n: int, extra_band: int, max_ab: int, component_cache=None):
+        self.n, self.extra_band, self.max_ab, self.cache = n, extra_band, max_ab, component_cache
+        self.components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
+        self.rows: dict[int, bool] = {}  # c -> closed; False while open or stopped at max_ab
+        self.cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
+        self.waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
+        self.queued = deque()  # (n, degree, support) of the solves not started, oldest first
+        self.shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells that shaped it
+        for c in range(n + 1):
+            self.start(c, 0)
+            self.advance(c)
+
+    def accept(self, args, got) -> None:
+        """Keep got, the component of the finished solve args, and advance its
+        row; or raise got, the solve's error."""
+        _, d, support = args
+        if isinstance(got, ConsistencyError) and support is not None:
+            raise ConsistencyError(f"{got}; solved within the bounds set by the cells "
+                                   f"{', '.join(map(str, self.shaped[d]))}, "
+                                   "so one of them may be wrong") from got
+        if isinstance(got, Exception):
+            raise got
+        self.keep(got)
+        self.advance(d.c)
+
+    def behind(self, cells):
+        # these cells, then the cells that shaped them
+        return list(dict.fromkeys(cells + [p for q in cells for p in self.shaped[q]]))
+
+    def queue(self, todo):
+        # solve these cells, largest first, behind those already queued, each
+        # for the lams that the cells below it in hand allow
+        for d in sorted(todo, key=lambda d: -component_dimension(self.n, d)):
+            cells = bounding_cells(d, self.components)
+            self.shaped[d] = self.behind(cells)
+            self.queued.append((self.n, d, support_bound(self.n, d, cells, self.components)))
+
+    def keep(self, comp, put=True):
+        # in hand (solved, read from the cache, copied or inferred): kept, cached
+        # unless it was read from there, and the cells waiting on it derived
+        self.components[comp.degree] = comp
+        self.shaped.setdefault(comp.degree, [])  # a cache hit rests on no cell
+        if put and self.cache is not None:
+            self.cache.put(comp)
+        for d in self.waiting.pop(comp.degree, ()):
+            if comp.dim_quotient and d.a >= d.b:  # nonzero inside: solve it
+                self.queue([d])
+                continue
+            self.shaped[d] = self.behind([tuple(comp.degree)])
+            if d.a < d.b:  # a copy of its mirror
+                self.keep(ComponentCharacters(self.n, d, dict(comp.mult)))
+            else:  # zero inside, so zero beyond
+                self.keep(ComponentCharacters(self.n, d, dict.fromkeys(comp.mult, 0)))
+
+    def start(self, c, band):
+        # open row c's band: stop the row, or queue the cells it solves at once,
+        # let the others wait on their source and keep its cache hits; a cell's
+        # level is 0 above a nonzero lower neighbour, else one more than the
+        # least level of its lower neighbours, which are cells of the band below
+        below, row = self.cells.get(c, {}), {}
+        for a in range(band + 1):
+            d = TriDegree(a, band - a, c)
+            levels = [0 if self.components[p].dim_quotient else below[p] + 1
+                      for p in ((a - 1, d.b, c), (a, d.b - 1, c)) if p in below]
+            lvl = 0 if band == 0 else min(levels, default=None)
+            if lvl is not None and lvl <= self.extra_band:
+                row[d] = lvl
+        self.rows[c] = not row
+        self.cells[c] = {} if band > self.max_ab else row  # no cell: the row stopped
+        hits, todo = [], []
+        for d in self.cells[c]:
+            comp = self.cache.get(self.n, d) if self.cache is not None else None
+            mirror, inner = (d.b, d.a, c), (d.a - 1, d.b + 1, c)
+            source = mirror if d.a < d.b else inner if d.a - d.b >= 2 else None
+            if comp is not None:
+                hits.append(comp)
+            elif source in row:
+                self.waiting.setdefault(source, []).append(d)
+            else:
+                todo.append(d)
+        self.queue(todo)
+        for comp in hits:
+            self.keep(comp, put=False)
+
+    def advance(self, c):
+        # while row c is open and its band in hand: the frontier law, then the next band
+        while self.cells[c] and all(d in self.components for d in self.cells[c]):
+            for d, lvl in self.cells[c].items():
+                if lvl > 0 and self.components[d].dim_quotient:  # its lower cells are zeros
+                    zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c))
+                             if p in self.components]
+                    raise ConsistencyError(
+                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={c}; "
+                        "the zero cells below it and the cells that shaped them are "
+                        f"{', '.join(map(str, self.behind(zeros)))}, so one of them may be wrong")
+            self.start(c, d.a + d.b + 1)  # d is the band's last cell
+
+
 def frobenius_module(
     n: int,
     extra_band: int = 1,
@@ -907,42 +1037,20 @@ def frobenius_module(
 ) -> ModuleSideResult:
     """Compute the qtz-graded Frobenius series of the quotient module.
 
-    Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
-    In a band, a cell (a, b, c) of an open row is computed when it is the
-    origin or sits within extra_band steps above a computed zero bordering
-    the nonzero support.  A row closes at its first band without such a
-    cell, and is final: the vanishing law makes every cell beyond it zero.
-    One that needs a cell beyond max_ab stays open.  A nonzero component
-    strictly beyond a zero predecessor contradicts that law and raises
-    ConsistencyError, checked on a band once all its cells are in hand.
-
-    component_cache, when given, must provide get(n, degree) and
-    put(component).  A band's cache hits are read when the band opens.  A
-    cell that misses the cache waits on its source, its mirror (b, a, c)
-    when a < b or its inner neighbour (a - 1, b + 1, c) when a - b >= 2, if
-    that source is a cell of the band (the Derived cells paragraph of the
-    module docstring).  Once the source is in hand, an a < b cell is copied
-    from it, and an outer cell is kept as a zero if the source is zero and
-    queued for a solve if not; copies and zeros cost no budget.  The other
-    cells are queued when the band opens.  A row's next band is opened as
-    soon as its band is in hand, its solves queued largest component first,
-    behind the solves already queued; threads selects only how many run at
-    once: the oldest starts as soon as one of min(threads, cores) workers
-    is free, and completions are taken as they come.  One worker is the
-    calling process; more are forked from it on demand, so threads > 1
-    needs os.fork, and a worker freed by a finished solve takes the oldest
-    queued one before the finished one is kept.  No solve starts after the
-    deadline, so a cell whose source finishes nonzero after it is not
-    solved, and a solve running at the deadline is finished and kept.  A
-    run stops within one component of its deadline, every component it
-    solved is in the result, with the cells derived from them, and rows[c]
-    is False for every row it cut short.
-    Each queued cell is solved for the support that the cells below it in
-    hand allow (support_bound; the Support bound paragraph of the module
-    docstring), and a solve that fails its checks within that support raises
-    a ConsistencyError that names those cells, then the cells that shaped
-    them in turn (a copy or an inferred zero is shaped by its source); the
-    frontier law's error names the zero cells below its cell in the same way.
+    A Plan of the rows c = 0..n, their bands a + b <= max_ab and extra_band
+    extra bands queues the solves, reading and filling component_cache, which
+    when given must provide get(n, degree) and put(component).  One loop runs
+    them whatever threads is: the oldest queued solve starts as soon as one
+    of min(threads, cores) workers is free, and completions are taken as they
+    come.  One worker is the calling process (InProcess); more are forked
+    from it on demand (ForkedWorkers), so threads > 1 needs os.fork.  A
+    worker freed by a finished solve is given the oldest queued one before
+    the finished one is kept.  No solve starts after the deadline, so a cell
+    whose source finishes nonzero after it is not solved, and a solve
+    running at the deadline is finished and kept.  A run stops within one
+    component of its deadline, every component it solved is in the result,
+    with the cells derived from them, and rows[c] is False for every row it
+    cut short.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -950,142 +1058,29 @@ def frobenius_module(
     alone breaks the shape is reported as the difference it is.
     """
     check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
-    if max_ab is None:
-        max_ab = n * (n - 1) + 2
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
     workers = min(threads, os.cpu_count() or 1)
-    pool = ForkedWorkers() if workers > 1 else None
-
-    components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
-    reach: dict[TriDegree, int] = {}  # computed cell -> -1 if nonzero, else its level
-    rows: dict[int, bool] = {}  # c -> closed, for the rows that stopped
-    bands = [0] * (n + 1)  # c -> the band a + b row c is in
-    cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
-    waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
-    queued = deque()  # (n, degree, support) of the solves not started, oldest first
-    running = []  # the solves started and not yet taken, oldest first
-    shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells whose bounds shaped it
-
-    def behind(cells):
-        # these cells, then the cells that shaped them
-        return list(dict.fromkeys(cells + [p for q in cells for p in shaped[q]]))
-
-    def queue(todo):
-        # solve these cells, largest first, behind those already queued, each
-        # for the lams that the cells below it in hand allow
-        for d in sorted(todo, key=lambda d: -component_dimension(n, d)):
-            cells = bounding_cells(d, components)
-            shaped[d] = behind(cells)
-            queued.append((n, d, support_bound(n, d, cells, components)))
-
-    def keep(comp, put=True):
-        # in hand (solved, read from the cache, copied or inferred): kept, cached
-        # unless it was read from there, and the cells waiting on it derived
-        components[comp.degree] = comp
-        shaped.setdefault(comp.degree, [])  # a cache hit rests on no cell
-        if put and component_cache is not None:
-            component_cache.put(comp)
-        for d in waiting.pop(comp.degree, ()):
-            if comp.dim_quotient and d.a >= d.b:  # nonzero inside: solve it
-                queue([d])
-                continue
-            shaped[d] = behind([tuple(comp.degree)])
-            if d.a < d.b:  # a copy of its mirror
-                keep(ComponentCharacters(n, d, dict(comp.mult)))
-            else:  # zero inside, so zero beyond
-                zero = dict.fromkeys(comp.mult, 0)
-                keep(ComponentCharacters(n, d, zero))
-
-    def start(c):
-        # open row c's band: stop the row, or queue the cells it solves at once,
-        # let the others wait on their source and keep its cache hits
-        band, row = bands[c], {}
-        for a in range(band + 1):
-            b = band - a
-            levels = [reach[p] + 1 for p in ((a - 1, b, c), (a, b - 1, c)) if p in reach]
-            lvl = 0 if band == 0 else min(levels, default=None)
-            if lvl is not None and lvl <= extra_band:
-                row[TriDegree(a, b, c)] = lvl
-        if not row:
-            rows[c] = True
-        elif band > max_ab:
-            rows[c] = False  # budget on degree exhausted
-        cells[c] = {} if c in rows else row
-        hits, todo = [], []
-        for d in cells[c]:
-            comp = component_cache.get(n, d) if component_cache is not None else None
-            mirror, inner = (d.b, d.a, c), (d.a - 1, d.b + 1, c)
-            source = mirror if d.a < d.b else inner if d.a - d.b >= 2 else None
-            if comp is not None:
-                hits.append(comp)
-            elif source in row:
-                waiting.setdefault(source, []).append(d)
-            else:
-                todo.append(d)
-        queue(todo)
-        for comp in hits:
-            keep(comp, put=False)
-
-    def advance(c):
-        # while row c is open and its band in hand: the frontier law, then the next band
-        while c not in rows and all(d in components for d in cells[c]):
-            for d, lvl in cells[c].items():
-                nonzero = components[d].dim_quotient > 0
-                reach[d] = -1 if nonzero else lvl
-                if nonzero and lvl > 0:  # every lower neighbour in hand is zero
-                    zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c)) if p in reach]
-                    raise ConsistencyError(
-                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={d.c}; "
-                        "the zero cells below it and the cells that shaped them are "
-                        f"{', '.join(map(str, behind(zeros)))}, so one of them may be wrong")
-            bands[c] += 1
-            start(c)
-
-    def settle(args, got) -> ComponentCharacters:
-        # the component of a finished solve, or its error raised; a solve that
-        # fails within its support names the cells that set it: a wrong one
-        # among them (a wrong cached cell) breaks the solve's checks
-        if not isinstance(got, Exception):
-            return got
-        _, d, support = args
-        if isinstance(got, ConsistencyError) and support is not None:
-            cells = ", ".join(str(p) for p in shaped[d])
-            raise ConsistencyError(f"{got}; solved within the bounds set by the cells "
-                                   f"{cells}, so one of them may be wrong") from got
-        raise got
+    pool = ForkedWorkers() if workers > 1 else InProcess()
 
     def refill():
         # start the oldest queued solves on the free workers until the deadline
-        while (queued and len(running) < workers
+        while (plan.queued and len(pool.busy) < workers
                and (deadline is None or time.monotonic() <= deadline)):
-            running.append(queued.popleft())
-            if pool is not None:
-                pool.submit(running[-1])
+            pool.submit(plan.queued.popleft())
 
     try:
-        for c in range(n + 1):
-            start(c)
-            advance(c)
+        plan = Plan(n, extra_band, n * (n - 1) + 2 if max_ab is None else max_ab, component_cache)
         refill()
-        while running:
-            # the (solve, component or error) pairs of the solves that finished;
-            # serially the one started solve runs here
-            done = [(args, _solve(args)) for args in running] if pool is None else pool.wait()
-            for args, _ in done:
-                running.remove(args)
-            if pool is not None:
-                refill()  # a freed worker takes the oldest queued solve before the keeps
+        while pool.busy:
+            done = pool.wait()
+            refill()  # a freed worker takes the oldest queued solve before the keeps
             for args, got in done:
-                keep(settle(args, got))
-                advance(args[1].c)
+                plan.accept(args, got)
             refill()
     finally:
-        if pool is not None:
-            pool.close()
+        pool.close()
 
-    rows = {c: rows.get(c, False) for c in range(n + 1)}
-    series = assemble_series(n, components)
-    return ModuleSideResult(n, series, components, rows)
+    return ModuleSideResult(n, assemble_series(n, plan.components), plan.components, plan.rows)
 
 
 def check_gl2_shape(result: ModuleSideResult) -> None:

@@ -1,10 +1,14 @@
 import os
+import tempfile
 import time
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import superdelta.coinvariants as coinvariants
 from superdelta.cli import main
@@ -21,7 +25,12 @@ from superdelta.coinvariants import (
 from superdelta.linalg import ConsistencyError, Echelon
 from superdelta.partitions import cycle_type
 from superdelta.qtz import ONE, Q, T, Z
-from superdelta.superring import TriDegree, apply_perm_mono, enumerate_monomials
+from superdelta.superring import (
+    TriDegree,
+    apply_perm_mono,
+    component_dimension,
+    enumerate_monomials,
+)
 from superdelta.verifier import EQUAL, ComponentCache, verify_conjecture
 from unreduced import (
     apply_signed_map,
@@ -268,15 +277,15 @@ class InlineWorkers:
     peaks = []
 
     def __init__(self):
-        self.done = []
+        self.busy = []  # (args, component or error) of the solves not yet waited on
         self.peaks.append(0)
 
     def submit(self, args):
-        self.done.append((args, coinvariants._solve(args)))
-        self.peaks[-1] = max(self.peaks[-1], len(self.done))
+        self.busy.append((args, coinvariants._solve(args)))
+        self.peaks[-1] = max(self.peaks[-1], len(self.busy))
 
     def wait(self):
-        done, self.done = self.done, []
+        done, self.busy = self.busy, []
         return done
 
     def close(self):
@@ -358,22 +367,57 @@ class DeferredPool:
 
     def __init__(self, monkeypatch, choose):
         self.choose = choose
-        self.pending = {}  # degree -> the solve's args
+        self.busy = {}  # degree -> the solve's args, for the solves pending
         self.submits = []  # (degree, the degrees pending when it was submitted)
         monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(coinvariants, "ForkedWorkers", lambda: self)
 
     def submit(self, args):
         degree = TriDegree(*args[1])
-        self.submits.append((degree, list(self.pending)))
-        self.pending[degree] = args
+        self.submits.append((degree, list(self.busy)))
+        self.busy[degree] = args
 
     def wait(self):
-        args = self.pending.pop(self.choose(list(self.pending)))
+        args = self.busy.pop(self.choose(list(self.busy)))
         return [(args, coinvariants._solve(args))]
 
     def close(self):
         pass
+
+
+def run_with_cache(n, directory, threads=1):
+    """frobenius_module(n) on a fresh cache in directory: its components, its
+    rows and the bytes of every cache file, by path."""
+    result = frobenius_module(n, threads=threads, component_cache=ComponentCache(directory))
+    files = {p.relative_to(directory): p.read_bytes()
+             for p in Path(directory).rglob("*") if p.is_file()}
+    return result.components, result.rows, files
+
+
+@cache
+def serial_run(n):
+    with tempfile.TemporaryDirectory() as directory:
+        return run_with_cache(n, directory)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_reports_do_not_depend_on_the_completion_order(tmp_path, monkeypatch, data):
+    # the pool takes completions as they come; whichever pending solve
+    # finishes first, the components, rows and cache files are the serial ones
+    DeferredPool(monkeypatch, lambda pending: data.draw(st.sampled_from(pending)))
+    assert run_with_cache(3, tempfile.mkdtemp(dir=tmp_path), threads=2) == serial_run(3)
+
+
+@pytest.mark.parametrize("choose", [
+    lambda pending: pending[0],
+    lambda pending: pending[-1],
+    lambda pending: min(pending, key=lambda d: component_dimension(4, d)),
+], ids=["oldest", "newest", "smallest"])
+def test_n4_reports_do_not_depend_on_the_completion_order(tmp_path, monkeypatch, choose):
+    DeferredPool(monkeypatch, choose)
+    assert run_with_cache(4, tmp_path, threads=2) == serial_run(4)
 
 
 def test_a_theta_row_runs_ahead_of_a_pending_row(monkeypatch):
@@ -410,6 +454,65 @@ def test_a_freed_worker_is_refilled_before_the_keep(monkeypatch):
     pool.submit = logged_submit
     frobenius_module(3, threads=2, component_cache=SimpleNamespace(get=lambda n, d: None, put=put))
     assert log[:5] == ["s000", "s001", "s002", "000", "s003"]
+
+
+class SimulatedPool:
+    """Stands in for ForkedWorkers on two cores under a simulated clock,
+    which it patches in as coinvariants.time: a solve of degree d costs
+    component_dimension(n, d) ticks from its submit, and wait finishes the
+    running solve that ends first (the earlier submitted on a tie) and moves
+    the clock to its end."""
+
+    def __init__(self, monkeypatch):
+        self.now = 0
+        self.busy = {}  # degree -> (end, submission number, args) of the solves running
+        self.starts = []  # (degree, cost, tick) of every submit
+        monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(coinvariants, "ForkedWorkers", lambda: self)
+        monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: self.now))
+
+    def submit(self, args):
+        n, d = args[0], TriDegree(*args[1])
+        cost = component_dimension(n, d)
+        self.busy[d] = (self.now + cost, len(self.starts), args)
+        self.starts.append((d, cost, self.now))
+
+    def wait(self):
+        d = min(self.busy, key=lambda d: self.busy[d][:2])
+        self.now, _, args = self.busy.pop(d)
+        return [(args, coinvariants._solve(args))]
+
+    def close(self):
+        pass
+
+
+# The start order of frobenius_module(4, threads=2)'s 45 solves on two
+# workers, each solve costing its ambient dimension in ticks, in
+# SERIAL_SCHEDULE_N4's notation; the last solve ends at tick 7,752.
+POOL_SCHEDULE_N4 = """
+s000 s001 s002 s003 s004 s100 s101 s102 s103 s104 s110 s111 s112 s113 s200 s201
+s202 s210 s211 s212 s300 s301 s220 s302 s221 s310 s222 s400 s311 s320 s322 s401
+s410 s321 s500 s411 s330 s420 s501 s510 s331 s600 s430 s440 s431
+""".split()
+
+
+def test_the_two_worker_schedule_is_pinned(monkeypatch):
+    pool = SimulatedPool(monkeypatch)
+    result = frobenius_module(4, threads=2)
+    assert ["s" + "".join(map(str, d)) for d, _, _ in pool.starts] == POOL_SCHEDULE_N4
+    assert pool.now == 7752 and result.closed and len(result.components) == 111
+
+
+def test_a_budget_stops_the_simulated_pool_within_one_solve(monkeypatch):
+    # a deadline halfway through the run: no solve starts after it, every
+    # solve started is kept, and the run ends within one solve of it
+    pool = SimulatedPool(monkeypatch)
+    deadline = 7752 / 2
+    partial = frobenius_module(4, threads=2, budget_seconds=deadline)
+    assert not partial.closed and 0 < len(pool.starts) < 45
+    assert all(tick <= deadline for _, _, tick in pool.starts)
+    assert {d for d, _, _ in pool.starts} <= set(partial.components)
+    assert deadline < pool.now <= deadline + max(cost for _, cost, _ in pool.starts)
 
 
 def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):

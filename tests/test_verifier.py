@@ -761,6 +761,17 @@ def test_cli_verify_exit_codes():
     assert rc == 3
 
 
+def test_an_interrupted_cli_run_exits_130_with_one_line(monkeypatch, capsys):
+    # ^C during a run is no internal error: one stderr line, no traceback
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("superdelta.cli.verify_conjecture", interrupted)
+    assert cli_main(["verify", "--n", "2"]) == 130
+    out, err = capsys.readouterr()
+    assert out == "" and err == "superdelta: interrupted\n"
+
+
 @pytest.mark.parametrize("spec, expected", [
     ("z=0", "s(2): 1\ns(1,1): t + q\n"),
     ("t=0", "s(2): 1\ns(1,1): q + z\n"),
