@@ -204,9 +204,6 @@ def _dispatch(parser, args) -> int:
             print(f"chi({partition_to_str(mu)}) = {comp.chars[mu]}")
         return 0
 
-    parser.error(f"unknown command {args.command!r}")
-    return 3
-
 
 def _module_side(parser, args):
     _require_long(parser, args.n, args.long)

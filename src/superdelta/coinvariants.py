@@ -705,17 +705,19 @@ def _component_worker(args) -> ComponentCharacters:
     return component_characters(n, TriDegree(*d), support)
 
 
-def _solve(args) -> ComponentCharacters | Exception:
-    """The component of one solve, or the error it raised."""
+def _solve(args) -> tuple:
+    """Run the solve args = (n, degree, support); its reply, the one form every
+    worker set carries and Plan.accept reads, is (mult, None), or (None, (error
+    type, message)) for an Exception it raised.  An interrupt propagates."""
     try:
-        return _component_worker(args)
+        return _component_worker(args).mult, None
     except Exception as exc:
-        return exc
+        return None, (type(exc).__name__, str(exc))
 
 
 class InProcess:
     """The calling process as the one worker: a started solve runs when it is
-    waited on.  It speaks ForkedWorkers' submit, wait, close and busy."""
+    waited on, giving _solve's reply.  It speaks ForkedWorkers' interface."""
 
     def __init__(self):
         self.busy = []  # the solve started and not yet run
@@ -737,11 +739,10 @@ class ForkedWorkers:
     A worker is forked when a solve starts and every worker forked so far is
     busy, so the caller, which bounds the solves running at once, bounds the
     workers.  Each has a task pipe and a result pipe of its own and speaks
-    marshal over them: (n, degree, support) goes out, and (mult, None) or
-    (None, (error type, message)) comes back.  A worker ignores SIGINT, so an
-    interrupt reaches this process alone, exits when its task pipe closes,
-    and leaves only through os._exit.  Forking is safe because the engine
-    starts no threads.
+    marshal over them: (n, degree, support) goes out, and _solve's reply comes
+    back, carried as it is.  A worker ignores SIGINT, so an interrupt reaches
+    this process alone, exits when its task pipe closes, and leaves only
+    through os._exit.  Forking is safe because the engine starts no threads.
     """
 
     Worker = namedtuple("Worker", "pid tasks results")  # tasks' write end, results' read end
@@ -760,7 +761,7 @@ class ForkedWorkers:
         self.busy[worker.results.fileno()] = (worker, args)
 
     def wait(self) -> list[tuple]:
-        """Block until a solve finishes: (args, component or error) for each
+        """Block until a solve finishes: (args, _solve's reply) for each
         finished one.  A worker that died raises, naming its degree."""
         import select
 
@@ -768,19 +769,11 @@ class ForkedWorkers:
         done = []
         for fd in ready:
             worker, args = self.busy.pop(fd)
-            n, d, _ = args
             try:
-                mult, error = marshal.load(worker.results)
+                done.append((args, marshal.load(worker.results)))
             except EOFError:
-                raise RuntimeError(f"the worker solving {tuple(d)} died with exit status "
+                raise RuntimeError(f"the worker solving {tuple(args[1])} died with exit status "
                                    f"{self._reap(worker)}") from None
-            if error is None:
-                done.append((args, ComponentCharacters(n, d, mult)))
-            elif error[0] == ConsistencyError.__name__:
-                done.append((args, ConsistencyError(error[1])))
-            else:
-                done.append((args, RuntimeError(f"the solve at {tuple(d)} raised {error[0]}: "
-                                                f"{error[1]}")))
         return done
 
     def close(self) -> None:
@@ -839,13 +832,10 @@ def _serve(tasks: int, results: int, others: list[int], mask) -> None:
         with os.fdopen(tasks, "rb") as inbox, os.fdopen(results, "wb") as outbox:
             while True:
                 try:
-                    got = _solve(marshal.load(inbox))
+                    task = marshal.load(inbox)
                 except EOFError:
                     break
-                if isinstance(got, Exception):
-                    marshal.dump((None, (type(got).__name__, str(got))), outbox)
-                else:
-                    marshal.dump((got.mult, None), outbox)
+                marshal.dump(_solve(task), outbox)
                 outbox.flush()
         code = 0
     finally:
@@ -941,18 +931,22 @@ class Plan:
             self.start(c, 0)
             self.advance(c)
 
-    def accept(self, args, got) -> None:
-        """Keep got, the component of the finished solve args, and advance its
-        row; or raise got, the solve's error."""
-        _, d, support = args
-        if isinstance(got, ConsistencyError) and support is not None:
-            raise ConsistencyError(f"{got}; solved within the bounds set by the cells "
+    def accept(self, args, reply) -> None:
+        """Keep the component in reply, _solve's reply to the finished solve
+        args, and advance its row; or raise the error that reply names."""
+        n, d, _ = args
+        mult, error = reply
+        if error is None:
+            self.keep(ComponentCharacters(n, d, mult))
+            self.advance(d.c)
+        elif error[0] != ConsistencyError.__name__:
+            raise RuntimeError(f"the solve at {tuple(d)} raised {error[0]}: {error[1]}")
+        elif self.shaped[d]:
+            raise ConsistencyError(f"{error[1]}; solved within the bounds set by the cells "
                                    f"{', '.join(map(str, self.shaped[d]))}, "
-                                   "so one of them may be wrong") from got
-        if isinstance(got, Exception):
-            raise got
-        self.keep(got)
-        self.advance(d.c)
+                                   "so one of them may be wrong")
+        else:
+            raise ConsistencyError(error[1])
 
     def behind(self, cells):
         # these cells, then the cells that shaped them
@@ -1043,14 +1037,15 @@ def frobenius_module(
     them whatever threads is: the oldest queued solve starts as soon as one
     of min(threads, cores) workers is free, and completions are taken as they
     come.  One worker is the calling process (InProcess); more are forked
-    from it on demand (ForkedWorkers), so threads > 1 needs os.fork.  A
-    worker freed by a finished solve is given the oldest queued one before
-    the finished one is kept.  No solve starts after the deadline, so a cell
-    whose source finishes nonzero after it is not solved, and a solve
-    running at the deadline is finished and kept.  A run stops within one
-    component of its deadline, every component it solved is in the result,
-    with the cells derived from them, and rows[c] is False for every row it
-    cut short.
+    from it on demand (ForkedWorkers), so threads > 1 needs os.fork.  Both
+    hand _solve's reply to Plan.accept, so a failing solve raises the same
+    error at every threads.  A worker freed by a finished solve is given the
+    oldest queued one before the finished one is kept.  No solve starts
+    after the deadline, so a cell whose source finishes nonzero after it is
+    not solved, and a solve running at the deadline is finished and kept.
+    A run stops within one component of its deadline, every component it
+    solved is in the result, with the cells derived from them, and rows[c]
+    is False for every row it cut short.
 
     The result is returned as computed; check_gl2_shape tests its closed
     rows.  The CLI's module-side commands run it on the result, and
@@ -1074,8 +1069,8 @@ def frobenius_module(
         while pool.busy:
             done = pool.wait()
             refill()  # a freed worker takes the oldest queued solve before the keeps
-            for args, got in done:
-                plan.accept(args, got)
+            for args, reply in done:
+                plan.accept(args, reply)
             refill()
     finally:
         pool.close()

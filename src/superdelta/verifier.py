@@ -292,11 +292,6 @@ def render_report(report: VerificationReport, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _sorted_lams(report: VerificationReport) -> list[Partition]:
-    lams = set(report.module_series.coeffs) | set(report.delta_series.coeffs)
-    return [lam for lam in partitions_of(report.n) if lam in lams]
-
-
 def _render_text(report: VerificationReport) -> str:
     lines = [f"verification n={report.n}: {report.verdict}"]
     lines.append(
@@ -336,7 +331,8 @@ def _render_latex(report: VerificationReport) -> str:
         r"\begin{tabular}{lll}",
         r"$\lambda$ & module & $\Delta'$ series \\ \hline",
     ]
-    for lam in _sorted_lams(report):
+    shown = report.module_series.coeffs.keys() | report.delta_series.coeffs.keys()
+    for lam in [lam for lam in partitions_of(report.n) if lam in shown]:
         name = partition_to_str(lam)
         lhs = report.module_series.coefficient(lam)
         rhs = report.delta_series.coefficient(lam)

@@ -660,6 +660,32 @@ def test_a_failing_worker_fails_the_run_and_leaves_no_process(monkeypatch, failu
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("degree, planted, error, message", [
+    ((1, 0, 0), KeyError("planted"), RuntimeError,
+     r"^the solve at \(1, 0, 0\) raised KeyError: 'planted'$"),
+    ((1, 0, 0), ConsistencyError("planted"), ConsistencyError,
+     r"^planted; solved within the bounds set by the cells \(0, 0, 0\), so one"),
+    ((0, 0, 0), ConsistencyError("planted"), ConsistencyError, r"^planted$"),
+], ids=["raise", "inconsistent", "unbounded"])
+def test_a_failing_solve_raises_the_same_error_at_every_thread_count(
+        monkeypatch, threads, degree, planted, error, message):
+    # the serial run and the pool read one reply form: an error of the
+    # solve's own names its degree, and a failed check names the cells that
+    # bounded the solve, or nothing for (0,0,0), which no cell bounds
+    worker = coinvariants._component_worker
+
+    def failing_worker(args):
+        if tuple(args[1]) == degree:
+            raise planted
+        return worker(args)
+
+    monkeypatch.setattr(coinvariants, "_component_worker", failing_worker)
+    monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
+    with pytest.raises(error, match=message):
+        frobenius_module(3, threads=threads)
+
+
 def test_threads_need_fork(monkeypatch):
     # the workers are forked, so more than one thread needs os.fork
     monkeypatch.delattr(coinvariants.os, "fork")
