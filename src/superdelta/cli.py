@@ -10,7 +10,12 @@ import argparse
 import sys
 from pathlib import Path
 
-from .coinvariants import check_gl2_shape, component_characters, frobenius_module
+from .coinvariants import (
+    check_diagonals,
+    check_gl2_shape,
+    component_characters,
+    frobenius_module,
+)
 from .macdonald import HTILDE_SIZE_LIMIT, htilde_schur, rhs_series
 from .partitions import Partition, partition_from_str, partition_to_str, partitions_of
 from .superring import TriDegree
@@ -211,6 +216,7 @@ def _module_side(parser, args):
     cache = ComponentCache(cache_dir) if cache_dir else None
     result = frobenius_module(args.n, threads=args.threads, component_cache=cache)
     check_gl2_shape(result)
+    check_diagonals(result)
     return result
 
 

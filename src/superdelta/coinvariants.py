@@ -84,19 +84,65 @@ in its band.
 
 Derived cells.  So a cell has a source: its mirror (b, a, c) when a < b,
 its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the cells with
-a - b <= 1 have none and are always solved.  When Plan opens a band, a
-cell that is not in the cache waits on its source when that source is a
-cell of the same band, so each band is solved from its middle out.  Once
-the source is in hand (solved, read from the cache or itself derived), an
-a < b cell is a copy of it, and an outer cell is a zero of its ambient
-dimension when the source is zero and is queued for a solve when it is not.
-A derived cell costs no budget and is cached like a solved one, so the
-cache files do not depend on which cells were solved; a cell whose source
-was not finished is missing, like one not computed.  A cell whose source is
-no cell of its band is solved (for an a < b cell only a wrong but valid
-cached zero brings that about).  Such a cached zero spreads to the cells
-derived from it, and the comparison with the delta side, which like the
-frontier law sees every cell, sees the terms it lost.
+a - b <= 1 have none and are solved, unless read off their fermionic
+diagonal (below).  When Plan opens a band, a cell that is not in the cache
+waits on its source when that source is a cell of the same band, so each
+band is solved from its middle out.  Once the source is in hand (solved,
+read from the cache or itself derived), an a < b cell is a copy of it, and
+an outer cell is a zero of its ambient dimension when the source is zero
+and is queued for a solve, or read off its diagonal, when it is not.  A
+derived cell costs no budget and is cached like a solved one, so the cache
+files do not depend on which cells were solved; a cell whose source was not
+finished is missing, like one not computed.  A cell whose source is no cell
+of its band is solved (for an a < b cell only a wrong but valid cached zero
+brings that about).  Such a cached zero spreads to the cells derived from
+it, and the comparison with the delta side, which like the frontier law
+sees every cell, sees the terms it lost.
+
+Fermionic diagonals.  D = sum_i theta_i d/dx_i and D' = sum_i x_i d/dtheta_i
+are odd derivations of Q[x, y, theta] that commute with S_n (cf. Kim and
+Rhoades, "Lefschetz theory for exterior algebras and fermionic diagonal
+coinvariants", 2020; Rhoades and Wilson, "Set superpartitions and
+superspace duality modules", 2022).  D maps p_{r,s} to r p~_{r-1,s} and kills every p~
+(theta_i^2 = 0); D' maps p~_{r,s} to p_{r+1,s} and kills every p.  Each
+image is a generator or 0, so both preserve I_n and act on M: D maps
+M_(a,b,c) to M_(a-1,b,c+1), and D' maps it to M_(a+1,b,c-1).  D^2 = D'^2 = 0
+(the theta_i theta_j and the d/dtheta_i d/dtheta_j anticommute), and
+DD' + D'D is the even derivation that fixes every x_i and theta_i and kills
+every y_i, so it acts on M_(a,b,c) as a + c.  On a diagonal (b fixed,
+a + c = k >= 1), D'D/k and DD'/k are therefore complementary idempotents,
+and M_(a,b,c) = P_(a,b,c) + P_(a+1,b,c-1) as S_n-modules, where
+P_(a,b,c) = D'(M_(a-1,b,c+1)) is the image of D'D/k,
+P_(0,b,k) = P_(k+1,b,-1) = 0, and D maps P_(a+1,b,c-1) = D'(M_(a,b,c)) one to
+one onto the image of DD'/k.  So for each
+lam, with m(i) = m_lam(i, b, k - i) (0 for k - i > n): the alternating sum
+sum_i (-1)^i m(i) is 0, each partial sum sum_{i <= j} (-1)^(j - i) m(i) is
+the multiplicity of s_lam in P_(j+1,b,k-j-1), so >= 0, and
+m(i) <= m(i - 1) + m(i + 1).  check_diagonals tests all three on every
+diagonal whose rows closed.  One cell of a diagonal is thus the alternating
+sum of the others.  designated_cells(n) chooses at most one a >= b cell per
+diagonal, the dearest by ambient dimension first, and Plan reads it off its
+diagonal once every other cell of the diagonal is settled, instead of
+solving it: every m_lam must be >= 0 with every partial sum, and within the
+support bound below.  A cell read off costs no budget and is cached like a
+copy.  A designated cell of the extra band is solved all the same, so the
+vanishing-law test stays as strong, and so is one whose diagonal reaches a
+band beyond max_ab.
+
+A designated cell waits on cells of other rows, so a careless choice
+deadlocks: at n = 4, (4,2,0) waits on its inner neighbour (3,3,0), which,
+designated, would wait on (2,3,1), a copy of (3,2,1), which, designated,
+would wait on (4,2,0).  So the choice is made on a static wait graph, in
+which a copy waits on its mirror, an outer cell on its inner neighbour and
+a designated cell on every other cell of its diagonal, and a cell is
+designated only if the graph stays acyclic.  Every wait joins cells of one
+total degree a + b + c, and a row reaches a band only through its bands
+below, of lower total degree.  Suppose cells were left unsettled with no
+solve queued or running, and take one of least total degree T.  Its row
+has opened its band (else the band the row has open, below it, holds an
+unsettled cell of lower degree), so it waits, on an unsettled cell of
+degree T, which waits in turn; following the waits closes a cycle in the
+static graph, which has none.
 
 Support bound.  M = R/I_n is generated by 1, and p_{1,0} = sum_i x_i and
 p_{0,1} = sum_i y_i lie in I_n.  For a >= 1 every monomial of degree
@@ -689,6 +735,76 @@ def support_bound(n: int, d: TriDegree, cells, components) -> dict[Partition, in
     return {lam: least for lam, *bs in zip(lams, *bounds) if (least := min(bs))}
 
 
+def diagonal(n: int, d: TriDegree) -> list[TriDegree]:
+    """The cells of d's fermionic diagonal (b fixed, a + c = k), a ascending;
+    the cells with c > n are zero and left out."""
+    k = d.a + d.c
+    return [TriDegree(a, d.b, k - a) for a in range(max(0, k - n), k + 1)]
+
+
+@cache
+def designated_cells(n: int) -> frozenset[TriDegree]:
+    """The cells read off their fermionic diagonals, at most one per diagonal.
+
+    The a >= b cells of total degree a + b + c <= n(n - 1) + 2 (the default
+    max_ab) on a diagonal with k = a + c >= 1 are taken by descending ambient
+    dimension, ties by ascending degree.  One is designated for its diagonal,
+    which then has none yet, unless it would close a cycle in the static
+    wait graph: a copy (a < b) waits on its mirror, an outer cell
+    (a - b >= 2) on its inner neighbour, and a designated cell on every
+    other cell of its diagonal.  So the graph stays acyclic (the Fermionic
+    diagonals paragraph of the module docstring says why that rules out a
+    deadlock).  A pure function of n, kept per process.
+    """
+    top = n * (n - 1) + 2
+    waits = {}  # cell -> the cells it may wait on
+    for total in range(top + 1):
+        for c in range(min(total, n) + 1):
+            for a in range(total - c + 1):
+                b = total - c - a
+                waits[TriDegree(a, b, c)] = (
+                    [TriDegree(b, a, c)] if a < b else [TriDegree(a - 1, b + 1, c)] if a - b >= 2 else [])
+    chosen, diagonals = set(), set()
+    for d in sorted((d for d in waits if d.a >= d.b and d.a + d.c),
+                    key=lambda d: (-component_dimension(n, d), d)):
+        if (d.b, d.a + d.c) in diagonals:
+            continue
+        others = [p for p in diagonal(n, d) if p != d]
+        seen, todo = set(), list(others)
+        while todo and d not in seen:  # does d wait on itself through its diagonal?
+            p = todo.pop()
+            if p not in seen:
+                seen.add(p)
+                todo += waits[p]
+        if d not in seen:
+            waits[d] += others
+            chosen.add(d)
+            diagonals.add((d.b, d.a + d.c))
+    return frozenset(chosen)
+
+
+def diagonal_fault(cells: list[TriDegree], column: list[int]) -> str | None:
+    """The first relation of a fermionic diagonal that column[i] = m_lam(cells[i])
+    breaks, or None; cells is a diagonal(n, d), and the cells it leaves out are 0.
+
+    Each m_lam >= 0, each partial sum sum_{i <= j} (-1)^(j - i) m_lam(i) >= 0
+    (i the x-degree), m_lam(a) <= m_lam(a - 1) + m_lam(a + 1), and the
+    alternating sum is 0 (the Fermionic diagonals paragraph of the module
+    docstring).
+    """
+    partial = 0
+    for i, (p, m) in enumerate(zip(cells, column)):
+        partial = m - partial
+        near = (column[i - 1] if i else 0) + (column[i + 1] if i + 1 < len(column) else 0)
+        if m < 0:
+            return f"m = {m} at {tuple(p)}"
+        if partial < 0:
+            return f"the partial sum up to {tuple(p)} is {partial}"
+        if m > near:
+            return f"m = {m} at {tuple(p)} exceeds its neighbours' sum {near}"
+    return f"the alternating sum is {partial}, not 0" if partial else None
+
+
 def bounding_cells(d: TriDegree, components) -> list[tuple[int, int, int]]:
     """The cells in hand that bound the cell d: its nonzero lower neighbours and,
     if it has one, for an outer cell (a - b >= 2) its inner neighbour."""
@@ -897,9 +1013,9 @@ def check_module_arguments(
 
 class Plan:
     """The degree lattice of one run: the cells in hand, the cells waiting
-    on a source and the solves queued, oldest first.  It reads no clock and
-    starts no solve; frobenius_module starts the queued ones and hands each
-    finished one to accept.
+    on a source or on their diagonal and the solves queued, oldest first.
+    It reads no clock and starts no solve; frobenius_module starts the queued
+    ones and hands each finished one to accept.
 
     Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
     A cell (a, b, c) of an open row's band is computed when it is the origin
@@ -912,11 +1028,19 @@ class Plan:
     of the module docstring), and the others are queued, largest first,
     behind the solves already queued (so no row waits for a slower one),
     each for the support that the cells below it in hand allow
-    (support_bound).  A nonzero cell strictly beyond a zero breaks the
-    vanishing law, and a solve can fail its checks within its support:
-    either raises ConsistencyError, naming the cells below the cell, then
-    the cells that shaped them in turn (a copy or an inferred zero is
-    shaped by its source), since a wrong cached one among them can cause it.
+    (support_bound).  A designated cell (designated_cells) that would be
+    queued waits on its diagonal instead, unless it lies in the extra band
+    (no computed lower neighbour is nonzero) or its diagonal reaches a band
+    beyond max_ab; those are solved.  Once every other cell of its diagonal
+    is settled (in hand, or a zero of a band its row opened without it or
+    passed), it is kept as their alternating sum, like a copy.  A nonzero
+    cell strictly beyond a zero breaks the vanishing law, a solve can fail
+    its checks within its support, and a cell read off its diagonal can
+    break the diagonal's relations or its support: each raises
+    ConsistencyError, naming the cells below the cell (or the cells of its
+    diagonal), then the cells that shaped them in turn (a copy or an
+    inferred zero is shaped by its source), since a wrong cached one among
+    them can cause it.
     """
 
     def __init__(self, n: int, extra_band: int, max_ab: int, component_cache=None):
@@ -925,20 +1049,21 @@ class Plan:
         self.rows: dict[int, bool] = {}  # c -> closed; False while open or stopped at max_ab
         self.cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
         self.waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
+        self.unread: list[TriDegree] = []  # designated cells waiting on their diagonals
         self.queued = deque()  # (n, degree, support) of the solves not started, oldest first
         self.shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells that shaped it
         for c in range(n + 1):
             self.start(c, 0)
-            self.advance(c)
+        self.advance()
 
     def accept(self, args, reply) -> None:
         """Keep the component in reply, _solve's reply to the finished solve
-        args, and advance its row; or raise the error that reply names."""
+        args, and advance the rows; or raise the error that reply names."""
         n, d, _ = args
         mult, error = reply
         if error is None:
             self.keep(ComponentCharacters(n, d, mult))
-            self.advance(d.c)
+            self.advance()
         elif error[0] != ConsistencyError.__name__:
             raise RuntimeError(f"the solve at {tuple(d)} raised {error[0]}: {error[1]}")
         elif self.shaped[d]:
@@ -954,9 +1079,15 @@ class Plan:
 
     def queue(self, todo):
         # solve these cells, largest first, behind those already queued, each
-        # for the lams that the cells below it in hand allow
+        # for the lams that the cells below it in hand allow; a designated cell
+        # outside the extra band, whose diagonal lies within max_ab, waits on
+        # its diagonal instead
         for d in sorted(todo, key=lambda d: -component_dimension(self.n, d)):
             cells = bounding_cells(d, self.components)
+            if (d in designated_cells(self.n) and (cells or d.a + d.b == 0)
+                    and d.a + d.b + d.c <= self.max_ab):
+                self.unread.append(d)
+                continue
             self.shaped[d] = self.behind(cells)
             self.queued.append((self.n, d, support_bound(self.n, d, cells, self.components)))
 
@@ -976,6 +1107,40 @@ class Plan:
                 self.keep(ComponentCharacters(self.n, d, dict(comp.mult)))
             else:  # zero inside, so zero beyond
                 self.keep(ComponentCharacters(self.n, d, dict.fromkeys(comp.mult, 0)))
+
+    def settled(self, p):
+        # in hand, or a zero: a cell of a band its row opened without it, or
+        # passed; only cells of bands up to max_ab are asked
+        if p in self.components:
+            return True
+        row = self.cells[p.c]
+        band = next((q.a + q.b for q in row), None)  # None once the row closed or stopped
+        return band is None or p.a + p.b < band or (p.a + p.b == band and p not in row)
+
+    def infer(self, d):
+        # keep the designated cell d as the alternating sum of the other cells
+        # of its settled diagonal, checked against the diagonal's relations and
+        # the support the cells below it allow
+        n, components = self.n, self.components
+        cells = diagonal(n, d)
+        kept = [p for p in cells if p != d and p in components]
+        bounds = bounding_cells(d, components)
+        support = support_bound(n, d, bounds, components)
+        self.shaped[d] = self.behind([tuple(p) for p in kept] + bounds)
+        mult = {lam: sum((-1) ** (p.c + d.c + 1) * components[p].mult[lam] for p in kept)
+                for lam in partitions_of(n)}
+        for lam, m in mult.items():
+            column = [m if p == d else components[p].mult[lam] if p in components else 0
+                      for p in cells]
+            bound = m if support is None else support.get(lam, 0)
+            fault = diagonal_fault(cells, column) or (
+                m > bound and f"m = {m} at {tuple(d)}, above its bound {bound}")
+            if fault:
+                raise ConsistencyError(
+                    f"at {tuple(d)}, read off its fermionic diagonal, s_{lam}: {fault}; "
+                    f"inferred from the cells {', '.join(map(str, self.shaped[d]))}, "
+                    "so one of them may be wrong")
+        self.keep(ComponentCharacters(n, d, mult))
 
     def start(self, c, band):
         # open row c's band: stop the row, or queue the cells it solves at once,
@@ -1007,18 +1172,30 @@ class Plan:
         for comp in hits:
             self.keep(comp, put=False)
 
-    def advance(self, c):
-        # while row c is open and its band in hand: the frontier law, then the next band
-        while self.cells[c] and all(d in self.components for d in self.cells[c]):
-            for d, lvl in self.cells[c].items():
-                if lvl > 0 and self.components[d].dim_quotient:  # its lower cells are zeros
-                    zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c))
-                             if p in self.components]
-                    raise ConsistencyError(
-                        f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={c}; "
-                        "the zero cells below it and the cells that shaped them are "
-                        f"{', '.join(map(str, self.behind(zeros)))}, so one of them may be wrong")
-            self.start(c, d.a + d.b + 1)  # d is the band's last cell
+    def advance(self):
+        # until nothing moves: read each waiting designated cell off its settled
+        # diagonal, and for each open row whose band is in hand check the
+        # frontier law, then open its next band
+        while True:
+            ready = [d for d in self.unread
+                     if all(self.settled(p) for p in diagonal(self.n, d) if p != d)]
+            rows = [c for c, cells in self.cells.items()
+                    if cells and all(d in self.components for d in cells)]
+            if not ready and not rows:
+                return
+            for d in ready:
+                self.unread.remove(d)
+                self.infer(d)
+            for c in rows:
+                for d, lvl in self.cells[c].items():
+                    if lvl > 0 and self.components[d].dim_quotient:  # its lower cells are zeros
+                        zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c))
+                                 if p in self.components]
+                        raise ConsistencyError(
+                            f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={c}; "
+                            "the zero cells below it and the cells that shaped them are "
+                            f"{', '.join(map(str, self.behind(zeros)))}, so one of them may be wrong")
+                self.start(c, d.a + d.b + 1)  # d is the band's last cell
 
 
 def frobenius_module(
@@ -1047,10 +1224,11 @@ def frobenius_module(
     solved is in the result, with the cells derived from them, and rows[c]
     is False for every row it cut short.
 
-    The result is returned as computed; check_gl2_shape tests its closed
-    rows.  The CLI's module-side commands run it on the result, and
-    verify_conjecture runs it after comparing, so that a module side that
-    alone breaks the shape is reported as the difference it is.
+    The result is returned as computed; check_gl2_shape and check_diagonals
+    test its closed rows.  The CLI's module-side commands run them on the
+    result, and verify_conjecture runs them after comparing, so that a module
+    side that alone breaks the shape or a diagonal is reported as the
+    difference it is.
     """
     check_module_arguments(n, extra_band, threads, budget_seconds, max_ab)
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
@@ -1110,3 +1288,34 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
                             f"at ({b},{a},{c}) {mirror.get(lam, 0)}, "
                             f"at ({a + 1},{b - 1},{c}) {lower.get(lam, 0)}"
                         )
+
+
+def check_diagonals(result: ModuleSideResult) -> int:
+    """Raise ConsistencyError unless every fermionic diagonal settled in closed
+    rows has the relations the module docstring proves; return how many pairs
+    of such a diagonal and a lam with a nonzero multiplicity were checked.
+
+    A diagonal (b fixed, a + c = k >= 1) is checked when every row c <= n it
+    crosses is closed; a cell of a closed row that was not computed counts as
+    0, and so does a cell with c > n.  For each lam: the alternating sum is 0,
+    every partial sum is >= 0 and m(a, b, c) <= m(a - 1, b, c + 1) +
+    m(a + 1, b, c - 1) (diagonal_fault).  On a diagonal with a cell read off
+    it (designated_cells) the alternating sum holds by construction, and the
+    rest was checked as it was read; the check stays real on every diagonal
+    whose cells were all solved, copied or read from the cache.
+    """
+    n, components = result.n, result.components
+    closed = {c for c, ok in result.rows.items() if ok}
+    zero = dict.fromkeys(partitions_of(n), 0)
+    checked = 0
+    for b, k in sorted({(d.b, d.a + d.c) for d in components if d.a + d.c}):
+        cells = diagonal(n, TriDegree(k, b, 0))
+        if not all(p.c in closed for p in cells):
+            continue
+        mults = [components[p].mult if p in components else zero for p in cells]
+        for lam in zero:
+            column = [mult[lam] for mult in mults]
+            checked += any(column)
+            if fault := diagonal_fault(cells, column):
+                raise ConsistencyError(f"fermionic diagonal b={b}, a+c={k}, s_{lam}: {fault}")
+    return checked

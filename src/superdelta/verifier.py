@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .coinvariants import (
     ComponentCharacters,
+    check_diagonals,
     check_gl2_shape,
     check_module_arguments,
     frobenius_module,
@@ -223,6 +224,7 @@ def verify_conjecture(
         # the delta side has the GL_2 shape too, so a module side without it
         # differs above; a violation here is on both sides
         check_gl2_shape(module)
+        check_diagonals(module)
         if module.closed:
             verdict = EQUAL
         else:

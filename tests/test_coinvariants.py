@@ -14,16 +14,20 @@ import superdelta.coinvariants as coinvariants
 from superdelta.cli import main
 from superdelta.coinvariants import (
     ComponentCharacters,
+    ModuleSideResult,
     _modp_is_full_rank,
     assemble_series,
+    check_diagonals,
     check_gl2_shape,
     component_characters,
+    designated_cells,
     frobenius_module,
     ideal_component,
     spanning_vectors,
 )
 from superdelta.linalg import ConsistencyError, Echelon
-from superdelta.partitions import cycle_type
+from superdelta.macdonald import rhs_series
+from superdelta.partitions import cycle_type, partitions_of
 from superdelta.qtz import ONE, Q, T, Z
 from superdelta.superring import (
     TriDegree,
@@ -247,6 +251,21 @@ def inferred(components):
     return {d for d in components if d.a - d.b >= 2 and (d.a - 1, d.b + 1, d.c) in zeros}
 
 
+def read_off(n, components):
+    """The designated cells among the components but the inferred zeros and
+    the cells of the extra band (every computed lower neighbour zero):
+    frobenius_module reads these off their fermionic diagonals, unsolved,
+    when no cache brought them in."""
+    def extra_band(d):
+        lower = [components[p] for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c))
+                 if p in components]
+        return lower and not any(comp.dim_quotient for comp in lower)
+
+    skipped = inferred(components)
+    return {d for d in components
+            if d in designated_cells(n) and d not in skipped and not extra_band(d)}
+
+
 def test_theta_rows_are_explored_band_by_band(monkeypatch):
     worker = coinvariants._component_worker
     seen = []
@@ -258,16 +277,20 @@ def test_theta_rows_are_explored_band_by_band(monkeypatch):
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     result = frobenius_module(3)
     assert result.closed and list(result.rows) == [0, 1, 2, 3]
-    # every a < b cell is mirrored and every a - b >= 2 cell beyond a zero is
-    # inferred, so the worker sees each other a >= b cell once
+    # every a < b cell is mirrored, every a - b >= 2 cell beyond a zero is
+    # inferred and the designated cells outside the extra band are read off
+    # their diagonals, so the worker sees each other a >= b cell once
     mirrored = [d for d in result.components if d.a < d.b]
     skipped = inferred(result.components)
+    read = read_off(3, result.components)
     assert skipped and all(result.components[d].dim_quotient == 0 for d in skipped)
+    assert read and not read & skipped
     assert sorted(seen) == sorted(d for d in result.components
-                                  if d.a >= d.b and d not in skipped)
-    assert len(seen) + len(mirrored) + len(skipped) == len(result.components)
-    bands = [d.a + d.b for d in seen]
-    assert bands == sorted(bands)  # a + b never falls back for the next theta row
+                                  if d.a >= d.b and d not in skipped | read)
+    assert len(seen) + len(mirrored) + len(skipped) + len(read) == len(result.components)
+    for c in result.rows:  # a + b never falls back within a theta row
+        bands = [d.a + d.b for d in seen if d.c == c]
+        assert bands == sorted(bands)
 
 
 class InlineWorkers:
@@ -297,7 +320,8 @@ def test_pool_size_is_bounded_by_the_cores(monkeypatch, cores, threads, workers)
     monkeypatch.setattr(coinvariants, "ForkedWorkers", InlineWorkers)
     monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: cores)
     InlineWorkers.peaks = []
-    report = verify_conjecture(2, threads=threads)
+    # band 0 of n = 3 queues three solves, (0,0,1) being read off its diagonal
+    report = verify_conjecture(3, threads=threads)
     assert report.verdict == EQUAL and report.timing["threads"] == threads
     # one worker is the calling process, so no worker is forked
     assert InlineWorkers.peaks == ([workers] if workers > 1 else [])
@@ -318,29 +342,30 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
     monkeypatch.setattr(coinvariants, "ForkedWorkers", InlineWorkers)
     monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
     frobenius_module(4, threads=2)
-    # 111 components: 45 solved, 48 a < b mirrors and 18 zeros inferred from
-    # their inner neighbours
+    # 111 components: 32 solved, 48 a < b mirrors, 18 zeros inferred from
+    # their inner neighbours and 13 cells read off their diagonals
     mirrored = [d for d in result.components if d.a < d.b]
     skipped = inferred(result.components)
-    assert (len(serial), len(mirrored), len(skipped)) == (45, 48, 18)
-    assert len(serial) + len(mirrored) + len(skipped) == len(result.components) == 111
-    assert not set(serial) & (set(mirrored) | skipped) and sorted(seen) == serial
+    read = read_off(4, result.components)
+    assert (len(serial), len(mirrored), len(skipped), len(read)) == (32, 48, 18, 13)
+    assert len(serial) + len(mirrored) + len(skipped) + len(read) == len(result.components) == 111
+    assert not set(serial) & (set(mirrored) | skipped | read) and sorted(seen) == serial
 
 
 # The serial schedule of frobenius_module(4) with a cache that never hits:
 # "s" and a degree abc is a solve, a bare degree a cache put.  A solve is
 # put at once; a copy (a < b) or an inferred zero is put when its source is
-# in hand.  What a budget-cut run keeps depends on this order.
+# in hand, and a cell read off its diagonal when the rest of the diagonal is
+# settled (001 after 100, 101 after 200).  What a budget-cut run keeps
+# depends on this order.
 SERIAL_SCHEDULE_N4 = """
-s000 000 s001 001 s002 002 s003 003 s004 004 s100 100 010 s101 101 011 s102 102 012
-s103 103 013 s104 104 014 s110 110 s111 111 s112 112 s113 113 203 023 s200 200 020
-s201 201 021 s202 202 022 s210 210 120 s211 211 121 s212 212 122 s300 300 030 s301
-301 031 s302 302 032 s220 220 s221 221 s222 222 312 132 402 042 s310 310 130 s311
-311 131 s322 322 232 412 142 502 052 s400 400 040 s401 401 041 s320 320 230 s321 321
-231 s410 410 140 s411 411 141 s500 500 050 s501 501 051 s330 330 s331 331 421 241
-511 151 601 061 s420 420 240 s431 431 341 521 251 611 161 701 071 s510 510 150 s600
-600 060 s430 430 340 520 250 610 160 700 070 s440 440 530 350 620 260 710 170 800
-080
+s000 000 s002 002 s003 003 s004 004 s100 100 010 001 s102 102 012 s103 103 013 s104 104
+014 s110 110 s112 112 s113 113 203 023 s200 200 020 101 011 s202 202 022 s210 210 120
+111 s212 212 122 s300 300 030 201 021 s302 302 032 s220 220 s222 222 312 132 402 042
+s310 310 130 211 121 s322 322 232 412 142 502 052 s400 400 040 301 031 s320 320 230 221
+s410 410 140 311 131 s500 500 050 401 041 s330 330 s420 420 240 321 231 s510 510 150 411
+141 s600 600 060 501 051 s430 430 340 520 250 610 160 700 070 331 421 241 511 151 601
+061 s440 440 530 350 620 260 710 170 800 080 s431 431 341 521 251 611 161 701 071
 """.split()
 
 
@@ -421,24 +446,27 @@ def test_n4_reports_do_not_depend_on_the_completion_order(tmp_path, monkeypatch,
 
 
 def test_a_theta_row_runs_ahead_of_a_pending_row(monkeypatch):
-    # row 1's cells finish only when nothing else is pending, so every later
-    # band of the other rows goes out while row 1's band 0 is still pending
-    def hold_row_1(pending):
-        return next((d for d in pending if d.c != 1), pending[0])
+    def hold_row_2(pending):
+        return next((d for d in pending if d.c != 2), pending[0])
 
-    pool = DeferredPool(monkeypatch, hold_row_1)
+    # row 2's cells finish only when nothing else is pending, so every later
+    # band of rows 0 and 3 goes out while row 2's band 0 is still pending (row
+    # 1 solves nothing before row 2: its cells are read off diagonals through
+    # row 2, or lie in its extra band)
+    pool = DeferredPool(monkeypatch, hold_row_2)
     result = frobenius_module(3, threads=2)
     serial = frobenius_module(3)
     assert result.components == serial.components and result.rows == serial.rows
-    ahead = [d for d, before in pool.submits if d.c != 1 and d.a + d.b > 0]
+    ahead = [d for d, before in pool.submits if d.c in (0, 3) and d.a + d.b > 0]
     assert TriDegree(1, 0, 0) in ahead and any(d.a + d.b > 1 for d in ahead)
-    assert all(TriDegree(0, 0, 1) in before
-               for d, before in pool.submits if d.c != 1 and d.a + d.b > 0)
+    assert all(TriDegree(0, 0, 2) in before
+               for d, before in pool.submits if d.c in (0, 3) and d.a + d.b > 0)
 
 
 def test_a_freed_worker_is_refilled_before_the_keep(monkeypatch):
-    # band 0 queues (0,0,c) for c = 0..3 and two of them start; when (0,0,0)
-    # finishes, the worker it frees takes (0,0,2) before (0,0,0) is kept
+    # band 0 queues (0,0,c) for c = 0, 2, 3 ((0,0,1) is read off its
+    # diagonal) and two of them start; when (0,0,0) finishes, the worker it
+    # frees takes (0,0,3) before (0,0,0) is kept
     # ("s" and a degree abc is a submit, a bare degree a cache put)
     log = []
     pool = DeferredPool(monkeypatch, lambda pending: pending[0])
@@ -453,7 +481,7 @@ def test_a_freed_worker_is_refilled_before_the_keep(monkeypatch):
 
     pool.submit = logged_submit
     frobenius_module(3, threads=2, component_cache=SimpleNamespace(get=lambda n, d: None, put=put))
-    assert log[:5] == ["s000", "s001", "s002", "000", "s003"]
+    assert log[:5] == ["s000", "s002", "s003", "000", "s100"]
 
 
 class SimulatedPool:
@@ -486,30 +514,32 @@ class SimulatedPool:
         pass
 
 
-# The start order of frobenius_module(4, threads=2)'s 45 solves on two
+# The start order of frobenius_module(4, threads=2)'s 32 solves on two
 # workers, each solve costing its ambient dimension in ticks, in
-# SERIAL_SCHEDULE_N4's notation; the last solve ends at tick 7,752.
+# SERIAL_SCHEDULE_N4's notation; the last solve ends at tick 5,337 (7,752
+# when the 13 cells read off their diagonals were solved too).
 POOL_SCHEDULE_N4 = """
-s000 s001 s002 s003 s004 s100 s101 s102 s103 s104 s110 s111 s112 s113 s200 s201
-s202 s210 s211 s212 s300 s301 s220 s302 s221 s310 s222 s400 s311 s320 s322 s401
-s410 s321 s500 s411 s330 s420 s501 s510 s331 s600 s430 s440 s431
+s000 s002 s003 s004 s100 s103 s102 s104 s110 s113 s112 s200 s210 s202 s300 s220 s212
+s310 s400 s320 s302 s222 s410 s500 s330 s322 s420 s510 s600 s430 s440 s431
 """.split()
+MAKESPAN_N4 = 5337
 
 
 def test_the_two_worker_schedule_is_pinned(monkeypatch):
     pool = SimulatedPool(monkeypatch)
     result = frobenius_module(4, threads=2)
     assert ["s" + "".join(map(str, d)) for d, _, _ in pool.starts] == POOL_SCHEDULE_N4
-    assert pool.now == 7752 and result.closed and len(result.components) == 111
+    assert pool.now == MAKESPAN_N4 and result.closed and len(result.components) == 111
 
 
 def test_a_budget_stops_the_simulated_pool_within_one_solve(monkeypatch):
-    # a deadline halfway through the run: no solve starts after it, every
-    # solve started is kept, and the run ends within one solve of it
+    # a deadline a quarter of the way through the run (its last two solves
+    # start before half of it): no solve starts after it, every solve started
+    # is kept, and the run ends within one solve of it
     pool = SimulatedPool(monkeypatch)
-    deadline = 7752 / 2
+    deadline = MAKESPAN_N4 / 4
     partial = frobenius_module(4, threads=2, budget_seconds=deadline)
-    assert not partial.closed and 0 < len(pool.starts) < 45
+    assert not partial.closed and 0 < len(pool.starts) < len(POOL_SCHEDULE_N4)
     assert all(tick <= deadline for _, _, tick in pool.starts)
     assert {d for d, _, _ in pool.starts} <= set(partial.components)
     assert deadline < pool.now <= deadline + max(cost for _, cost, _ in pool.starts)
@@ -518,8 +548,9 @@ def test_a_budget_stops_the_simulated_pool_within_one_solve(monkeypatch):
 def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
     # the pool-path twin of test_budget_keeps_the_row_in_progress: (1,0,0)
     # finishes as the clock passes the deadline; its mirror (0,1,0) is copied,
-    # which puts row 0's band 1 in hand, but the row's band 2 is not submitted;
-    # (1,0,1), running on the other worker, is finished and kept, with its mirror
+    # which puts row 0's band 1 in hand, and (0,0,1) is read off its diagonal
+    # at no cost, but the row's band 2 is not submitted; (1,0,2), running on
+    # the other worker, is finished and kept, with its mirror
     now = [0.0]
     cut = []
     monkeypatch.setattr(coinvariants, "time", SimpleNamespace(monotonic=lambda: now[0]))
@@ -534,7 +565,7 @@ def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
     partial = frobenius_module(3, threads=2, budget_seconds=10)
     assert cut == [len(pool.submits)]  # no submit after (1,0,0) finished
     band_0 = {TriDegree(0, 0, c) for c in range(4)}
-    band_1 = {TriDegree(*d) for d in ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1))}
+    band_1 = {TriDegree(*d) for d in ((1, 0, 0), (0, 1, 0), (1, 0, 2), (0, 1, 2))}
     assert set(partial.components) == band_0 | band_1
     source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
     assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
@@ -544,7 +575,8 @@ def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
 def test_the_serial_run_solves_nothing_after_the_deadline(monkeypatch):
     # the serial twin of the test above: the clock passes the deadline as
     # (1,0,0) finishes, so no component is solved after it, not even the rest
-    # of band 1, and its mirror (0,1,0) is still copied
+    # of band 1, and its mirror (0,1,0) is still copied and (0,0,1), waiting
+    # on its diagonal since band 0, still read off it
     now = [0.0]
     worker = coinvariants._component_worker
     seen = []
@@ -560,7 +592,8 @@ def test_the_serial_run_solves_nothing_after_the_deadline(monkeypatch):
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     partial = frobenius_module(3, budget_seconds=10)
     band_0 = {TriDegree(0, 0, c) for c in range(4)}
-    assert seen[-1] == TriDegree(1, 0, 0) and set(seen) == band_0 | {TriDegree(1, 0, 0)}
+    read = TriDegree(0, 0, 1)
+    assert seen[-1] == TriDegree(1, 0, 0) and set(seen) == band_0 - {read} | {TriDegree(1, 0, 0)}
     assert set(partial.components) == band_0 | {TriDegree(1, 0, 0), TriDegree(0, 1, 0)}
     source, copy = (partial.components[TriDegree(*d)] for d in ((1, 0, 0), (0, 1, 0)))
     assert (copy.dim, copy.mult) == (source.dim, source.mult) and copy.dim_quotient == 2
@@ -742,9 +775,12 @@ def shifted_components(monkeypatch, shifts):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_rows_have_the_gl2_shape(n):
+    # and the fermionic diagonals' relations, on 0, 1, 8 and 46 pairs of a
+    # diagonal and a lam with a nonzero multiplicity
     result = frobenius_module(n)
     assert result.closed
     check_gl2_shape(result)
+    assert check_diagonals(result) == {1: 0, 2: 1, 3: 8, 4: 46}[n]
 
 
 def test_one_shifted_multiplicity_breaks_the_gl2_shape(tmp_path):
@@ -764,12 +800,21 @@ def test_one_shifted_multiplicity_breaks_the_gl2_shape(tmp_path):
     assert main(["hilbert", "--n", "3", "--cache-dir", str(tmp_path)]) == 4
 
 
-def test_a_symmetric_shift_that_breaks_unimodality_is_caught(monkeypatch):
+def true_cell(directory, n, d):
+    """A component cache in directory that holds the true component at d."""
+    cache = ComponentCache(directory)
+    cache.put(component_characters(n, TriDegree(*d)))
+    return cache
+
+
+def test_a_symmetric_shift_that_breaks_unimodality_is_caught(tmp_path, monkeypatch):
     # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); the shift at (2,0,0) reaches
-    # (0,2,0) through the mirror, and 2, 1, 2 is symmetric, not unimodal
+    # (0,2,0) through the mirror, and 2, 1, 2 is symmetric, not unimodal.  The
+    # cache holds the true (1,0,1), which is otherwise read off the diagonal of
+    # (2,0,0) and breaks its bound first (test_a_cell_read_off_a_shifted_diagonal_names_it)
     shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
     with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\)"):
-        check_gl2_shape(frobenius_module(3))
+        check_gl2_shape(frobenius_module(3, component_cache=true_cell(tmp_path, 3, (1, 0, 1))))
 
 
 def test_open_rows_are_not_shape_checked(tmp_path):
@@ -784,7 +829,7 @@ def test_open_rows_are_not_shape_checked(tmp_path):
     check_gl2_shape(result)
 
 
-def test_a_shape_violation_on_both_sides_is_an_error(monkeypatch):
+def test_a_shape_violation_on_both_sides_is_an_error(tmp_path, monkeypatch):
     # a violation on the module side alone is a difference (DIFFER); one that
     # the delta side shares cannot be compared away
     import superdelta.verifier as verifier
@@ -797,8 +842,159 @@ def test_a_shape_violation_on_both_sides_is_an_error(monkeypatch):
         return series
 
     # s_(2,1) is 1 at (2,0,0), (1,1,0) and (0,2,0); 2, 1, 2 on both sides is
-    # symmetric, not unimodal; (0,2,0) is mirrored from the shifted (2,0,0)
+    # symmetric, not unimodal; (0,2,0) is mirrored from the shifted (2,0,0),
+    # and (1,0,1) is read from the cache, not off the shifted diagonal
     shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
     monkeypatch.setattr(verifier, "rhs_series", shifted_rhs)
+    true_cell(tmp_path, 3, (1, 0, 1))
     with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\), s_\(2, 1\)"):
-        verify_conjecture(3)
+        verify_conjecture(3, cache_dir=tmp_path)
+
+
+def static_wait_graph(n):
+    """Every cell of total degree <= n(n - 1) + 2 -> the cells it may wait on:
+    a copy (a < b) on its mirror, an outer cell (a - b >= 2) on its inner
+    neighbour, a designated cell on every other cell of its diagonal."""
+    graph = {}
+    for total in range(n * (n - 1) + 3):
+        for c in range(min(total, n) + 1):
+            for a in range(total - c + 1):
+                d = TriDegree(a, total - c - a, c)
+                waits = [(d.b, a, c)] if a < d.b else [(a - 1, d.b + 1, c)] if a - d.b >= 2 else []
+                if d in designated_cells(n):
+                    k = a + c
+                    waits += [(k - j, d.b, j) for j in range(min(k, n) + 1) if j != c]
+                graph[d] = [TriDegree(*p) for p in waits]
+    return graph
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_static_wait_graph_is_acyclic(n):
+    # at most one designated a >= b cell per diagonal (k = a + c >= 1), every
+    # wait joins cells of one total degree, and peeling off the cells that
+    # wait on nothing left empties the graph: it has no cycle
+    designated = designated_cells(n)
+    graph = static_wait_graph(n)
+    diagonals = [(d.b, d.a + d.c) for d in designated]
+    assert designated <= set(graph) and all(d.a >= d.b and d.a + d.c for d in designated)
+    assert len(set(diagonals)) == len(diagonals)
+    assert all(sum(p) == sum(d) for d, waits in graph.items() for p in waits)
+    left = {d: set(waits) for d, waits in graph.items()}
+    while free := [d for d, waits in left.items() if not waits]:
+        for d in free:
+            del left[d]
+        for waits in left.values():
+            waits.difference_update(free)
+    assert not left
+
+
+def cells_of(text):
+    """Degrees written abc, or a,b,c when a part has two digits."""
+    return {TriDegree(*(map(int, tok.split(",")) if "," in tok else map(int, tok)))
+            for tok in text.split()}
+
+
+DESIGNATED = {
+    3: cells_of("""
+001 101 111 201 211 221 301 311 321 331 401 411 421 431 501 511 521 601 611 701
+"""),
+    4: cells_of("""
+001 101 111 201 211 221 301 311 321 331 401 411 421 431 441 501 502 511 512 521 522
+531 532 541 551 552 602 612 622 632 641 642 652 662 702 712 722 732 742 752 802 812
+822 832 842 902 912 922 932 10,0,2 10,1,2 10,2,2 11,0,2 11,1,2 12,0,2
+"""),
+    5: cells_of("""
+001 101 111 201 211 221 301 302 311 312 321 331 332 402 412 421 422 432 442 502 512
+522 532 542 552 602 612 622 632 642 652 662 702 712 722 732 742 752 762 772 802 812
+822 832 842 852 862 872 882 902 912 922 932 942 952 962 972 982 992 10,0,2 10,1,2
+10,2,2 10,3,2 10,4,2 10,5,2 10,6,2 10,7,2 10,8,2 10,9,2 10,10,2 11,0,2 11,1,2 11,2,2
+11,3,2 11,4,2 11,5,2 11,6,2 11,7,2 11,8,2 11,9,2 12,0,2 12,1,2 12,2,2 12,3,2 12,4,2
+12,5,2 12,6,2 12,7,2 12,8,2 13,0,2 13,1,2 13,2,2 13,3,2 13,4,2 13,5,2 13,6,2 13,7,2
+14,0,2 14,1,2 14,2,2 14,3,2 14,4,2 14,5,2 14,6,2 15,0,2 15,1,2 15,2,2 15,3,2 15,4,2
+15,5,2 16,0,2 16,1,2 16,2,2 16,3,2 16,4,2 17,0,2 17,1,2 17,2,2 17,3,2 18,0,2 18,1,2
+18,2,2 19,0,2 19,1,2 20,0,2
+"""),
+}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_designated_cells_are_pinned(n):
+    # a pure function of n, so which cells are read off never depends on timing
+    assert designated_cells(n) == DESIGNATED[n]
+    assert len(DESIGNATED[n]) == {3: 20, 4: 55, 5: 125}[n]
+
+
+def test_the_dearest_n6_cells_are_designated():
+    # the three dearest n = 6 solves measured so far that a diagonal can give
+    assert {(4, 4, 2), (4, 3, 2), (5, 2, 2)} <= designated_cells(6)
+
+
+def delta_side_worker(n):
+    """A _component_worker that reads each solve off rhs_series(n)."""
+    rhs = rhs_series(n)
+
+    def solve(args):
+        _, d, _ = args
+        return ComponentCharacters(n, TriDegree(*d), {
+            lam: rhs.coefficient(lam).terms.get(tuple(d), 0) for lam in partitions_of(n)})
+
+    return solve
+
+
+@pytest.mark.parametrize("pool", ["threads=1", "threads=2", "simulated"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_every_run_closes_with_no_cell_waiting(monkeypatch, n, pool):
+    # the static wait graph is acyclic, so however the solves finish, every
+    # row closes: no cell is left waiting on its source or its diagonal, and
+    # the result is the delta side.  n = 5's solves are read off the delta
+    # side, so its whole plan runs in under a second
+    if n == 5:
+        monkeypatch.setattr(coinvariants, "_component_worker", delta_side_worker(5))
+    monkeypatch.setattr(coinvariants.os, "cpu_count", lambda: 2)
+    if pool == "simulated":
+        SimulatedPool(monkeypatch)
+    result = frobenius_module(n, threads=1 if pool == "threads=1" else 2)
+    assert result.closed and result.series == rhs_series(n)
+
+
+def test_a_cell_read_off_a_shifted_diagonal_names_it(monkeypatch):
+    # the symmetric shift of test_a_symmetric_shift_that_breaks_unimodality_is_caught
+    # reaches (1,0,1), read off the diagonal (2,0,0) - (1,0,1) + (0,0,2) = 0,
+    # whose unit of s_(2,1) its lower neighbours bound by 1: the error names
+    # the diagonal's cells, then the cells below it and those that shaped them
+    shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
+    with pytest.raises(ConsistencyError, match=r"^at \(1, 0, 1\), read off its fermionic "
+                       r"diagonal, s_\(2, 1\): m = 2 at \(1, 0, 1\), above its bound 1; "
+                       r"inferred from the cells \(0, 0, 2\), \(2, 0, 0\), \(0, 0, 1\), "
+                       r"\(1, 0, 0\), .* so one of them may be wrong$"):
+        frobenius_module(3)
+
+
+def test_a_moved_multiplicity_breaks_its_diagonal(tmp_path):
+    # one unit of s_(2,1) moved along the diagonal b = 0, a + c = 2 of n = 3,
+    # from (1,0,1) and its mirror (0,1,1) to (0,0,2): the GL_2 shape holds,
+    # but 1 - 0 + 1 is no alternating sum of 0
+    result = frobenius_module(3)
+    for d, m in (((1, 0, 1), -1), ((0, 1, 1), -1), ((0, 0, 2), 1)):
+        result.components[TriDegree(*d)].mult[(2, 1)] += m
+    check_gl2_shape(result)
+    with pytest.raises(ConsistencyError, match=r"^fermionic diagonal b=0, a\+c=2, s_\(2, 1\): "):
+        check_diagonals(result)
+    # read from the cache, which holds every cell, the CLI's module side runs the check
+    cache = ComponentCache(tmp_path)
+    for comp in result.components.values():
+        cache.put(comp)
+    assert main(["hilbert", "--n", "3", "--cache-dir", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_delta_side_has_the_diagonal_relations(n):
+    # the relations hold on rhs_series(n) as well, read as a closed module
+    # side: 622 pairs of a diagonal and a lam with a nonzero multiplicity at n = 6
+    rhs = rhs_series(n)
+    degrees = {TriDegree(*d) for lam in partitions_of(n) for d in rhs.coefficient(lam).terms}
+    components = {d: ComponentCharacters(n, d, {
+        lam: rhs.coefficient(lam).terms.get(tuple(d), 0) for lam in partitions_of(n)})
+        for d in degrees}
+    result = ModuleSideResult(n, rhs, components, dict.fromkeys(range(n + 1), True))
+    assert check_diagonals(result) == {2: 1, 3: 8, 4: 46, 5: 176, 6: 622}[n]

@@ -9,6 +9,9 @@ import superdelta.coinvariants as coinvariants
 from superdelta.characters import mn_character
 from superdelta.coinvariants import (
     ComponentCharacters,
+    ModuleSideResult,
+    check_diagonals,
+    designated_cells,
     YoungCharacter,
     YoungSystem,
     component_characters,
@@ -92,6 +95,22 @@ def reference_multiplicities(n, chars):
     lams = partitions_of(n)
     return {lam: sum(RAT(chars[mu] * mn_character(lam, mu), z_mu(mu)) for mu in lams)
             for lam in lams}
+
+
+@pytest.mark.parametrize("n, pairs", [(1, 0), (2, 1), (3, 8)])
+def test_the_trace_method_has_the_diagonal_relations(n, pairs):
+    # every component frobenius_module(n) visits, recomputed by the trace
+    # method on its whole component, has the fermionic diagonals' relations
+    # in the rows frobenius_module closed
+    result = frobenius_module(n)
+    components = {}
+    for d in result.components:
+        mult = reference_multiplicities(n, reference_characters(n, d)[2])
+        assert all(m == int(m) for m in mult.values()), d
+        components[d] = ComponentCharacters(n, d, {lam: int(m) for lam, m in mult.items()})
+    assert components == result.components
+    reference = ModuleSideResult(n, result.series, components, result.rows)
+    assert result.closed and check_diagonals(reference) == pairs
 
 
 def excluded_by_the_kronecker_bounds(n, d, steps=((1, 0, 0), (0, 1, 0))):
@@ -487,11 +506,12 @@ def recorded_supports(monkeypatch, n, cache=None):
 
 
 def inferred_cells(monkeypatch, n, cache=None):
-    """frobenius_module(n), and the a - b >= 2 cells it kept without solving
-    them or reading them from the cache: the zeros inferred from their inner
-    neighbours (a - 1, b + 1, c)."""
+    """frobenius_module(n), and the a >= b cells it kept without solving them
+    or reading them from the cache: the zeros inferred from their inner
+    neighbours (a - 1, b + 1, c) and the cells read off their fermionic
+    diagonals."""
     result, seen = recorded_supports(monkeypatch, n, cache)
-    return result, sorted(d for d in result.components if d.a - d.b >= 2 and d not in seen
+    return result, sorted(d for d in result.components if d.a >= d.b and d not in seen
                           and (cache is None or cache.get(n, d) is None))
 
 
@@ -504,10 +524,22 @@ def assert_cached_as_the_direct_solve(tmp_path, result, cells):
             direct.entry_path(result.n, d).read_bytes()), d
 
 
+def read_off(result, cells):
+    """The cells among cells (inferred_cells) read off their diagonals: all
+    but the zeros inferred from a zero inner neighbour."""
+    components = result.components
+    return [d for d in cells if not (
+        d.a - d.b >= 2 and components[(d.a - 1, d.b + 1, d.c)].dim_quotient == 0)]
+
+
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 8), (4, 18)])
 def test_inferred_components_match_the_direct_solve(tmp_path, monkeypatch, n, count):
+    # count zeros inferred from their inner neighbours, and the cells read off
+    # their diagonals
     result, cells = inferred_cells(monkeypatch, n)
-    assert result.closed and len(cells) == count
+    read = read_off(result, cells)
+    assert result.closed and len(cells) - len(read) == count
+    assert len(read) == {1: 1, 2: 2, 3: 5, 4: 13}[n]
     assert_cached_as_the_direct_solve(tmp_path, result, cells)
 
 
@@ -519,14 +551,24 @@ class LowRowsOfTheDeltaSide:
         self.rhs = rhs_series(5)
 
     def get(self, n, d):
-        if d.c >= 3:
-            return None
+        return None if d.c >= 3 else self.cell(d)
+
+    def cell(self, d):
         mult = {lam: self.rhs.coefficient(lam).terms.get((d.a, d.b, d.c), 0)
                 for lam in partitions_of(5)}
         return ComponentCharacters(5, d, mult)
 
     def put(self, comp):
         pass
+
+
+class DesignatedMisses(LowRowsOfTheDeltaSide):
+    """A component cache that reads every n = 5 cell off rhs_series(5) but
+    the designated cells, and writes nothing; it holds (5, 4, 2), the one
+    designated cell of the extra band, which would be solved."""
+
+    def get(self, n, d):
+        return None if d in designated_cells(5) and d != (5, 4, 2) else self.cell(d)
 
 
 def test_inferred_components_match_the_direct_solve_on_the_n5_high_rows(tmp_path, monkeypatch):
@@ -540,14 +582,34 @@ def test_inferred_components_match_the_direct_solve_on_the_n5_high_rows(tmp_path
     assert_cached_as_the_direct_solve(tmp_path, result, cells)
 
 
+def test_cells_read_off_their_diagonals_match_at_n5(tmp_path, monkeypatch):
+    # every other n = 5 cell read off the delta side, nothing is solved: of
+    # the 33 designated cells the run visits, 8 are zeros inferred from their
+    # inner neighbours and 25 are read off their diagonals (the 25 solves that
+    # n = 5 saves), and they give the delta side; the 17 below ambient
+    # dimension 5,000 (a quarter of a second together) are also cached as
+    # their direct solve
+    cache = DesignatedMisses()
+    result, seen = recorded_supports(monkeypatch, 5, cache)
+    cells = [d for d in result.components if cache.get(5, d) is None]
+    assert result.closed and result.series == cache.rhs and not seen and len(cells) == 33
+    small = [d for d in cells if component_dimension(5, d) < 5000]
+    assert len(small) == 17
+    assert_cached_as_the_direct_solve(tmp_path, result, small)
+
+
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 3), (3, 11), (4, 35)])
 def test_restricted_solves_match_the_direct_solve(tmp_path, monkeypatch, n, count):
     # every solve above band 0 has a nonzero lower neighbour but those of the
-    # extra band, and runs for the support the cells below it allow
+    # extra band, and runs for the support the cells below it allow; so does
+    # every cell read off its diagonal above band 0, which is checked against
+    # that support: count cells, solved or read off, have a support
     result, supports = recorded_supports(monkeypatch, n)
     cells = sorted(d for d, support in supports.items() if support is not None)
-    assert result.closed and len(cells) == count
-    assert_cached_as_the_direct_solve(tmp_path, result, cells)
+    read = [d for d in read_off(result, inferred_cells(monkeypatch, n)[1]) if d.a + d.b]
+    assert result.closed and len(read) == {1: 0, 2: 1, 3: 4, 4: 12}[n]
+    assert len(cells) + len(read) == count
+    assert_cached_as_the_direct_solve(tmp_path, result, cells + read)
 
 
 def test_restricted_solves_match_the_direct_solve_on_the_n5_high_rows(tmp_path, monkeypatch):
@@ -563,8 +625,13 @@ def test_a_cell_whose_mirror_is_no_cell_is_solved(tmp_path, monkeypatch):
     # the cache holds valid zeros at (1, 0, 0) and (2, 0, 0), wrong but with
     # their true dims, and the true (0, 1, 0) and (0, 2, 0): (3, 0, 0) is
     # extra_band + 1 steps past the zero (1, 0, 0), so no cell, while (0, 3, 0)
-    # sits above the nonzero (0, 2, 0): a cell whose mirror is no cell
+    # sits above the nonzero (0, 2, 0): a cell whose mirror is no cell.  The
+    # cache also holds the true rows c >= 1, so no cell is read off a diagonal
+    # through the wrong zeros (row 1 would break the frontier law first)
     cache = ComponentCache(tmp_path)
+    for d, comp in frobenius_module(3).components.items():
+        if d.c >= 1:
+            cache.put(comp)
     for a in (1, 2):
         zero = component_characters(3, TriDegree(a, 0, 0))
         cache.put(ComponentCharacters(3, zero.degree, dict.fromkeys(zero.mult, 0)))
@@ -912,7 +979,9 @@ def test_a_cell_above_computed_zeros_only_runs_the_full_cover(monkeypatch):
 
     monkeypatch.setattr(coinvariants, "_component_worker", recording_worker)
     components = frobenius_module(4).components
-    assert len(calls) == 172  # 240 when every solve runs the full system
+    # 172 when the cells read off their diagonals are solved too, and 240
+    # when every solve runs the full system
+    assert len(calls) == 118
     lower = {d: [components[p] for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c)) if p in components]
              for d in runs}
     above_zeros = [d for d in runs if lower[d] and not any(c.dim_quotient for c in lower[d])]

@@ -16,12 +16,13 @@ from superdelta.coinvariants import (
     ComponentCharacters,
     bounding_cells,
     component_characters,
+    designated_cells,
     frobenius_module,
     support_bound,
 )
 from superdelta.linalg import ConsistencyError
 from superdelta.macdonald import HTILDE_SIZE_LIMIT
-from superdelta.qtz import ONE, Q, T
+from superdelta.qtz import ONE, Q, T, Z
 from superdelta.series import FrobeniusSeries
 from superdelta.superring import TriDegree
 from superdelta.verifier import (
@@ -214,18 +215,21 @@ def test_warm_run_reads_every_component_from_the_cache(tmp_path, monkeypatch):
 
     before = cache_snapshot(tmp_path)
     # the worker solves the a >= b cells but the zeros inferred from a zero
-    # inner neighbour (a - 1, b + 1, c); each a < b cell is its mirror's copy
+    # inner neighbour (a - 1, b + 1, c) and the designated cells read off their
+    # diagonals, all but (2, 2, 1), whose lower neighbours are zeros (the extra
+    # band); each a < b cell is its mirror's copy
     entries = {TriDegree(*map(int, path.stem.split("_"))): json.loads(data)
                for path, (data, _) in before.items()}
     degrees = list(entries)
     zeros = {d for d, entry in entries.items() if entry["dim"] == 0}
     mirrored = [d for d in degrees if d.a < d.b]
     inferred = [d for d in degrees if d.a - d.b >= 2 and (d.a - 1, d.b + 1, d.c) in zeros]
+    read = set(designated_cells(3)) & set(degrees) - set(inferred) - {TriDegree(2, 2, 1)}
     solved = {TriDegree(*d) for _, d, *_ in calls}
-    assert mirrored and inferred and len(solved) == len(calls)
-    assert solved == set(degrees) - set(mirrored) - set(inferred)
+    assert mirrored and inferred and len(read) == 5 and len(solved) == len(calls)
+    assert solved == set(degrees) - set(mirrored) - set(inferred) - read
     assert len(before) == cold.stats["components_computed"] == (
-        len(calls) + len(mirrored) + len(inferred))
+        len(calls) + len(mirrored) + len(inferred) + len(read))
     calls.clear()
     warm = verify_conjecture(3, cache_dir=tmp_path)
     assert calls == []
@@ -275,7 +279,9 @@ def test_warm_cache_needs_no_budget(tmp_path):
 def test_a_partly_warm_cache_keeps_the_same_components_at_any_thread_count(tmp_path):
     # the cache holds row 0 whole and only band a+b = 0 of the other rows; a
     # spent budget solves nothing, so every thread count keeps every cache hit,
-    # closes row 0 from its hits and leaves the other rows open
+    # closes row 0 from its hits and leaves the other rows open, and reads
+    # (1, 0, 1) off its diagonal, whose other cells (2, 0, 0) and (0, 0, 2) are
+    # hits, with its mirror (0, 1, 1)
     verify_conjecture(3, cache_dir=tmp_path)
     cached = set()
     for path in (tmp_path / "n=3").iterdir():
@@ -287,7 +293,8 @@ def test_a_partly_warm_cache_keeps_the_same_components_at_any_thread_count(tmp_p
     serial, pool = (frobenius_module(3, threads=threads, budget_seconds=0,
                                      component_cache=ComponentCache(tmp_path))
                     for threads in (1, 2))
-    assert set(serial.components) == cached and serial.components == pool.components
+    read = {TriDegree(1, 0, 1), TriDegree(0, 1, 1)}
+    assert set(serial.components) == cached | read and serial.components == pool.components
     assert serial.rows == pool.rows == {0: True, 1: False, 2: False, 3: False}
     serial, pool = (verify_conjecture(3, threads=threads, cache_dir=tmp_path, budget_seconds=0)
                     for threads in (1, 2))
@@ -481,7 +488,20 @@ def test_an_interrupted_pool_leaves_no_process(threads):
         proc.wait()
 
 
-def test_budget_keeps_the_row_in_progress(monkeypatch):
+def kept_cells(calls, components):
+    """The cells kept besides those solved in calls: the designated cells read
+    off their diagonals, and the mirrors of the kept cells with a > b; assert
+    that components holds these and nothing else (every cell of the run has
+    its mirror in its band)."""
+    computed = [TriDegree(*d) for _, d, *_ in calls]
+    read = [d for d in components if d in designated_cells(3) and d not in computed]
+    mirrors = [TriDegree(d.b, d.a, d.c) for d in computed + read if d.a > d.b]
+    assert len(components) == len(computed) + len(read) + len(mirrors)
+    assert set(components) == set(computed) | set(read) | set(mirrors)
+    return read
+
+
+def test_budget_keeps_the_row_in_progress(tmp_path, monkeypatch):
     import superdelta.coinvariants as coinvariants
 
     worker = coinvariants._component_worker
@@ -493,24 +513,23 @@ def test_budget_keeps_the_row_in_progress(monkeypatch):
         return worker(args)
 
     monkeypatch.setattr(coinvariants, "_component_worker", counted_worker)
-    # band a+b = 0 (one component per theta row) takes 0.4 s, so the deadline
-    # falls in band 1 (four solves, 0.4 s, and their four mirrors), with every
-    # row in progress
+    # band a+b = 0 takes 0.3 s (three solves; (0, 0, 1) is read off its
+    # diagonal once (1, 0, 0) is in hand), so the deadline falls in band 1
+    # (three solves, 0.3 s, their mirrors and the cells read off diagonals
+    # through them), with every row in progress
     partial = coinvariants.frobenius_module(3, threads=1, budget_seconds=0.45)
     assert not partial.closed and calls
-    # the components are the computed cells and the mirrors of those with a > b
-    # (every cell of this run has its mirror in its band)
-    computed = [TriDegree(*d) for _, d, *_ in calls]
-    mirrors = [TriDegree(d.b, d.a, d.c) for d in computed if d.a > d.b]
-    assert len(partial.components) == len(computed) + len(mirrors)
-    assert set(partial.components) == set(computed) | set(mirrors)
+    read = kept_cells(calls, partial.components)
+    assert read and all(partial.components[d] == component_characters(3, d) for d in read)
     assert any(d.c == 0 for d in partial.components) and partial.rows[0] is False
 
     calls.clear()
-    report = verify_conjecture(3, threads=1, budget_seconds=0.45)
-    assert report.verdict == INCONCLUSIVE
-    mirrored = sum(d[0] > d[1] for _, d, *_ in calls)
-    assert calls and report.stats["components_computed"] == len(calls) + mirrored
+    report = verify_conjecture(3, threads=1, budget_seconds=0.45, cache_dir=tmp_path)
+    assert report.verdict == INCONCLUSIVE and calls
+    # every kept cell is cached, so the cache holds the components
+    cached = {TriDegree(*map(int, path.stem.split("_"))) for path in tmp_path.rglob("*.json")}
+    kept_cells(calls, cached)
+    assert report.stats["components_computed"] == len(cached)
 
 
 NO_NUMPY = """
@@ -566,8 +585,9 @@ def test_a_wrong_component_is_a_differ_under_max_ab(monkeypatch):
     report = verify_conjecture(3, max_ab=2)
     assert not report.stats["frontier_closed"] and report.stats["rhs_support_missing_on_module_side"]
     assert report.verdict == DIFFER
-    # the wrong (1, 0, 0) reaches its mirror (0, 1, 0)
-    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T)]
+    # the wrong (1, 0, 0) reaches its mirror (0, 1, 0) and (0, 0, 1), read off
+    # its diagonal
+    assert [(d.lam, d.difference) for d in report.diffs] == [((3,), Q + T + Z)]
 
 
 def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
@@ -587,8 +607,10 @@ def test_a_wrong_cached_component_is_a_differ_under_a_budget(tmp_path):
 def test_a_wrong_cached_zero_spreads_to_its_outer_cells(tmp_path, monkeypatch):
     # a valid but wrong zero at the inner cell (2, 1, 0) makes (3, 0, 0) a zero
     # inferred from it, with nothing solved there, and (1, 2, 0) and (0, 3, 0)
-    # their copies; the frontier law holds on the wrong row, so the comparison
-    # must catch it: DIFFER, never EQUAL
+    # their copies; (1, 1, 1) and (2, 0, 1), read off the diagonals through
+    # (2, 1, 0) and (3, 0, 0), lose their unit of s_(1,1,1) as well, and so
+    # does the copy (0, 2, 1).  The frontier law holds on the wrong rows, so
+    # the comparison must catch it: DIFFER, never EQUAL
     cache = ComponentCache(tmp_path)
     true = component_characters(3, TriDegree(2, 1, 0))
     assert true.mult[(1, 1, 1)] == 1
@@ -607,7 +629,7 @@ def test_a_wrong_cached_zero_spreads_to_its_outer_cells(tmp_path, monkeypatch):
     for d in ((3, 0, 0), (0, 3, 0), (1, 2, 0)):
         assert cache.get(3, TriDegree(*d)).dim_quotient == 0, d
     assert [(d.lam, d.difference) for d in report.diffs] == [
-        ((1, 1, 1), -(Q ** 3 + Q * Q * T + Q * T * T + T ** 3))]
+        ((1, 1, 1), -(Q ** 3 + Q * Q * T + Q * T * T + T ** 3) - Z * (Q * Q + Q * T + T * T))]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -615,11 +637,14 @@ def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
     # a valid but wrong nonzero (2, 0, 0) at n = 4: s_(3,1) moved to s_(2,1,1),
     # both of dimension 3; the cell above it, (2, 1, 0), is solved for the lams
     # that the wrong cell's Kronecker bound allows, and the comparison must
-    # still catch the wrong cell: DIFFER, never EQUAL
+    # still catch the wrong cell: DIFFER, never EQUAL.  The cache also holds
+    # the true (1, 0, 1), which is otherwise read off the wrong cell's diagonal
+    # and breaks its bound (test_a_wrong_cached_cell_on_a_diagonal_is_named)
     true = component_characters(4, TriDegree(2, 0, 0))
     assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 0)
     wrong = ComponentCharacters(4, true.degree, {**true.mult, (3, 1): 0, (2, 1, 1): 1})
     ComponentCache(tmp_path).put(wrong)
+    ComponentCache(tmp_path).put(component_characters(4, TriDegree(1, 0, 1)))
     inner = component_characters(4, TriDegree(1, 1, 0))
     above = TriDegree(2, 1, 0)
     bounds = [support_bound(4, above, bounding_cells(above, below), below)
@@ -632,6 +657,22 @@ def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
     assert [(d.lam, d.difference) for d in report.diffs] == [
         ((3, 1), -(Q * Q + T * T)), ((2, 1, 1), Q * Q + T * T)]
     assert ComponentCache(tmp_path).get(4, above) == component_characters(4, above)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_wrong_cached_cell_on_a_diagonal_is_named(tmp_path, threads):
+    # the wrong (2, 0, 0) of the test above alone in the cache: (1, 0, 1) is
+    # read off their diagonal, (2, 0, 0) - (1, 0, 1) + (0, 0, 2) = 0, so it
+    # gains the unit of s_(2,1,1) too and breaks the bound its lower
+    # neighbours set; the error names the diagonal's cells, the cached one
+    # among them
+    true = component_characters(4, TriDegree(2, 0, 0))
+    wrong = ComponentCharacters(4, true.degree, {**true.mult, (3, 1): 0, (2, 1, 1): 1})
+    ComponentCache(tmp_path).put(wrong)
+    with pytest.raises(ConsistencyError, match=r"^at \(1, 0, 1\), read off its fermionic diagonal, "
+                       r"s_\(2, 1, 1\): .* above its bound 1; inferred from the cells "
+                       r"\(0, 0, 2\), \(2, 0, 0\), "):
+        verify_conjecture(4, threads=threads, cache_dir=tmp_path)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -654,21 +695,26 @@ def test_a_wrong_cached_cell_behind_a_frontier_error_is_named(tmp_path, threads)
     # a valid but wrong (0, 0, 0) at n = 4, the only cached cell: its unit of
     # s_(4) moved to s_(1,1,1,1), both of dimension 1.  (1, 0, 0) is solved
     # within the bound it sets and comes back zero, its mirror (0, 1, 0) is a
-    # copy, and (0, 2, 0) above them is nonzero: the frontier-law error names
-    # the zero cell below it and the cells that shaped it, the cached one last
+    # copy and (0, 0, 1), read off its diagonal, is zero too; (0, 2, 0) above
+    # the first two and (0, 1, 1) above the last are nonzero.  Whichever
+    # frontier-law error comes first (on two workers that depends on which
+    # solve finishes first), it names the zero cells below the cell and the
+    # cells that shaped them, the cached one last
     true = component_characters(4, TriDegree(0, 0, 0))
     assert (true.mult[(4,)], true.mult[(1, 1, 1, 1)]) == (1, 0)
     wrong = {**true.mult, (4,): 0, (1, 1, 1, 1): 1}
     ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, wrong))
-    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 2\), c=0; .* "
-                       r"\(0, 1, 0\), \(1, 0, 0\), \(0, 0, 0\), so one of them may be wrong"):
+    with pytest.raises(ConsistencyError, match=r"zero frontier at (\(0, 2\), c=0; .* \(0, 1, 0\)|"
+                       r"\(0, 1\), c=1; .* \(0, 0, 1\)), \(1, 0, 0\), \(0, 0, 0\), "
+                       r"so one of them may be wrong"):
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
 
 
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
-    # (1, 0, 0) comes back zero, and so does its mirror (0, 1, 0); band 2 of
-    # row 0 lies one step above them and is nonzero, also where the delta
-    # side has support, so the law fails at its first cell
+    # (1, 0, 0) comes back zero, and so do its mirror (0, 1, 0) and (0, 0, 1),
+    # read off its diagonal; band 1 of row 1 lies one step above (0, 0, 1)
+    # and is nonzero, also where the delta side has support, so the law fails
+    # there, before band 2 of row 0 is in hand
     def zero_at_100(n, d, support=None):
         comp = component_characters(n, d, support)
         if d == (1, 0, 0):
@@ -676,7 +722,7 @@ def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
         return comp
 
     monkeypatch.setattr(coinvariants, "component_characters", zero_at_100)
-    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 2\), c=0"):
+    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 1\), c=1"):
         verify_conjecture(3)
 
 
