@@ -52,6 +52,6 @@ for name, (r, s, e) in ideal_generators(n):
 # homogeneous components are spanned by normal-form monomials
 d = TriDegree(1, 0, 1)
 monos = enumerate_monomials(2, d)
-print(f"\nmonomials of tri-degree {tuple(d)} for n = 2:")
+print(f"\nmonomials of tri-degree {d} for n = 2:")
 print("  " + ", ".join(mono_str(m) for m in monos))
 print("count = C(a+n-1,n-1) C(b+n-1,n-1) C(n,c) =", len(monos))

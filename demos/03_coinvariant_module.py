@@ -23,7 +23,7 @@ from superdelta.superring import TriDegree, component_dimension
 # one worked component: n = 2 at tri-degree (0,0,1)
 n, d = 2, TriDegree(0, 0, 1)
 comp = component_characters(n, d)
-print(f"component at {tuple(d)}: ambient dim {comp.dim}, ideal rank {comp.rank}")
+print(f"component at {d}: ambient dim {comp.dim}, ideal rank {comp.rank}")
 
 for psi in young_system(n).characters:
     label = f"h[{partition_to_str(psi.alpha)}] e[{partition_to_str(psi.beta)}]"
@@ -39,7 +39,7 @@ print("\nambient dimension of (2,1,1) at n = 3:", component_dimension(3, TriDegr
 # the frontier scan finds the degrees with nonzero quotient, row by theta-degree
 hilbert2 = sorted(frobenius_module(2).series.hilbert())
 for c in range(3):
-    cells = [tuple(d) for d in hilbert2 if d.c == c]
+    cells = [d for d in hilbert2 if d.c == c]
     print(f"support of M_2 at theta-degree {c}: {cells}")
 
 # the full tri-graded Frobenius characteristic
@@ -52,4 +52,4 @@ for n in (2, 3):
     print(f"  z=0, q=t=1 dimension: {z0.total_dimension()} = (n+1)^(n-1)")
     print("  Hilbert series (a, b, c) -> dim:")
     for deg, dim in sorted(result.series.hilbert().items()):
-        print(f"    {tuple(deg)} -> {dim}")
+        print(f"    {deg} -> {dim}")

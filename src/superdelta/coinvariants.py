@@ -82,22 +82,22 @@ a - 1 >= b + 1, so a cell (a, b, c) with a - b >= 2 whose inner neighbour
 (a - 1, b + 1, c) is zero is zero as well, and so is every cell further out
 in its band.
 
-Derived cells.  So a cell has a source: its mirror (b, a, c) when a < b,
-its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the cells with
-a - b <= 1 have none and are solved, unless read off their fermionic
-diagonal (below).  When Plan opens a band, a cell that is not in the cache
-waits on its source when that source is a cell of the same band, so each
-band is solved from its middle out.  Once the source is in hand (solved,
-read from the cache or itself derived), an a < b cell is a copy of it, and
-an outer cell is a zero of its ambient dimension when the source is zero
-and is queued for a solve, or read off its diagonal, when it is not.  A
-derived cell costs no budget and is cached like a solved one, so the cache
-files do not depend on which cells were solved; a cell whose source was not
-finished is missing, like one not computed.  A cell whose source is no cell
-of its band is solved (for an a < b cell only a wrong but valid cached zero
-brings that about).  Such a cached zero spreads to the cells derived from
-it, and the comparison with the delta side, which like the frontier law
-sees every cell, sees the terms it lost.
+Derived cells.  So a cell d has a source, source(d): its mirror (b, a, c)
+when a < b, its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the
+cells with a - b <= 1 have none and are solved, unless read off their
+fermionic diagonal (below).  When Plan opens a band, a cell that is not in
+the cache waits on its source when that source is a cell of the same band,
+so each band is solved from its middle out.  Once the source is in hand
+(solved, read from the cache or itself derived), an a < b cell is a copy of
+it, and an outer cell is a zero of its ambient dimension when the source is
+zero and is queued for a solve, or read off its diagonal, when it is not.
+A derived cell costs no budget and is cached like a solved one, so the
+cache files do not depend on which cells were solved; a cell whose source
+was not finished is missing, like one not computed.  A cell whose source is
+no cell of its band is solved (for an a < b cell only a wrong but valid
+cached zero brings that about).  Such a cached zero spreads to the cells
+derived from it, and the comparison with the delta side, which like the
+frontier law sees every cell, sees the terms it lost.
 
 Fermionic diagonals.  D = sum_i theta_i d/dx_i and D' = sum_i x_i d/dtheta_i
 are odd derivations of Q[x, y, theta] that commute with S_n (cf. Kim and
@@ -132,9 +132,9 @@ band beyond max_ab.
 A designated cell waits on cells of other rows, so a careless choice
 deadlocks: at n = 4, (4,2,0) waits on its inner neighbour (3,3,0), which,
 designated, would wait on (2,3,1), a copy of (3,2,1), which, designated,
-would wait on (4,2,0).  So the choice is made on a static wait graph, in
-which a copy waits on its mirror, an outer cell on its inner neighbour and
-a designated cell on every other cell of its diagonal, and a cell is
+would wait on (4,2,0).  So the choice is made on a static wait graph,
+built from the two rules Plan waits on: a cell waits on its source(d) and
+a designated cell on every other cell of its diagonal(n, d), and a cell is
 designated only if the graph stays acyclic.  Every wait joins cells of one
 total degree a + b + c, and a row reaches a band only through its bands
 below, of lower total degree.  Suppose cells were left unsettled with no
@@ -154,21 +154,21 @@ quotient of V/1 (x) M_(a-1,b,c) = S^(n-1,1) (x) M_(a-1,b,c), and likewise,
 through y_i, of S^(n-1,1) (x) M_(a,b-1,c) when b >= 1: for each lower
 neighbour d - e, m_lam(d) <= [s_lam](s_(n-1,1) * F(M_(d-e))), * the
 Kronecker product (characters.standard_kronecker).  When Plan queues a
-cell, these bounds from its nonzero lower neighbours in hand, and for an
-outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of its inner
-neighbour, give it a support: the lams that all of them allow, each
-with its least bound.  The solve runs the Young system of the support's
-lams (young_system(n, lams)): a zero costs a cover of the support and
-one check character, a nonzero cell as many characters as the support has
-lams and one redundancy check, and every m_lam must lie within its bound.
-A zero lower neighbour is never used.  It would prove the cell zero
-outright, and a cell whose computed lower neighbours are all zero lies in
-the extra band beyond a closed band of zeros, which exists to test the
-vanishing law: it keeps the full Young system's cover, so that test stays
-as strong.  A valid but wrong cached cell bounds the cells above it
-wrongly; the comparison with the delta side still sees the cell itself, and
-a solve that breaks such a bound, or a frontier-law error above a zero so
-bounded, names it in its error.
+cell d, these bounds from its nonzero lower neighbours lower(d) in hand,
+and for an outer cell the GL_2 bound m_lam <= m_lam(a - 1, b + 1, c) of
+its inner neighbour, its source, give it a support (support_bound): the
+lams that all of them allow, each with its least bound.  The solve runs
+the Young system of the support's lams (young_system(n, lams)): a zero
+costs a cover of the support and one check character, a nonzero cell as
+many characters as the support has lams and one redundancy check, and
+every m_lam must lie within its bound.  A zero lower neighbour is never
+used.  It would prove the cell zero outright, and a cell whose computed
+lower neighbours are all zero lies in the extra band beyond a closed band
+of zeros, which exists to test the vanishing law: it keeps the full Young
+system's cover, so that test stays as strong.  A valid but wrong cached
+cell bounds the cells above it wrongly; the comparison with the delta side
+still sees the cell itself, and a solve that breaks such a bound, or a
+frontier-law error above a zero so bounded, names it in its error.
 
 The engine never works in monomial coordinates.  The unreduced reference
 that tests compare against (the signed coordinate action and the traces on
@@ -712,27 +712,41 @@ def component_characters(
     return comp
 
 
-def support_bound(n: int, d: TriDegree, cells, components) -> dict[Partition, int] | None:
-    """The lams the cell d can hold, each with its bound, from the cells below it.
+def lower(d: TriDegree) -> tuple[TriDegree, TriDegree]:
+    """The lower neighbours (a - 1, b, c) and (a, b - 1, c) of d."""
+    return TriDegree(d.a - 1, d.b, d.c), TriDegree(d.a, d.b - 1, d.c)
 
-    cells is bounding_cells(d, components), the list a failed solve's error
-    names.  Each bounds m_lam(d): a lower neighbour by [s_lam](s_(n-1,1) * F),
+
+def source(d: TriDegree) -> TriDegree | None:
+    """The cell d is derived from (the Derived cells paragraph of the module
+    docstring): its mirror when a < b, its inner neighbour when a - b >= 2."""
+    if d.a < d.b:
+        return TriDegree(d.b, d.a, d.c)
+    return TriDegree(d.a - 1, d.b + 1, d.c) if d.a - d.b >= 2 else None
+
+
+def support_bound(n: int, d: TriDegree, components) -> tuple[list, dict | None]:
+    """(cells, support): the cells in hand that bound the cell d, which a
+    failed solve's error names, and the lams d can hold, each with its bound.
+
+    The cells are d's nonzero lower neighbours and, if it has any, an outer
+    cell's source.  A lower neighbour bounds m_lam(d) by [s_lam](s_(n-1,1) * F),
     F its Frobenius characteristic, the inner neighbour by its own m_lam (the
     Support bound paragraph of the module docstring).  The least bound is kept
-    for each lam that all allow; None, every lam unbounded, for no cells.
+    for each lam that all allow; the support is None for no cells.
     """
     lams = partitions_of(n)
+    cells = [p for p in lower(d) if p in components and components[p].dim_quotient]
     bounds = []
     for p in cells:
         m = [components[p].mult[mu] for mu in lams]
-        if p[1] > d.b:  # the inner neighbour
-            bounds.append(m)
-        else:
-            bounds.append([sum(x * k for x, k in zip(m, col))
-                           for col in zip(*standard_kronecker(n))])
+        bounds.append([sum(x * k for x, k in zip(m, col)) for col in zip(*standard_kronecker(n))])
+    if cells and d.a > d.b and (inner := source(d)) in components:
+        cells.append(inner)
+        bounds.append([components[inner].mult[mu] for mu in lams])
     if not bounds:
-        return None
-    return {lam: least for lam, *bs in zip(lams, *bounds) if (least := min(bs))}
+        return cells, None
+    return cells, {lam: least for lam, *bs in zip(lams, *bounds) if (least := min(bs))}
 
 
 def diagonal(n: int, d: TriDegree) -> list[TriDegree]:
@@ -750,20 +764,19 @@ def designated_cells(n: int) -> frozenset[TriDegree]:
     max_ab) on a diagonal with k = a + c >= 1 are taken by descending ambient
     dimension, ties by ascending degree.  One is designated for its diagonal,
     which then has none yet, unless it would close a cycle in the static
-    wait graph: a copy (a < b) waits on its mirror, an outer cell
-    (a - b >= 2) on its inner neighbour, and a designated cell on every
-    other cell of its diagonal.  So the graph stays acyclic (the Fermionic
-    diagonals paragraph of the module docstring says why that rules out a
-    deadlock).  A pure function of n, kept per process.
+    wait graph, built from the rules Plan waits on: a cell waits on its
+    source, and a designated cell on every other cell of its diagonal.  So
+    the graph stays acyclic (the Fermionic diagonals paragraph of the module
+    docstring says why that rules out a deadlock).  A pure function of n,
+    kept per process.
     """
     top = n * (n - 1) + 2
-    waits = {}  # cell -> the cells it may wait on
+    waits = {}  # cell -> the cells it may wait on: its source, and its diagonal once designated
     for total in range(top + 1):
         for c in range(min(total, n) + 1):
             for a in range(total - c + 1):
-                b = total - c - a
-                waits[TriDegree(a, b, c)] = (
-                    [TriDegree(b, a, c)] if a < b else [TriDegree(a - 1, b + 1, c)] if a - b >= 2 else [])
+                d = TriDegree(a, total - c - a, c)
+                waits[d] = [] if (p := source(d)) is None else [p]
     chosen, diagonals = set(), set()
     for d in sorted((d for d in waits if d.a >= d.b and d.a + d.c),
                     key=lambda d: (-component_dimension(n, d), d)):
@@ -797,23 +810,12 @@ def diagonal_fault(cells: list[TriDegree], column: list[int]) -> str | None:
         partial = m - partial
         near = (column[i - 1] if i else 0) + (column[i + 1] if i + 1 < len(column) else 0)
         if m < 0:
-            return f"m = {m} at {tuple(p)}"
+            return f"m = {m} at {p}"
         if partial < 0:
-            return f"the partial sum up to {tuple(p)} is {partial}"
+            return f"the partial sum up to {p} is {partial}"
         if m > near:
-            return f"m = {m} at {tuple(p)} exceeds its neighbours' sum {near}"
+            return f"m = {m} at {p} exceeds its neighbours' sum {near}"
     return f"the alternating sum is {partial}, not 0" if partial else None
-
-
-def bounding_cells(d: TriDegree, components) -> list[tuple[int, int, int]]:
-    """The cells in hand that bound the cell d: its nonzero lower neighbours and,
-    if it has one, for an outer cell (a - b >= 2) its inner neighbour."""
-    cells = [p for p in ((d.a - 1, d.b, d.c), (d.a, d.b - 1, d.c))
-             if p in components and components[p].dim_quotient]
-    inner = (d.a - 1, d.b + 1, d.c)
-    if cells and d.a - d.b >= 2 and inner in components:
-        cells.append(inner)
-    return cells
 
 
 def _component_worker(args) -> ComponentCharacters:
@@ -888,7 +890,7 @@ class ForkedWorkers:
             try:
                 done.append((args, marshal.load(worker.results)))
             except EOFError:
-                raise RuntimeError(f"the worker solving {tuple(args[1])} died with exit status "
+                raise RuntimeError(f"the worker solving {args[1]} died with exit status "
                                    f"{self._reap(worker)}") from None
         return done
 
@@ -1030,15 +1032,15 @@ class Plan:
     each for the support that the cells below it in hand allow
     (support_bound).  A designated cell (designated_cells) that would be
     queued waits on its diagonal instead, unless it lies in the extra band
-    (no computed lower neighbour is nonzero) or its diagonal reaches a band
-    beyond max_ab; those are solved.  Once every other cell of its diagonal
-    is settled (in hand, or a zero of a band its row opened without it or
-    passed), it is kept as their alternating sum, like a copy.  A nonzero
-    cell strictly beyond a zero breaks the vanishing law, a solve can fail
-    its checks within its support, and a cell read off its diagonal can
-    break the diagonal's relations or its support: each raises
-    ConsistencyError, naming the cells below the cell (or the cells of its
-    diagonal), then the cells that shaped them in turn (a copy or an
+    (its level is above 0: no computed lower neighbour is nonzero) or its
+    diagonal reaches a band beyond max_ab; those are solved.  Once every
+    other cell of its diagonal is settled (in hand, or a zero of a band its
+    row opened without it or passed), it is kept as their alternating sum,
+    like a copy.  A nonzero cell strictly beyond a zero breaks the vanishing
+    law, a solve can fail its checks within its support, and a cell read off
+    its diagonal can break the diagonal's relations or its support: each
+    raises ConsistencyError, naming the cells below the cell (or the cells
+    of its diagonal), then the cells that shaped them in turn (a copy or an
     inferred zero is shaped by its source), since a wrong cached one among
     them can cause it.
     """
@@ -1065,7 +1067,7 @@ class Plan:
             self.keep(ComponentCharacters(n, d, mult))
             self.advance()
         elif error[0] != ConsistencyError.__name__:
-            raise RuntimeError(f"the solve at {tuple(d)} raised {error[0]}: {error[1]}")
+            raise RuntimeError(f"the solve at {d} raised {error[0]}: {error[1]}")
         elif self.shaped[d]:
             raise ConsistencyError(f"{error[1]}; solved within the bounds set by the cells "
                                    f"{', '.join(map(str, self.shaped[d]))}, "
@@ -1080,16 +1082,16 @@ class Plan:
     def queue(self, todo):
         # solve these cells, largest first, behind those already queued, each
         # for the lams that the cells below it in hand allow; a designated cell
-        # outside the extra band, whose diagonal lies within max_ab, waits on
-        # its diagonal instead
+        # of level 0 (outside the extra band), whose diagonal lies within
+        # max_ab, waits on its diagonal instead
         for d in sorted(todo, key=lambda d: -component_dimension(self.n, d)):
-            cells = bounding_cells(d, self.components)
-            if (d in designated_cells(self.n) and (cells or d.a + d.b == 0)
+            if (d in designated_cells(self.n) and not self.cells[d.c][d]
                     and d.a + d.b + d.c <= self.max_ab):
                 self.unread.append(d)
                 continue
+            cells, support = support_bound(self.n, d, self.components)
             self.shaped[d] = self.behind(cells)
-            self.queued.append((self.n, d, support_bound(self.n, d, cells, self.components)))
+            self.queued.append((self.n, d, support))
 
     def keep(self, comp, put=True):
         # in hand (solved, read from the cache, copied or inferred): kept, cached
@@ -1102,7 +1104,7 @@ class Plan:
             if comp.dim_quotient and d.a >= d.b:  # nonzero inside: solve it
                 self.queue([d])
                 continue
-            self.shaped[d] = self.behind([tuple(comp.degree)])
+            self.shaped[d] = self.behind([comp.degree])
             if d.a < d.b:  # a copy of its mirror
                 self.keep(ComponentCharacters(self.n, d, dict(comp.mult)))
             else:  # zero inside, so zero beyond
@@ -1124,9 +1126,8 @@ class Plan:
         n, components = self.n, self.components
         cells = diagonal(n, d)
         kept = [p for p in cells if p != d and p in components]
-        bounds = bounding_cells(d, components)
-        support = support_bound(n, d, bounds, components)
-        self.shaped[d] = self.behind([tuple(p) for p in kept] + bounds)
+        bounds, support = support_bound(n, d, components)
+        self.shaped[d] = self.behind(kept + bounds)
         mult = {lam: sum((-1) ** (p.c + d.c + 1) * components[p].mult[lam] for p in kept)
                 for lam in partitions_of(n)}
         for lam, m in mult.items():
@@ -1134,10 +1135,10 @@ class Plan:
                       for p in cells]
             bound = m if support is None else support.get(lam, 0)
             fault = diagonal_fault(cells, column) or (
-                m > bound and f"m = {m} at {tuple(d)}, above its bound {bound}")
+                m > bound and f"m = {m} at {d}, above its bound {bound}")
             if fault:
                 raise ConsistencyError(
-                    f"at {tuple(d)}, read off its fermionic diagonal, s_{lam}: {fault}; "
+                    f"at {d}, read off its fermionic diagonal, s_{lam}: {fault}; "
                     f"inferred from the cells {', '.join(map(str, self.shaped[d]))}, "
                     "so one of them may be wrong")
         self.keep(ComponentCharacters(n, d, mult))
@@ -1151,7 +1152,7 @@ class Plan:
         for a in range(band + 1):
             d = TriDegree(a, band - a, c)
             levels = [0 if self.components[p].dim_quotient else below[p] + 1
-                      for p in ((a - 1, d.b, c), (a, d.b - 1, c)) if p in below]
+                      for p in lower(d) if p in below]
             lvl = 0 if band == 0 else min(levels, default=None)
             if lvl is not None and lvl <= self.extra_band:
                 row[d] = lvl
@@ -1160,12 +1161,10 @@ class Plan:
         hits, todo = [], []
         for d in self.cells[c]:
             comp = self.cache.get(self.n, d) if self.cache is not None else None
-            mirror, inner = (d.b, d.a, c), (d.a - 1, d.b + 1, c)
-            source = mirror if d.a < d.b else inner if d.a - d.b >= 2 else None
             if comp is not None:
                 hits.append(comp)
-            elif source in row:
-                self.waiting.setdefault(source, []).append(d)
+            elif (p := source(d)) in row:
+                self.waiting.setdefault(p, []).append(d)
             else:
                 todo.append(d)
         self.queue(todo)
@@ -1189,10 +1188,9 @@ class Plan:
             for c in rows:
                 for d, lvl in self.cells[c].items():
                     if lvl > 0 and self.components[d].dim_quotient:  # its lower cells are zeros
-                        zeros = [p for p in ((d.a - 1, d.b, c), (d.a, d.b - 1, c))
-                                 if p in self.components]
+                        zeros = [p for p in lower(d) if p in self.components]
                         raise ConsistencyError(
-                            f"nonzero component beyond the zero frontier at {(d.a, d.b)}, c={c}; "
+                            f"nonzero component beyond the zero frontier at {d}; "
                             "the zero cells below it and the cells that shaped them are "
                             f"{', '.join(map(str, self.behind(zeros)))}, so one of them may be wrong")
                 self.start(c, d.a + d.b + 1)  # d is the band's last cell
@@ -1271,22 +1269,22 @@ def check_gl2_shape(result: ModuleSideResult) -> None:
     cell of its band) and on a pair read from the cache.
     """
     lams = partitions_of(result.n)
+    mults = {d: comp.mult for d, comp in result.components.items()}
     for c, closed in result.rows.items():
         if not closed:
             continue
-        row = {(d.a, d.b): comp.mult for d, comp in result.components.items() if d.c == c}
-        top = max((a + b for a, b in row), default=-1)
+        top = max((d.a + d.b for d in mults if d.c == c), default=-1)
         for k in range(top + 1):
             for a in range(-(-k // 2), k + 1):
                 b = k - a
-                here, mirror, lower = (row.get(p, {}) for p in ((a, b), (b, a), (a + 1, b - 1)))
+                cells = TriDegree(a, b, c), TriDegree(b, a, c), TriDegree(a + 1, b - 1, c)
+                here, mirror, outer = (mults.get(p, {}) for p in cells)
                 for lam in lams:
                     m = here.get(lam, 0)
-                    if m != mirror.get(lam, 0) or (b and m < lower.get(lam, 0)):
+                    if m != mirror.get(lam, 0) or (b and m < outer.get(lam, 0)):
                         raise ConsistencyError(
-                            f"GL_2 shape at ({a},{b},{c}), s_{lam}: m = {m}, "
-                            f"at ({b},{a},{c}) {mirror.get(lam, 0)}, "
-                            f"at ({a + 1},{b - 1},{c}) {lower.get(lam, 0)}"
+                            f"GL_2 shape at {cells[0]}, s_{lam}: m = {m}, "
+                            f"at {cells[1]} {mirror.get(lam, 0)}, at {cells[2]} {outer.get(lam, 0)}"
                         )
 
 

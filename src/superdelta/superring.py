@@ -24,6 +24,7 @@ class TriDegree(NamedTuple):
     a: int  # x-degree
     b: int  # y-degree
     c: int  # theta-degree
+    __repr__ = tuple.__repr__  # printed (a, b, c)
 
 
 class SuperMonomial(NamedTuple):

@@ -15,12 +15,14 @@ from superdelta.cli import main
 from superdelta.coinvariants import (
     ComponentCharacters,
     ModuleSideResult,
+    Plan,
     _modp_is_full_rank,
     assemble_series,
     check_diagonals,
     check_gl2_shape,
     component_characters,
     designated_cells,
+    diagonal,
     frobenius_module,
     ideal_component,
     spanning_vectors,
@@ -794,7 +796,7 @@ def test_one_shifted_multiplicity_breaks_the_gl2_shape(tmp_path):
     assert cache.get(3, TriDegree(0, 1, 0)) == wrong  # a valid entry, so it is read
     result = frobenius_module(3, component_cache=cache)
     assert result.rows[0]  # the frontier law alone does not see it
-    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,0,0\), s_\(3,\)"):
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1, 0, 0\), s_\(3,\)"):
         check_gl2_shape(result)
     # the CLI's module side runs the check
     assert main(["hilbert", "--n", "3", "--cache-dir", str(tmp_path)]) == 4
@@ -813,7 +815,7 @@ def test_a_symmetric_shift_that_breaks_unimodality_is_caught(tmp_path, monkeypat
     # cache holds the true (1,0,1), which is otherwise read off the diagonal of
     # (2,0,0) and breaks its bound first (test_a_cell_read_off_a_shifted_diagonal_names_it)
     shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
-    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\)"):
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1, 1, 0\)"):
         check_gl2_shape(frobenius_module(3, component_cache=true_cell(tmp_path, 3, (1, 0, 1))))
 
 
@@ -847,7 +849,7 @@ def test_a_shape_violation_on_both_sides_is_an_error(tmp_path, monkeypatch):
     shifted_components(monkeypatch, {((2, 0, 0), (2, 1)): 1})
     monkeypatch.setattr(verifier, "rhs_series", shifted_rhs)
     true_cell(tmp_path, 3, (1, 0, 1))
-    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1,1,0\), s_\(2, 1\)"):
+    with pytest.raises(ConsistencyError, match=r"GL_2 shape at \(1, 1, 0\), s_\(2, 1\)"):
         verify_conjecture(3, cache_dir=tmp_path)
 
 
@@ -955,6 +957,40 @@ def test_every_run_closes_with_no_cell_waiting(monkeypatch, n, pool):
         SimulatedPool(monkeypatch)
     result = frobenius_module(n, threads=1 if pool == "threads=1" else 2)
     assert result.closed and result.series == rhs_series(n)
+
+
+@pytest.mark.parametrize("n, pool", [(n, pool) for n in (1, 2, 3, 4)
+                                     for pool in ("threads=1", "simulated")] + [(5, "threads=1")])
+def test_plan_waits_only_along_the_static_wait_graph(monkeypatch, n, pool):
+    # every wait Plan makes is an edge of static_wait_graph(n), so that
+    # graph's acyclicity covers the waits Plan really makes.  A wait is
+    # recorded as Plan ends it: keep takes the cells in Plan.waiting on the
+    # source it keeps, and infer reads a cell that waited in Plan.unread off
+    # its diagonal.  Each run closes, so every wait it made has ended (a
+    # snapshot around Plan.advance could miss one made and ended within one call)
+    sourced, read = [], []  # (cell, source) and (cell, the other cells of its diagonal)
+    keep, infer = Plan.keep, Plan.infer
+
+    def recorded_keep(self, comp, put=True):
+        sourced.extend((d, comp.degree) for d in self.waiting.get(comp.degree, ()))
+        keep(self, comp, put)
+
+    def recorded_infer(self, d):
+        read.append((d, [p for p in diagonal(n, d) if p != d]))
+        infer(self, d)
+
+    monkeypatch.setattr(Plan, "keep", recorded_keep)
+    monkeypatch.setattr(Plan, "infer", recorded_infer)
+    if n == 5:
+        monkeypatch.setattr(coinvariants, "_component_worker", delta_side_worker(5))
+    if pool == "simulated":
+        SimulatedPool(monkeypatch)
+    assert frobenius_module(n, threads=1 if pool == "threads=1" else 2).closed
+    graph = static_wait_graph(n)
+    assert [(d, p) for d, p in sourced if p not in graph[d]] == []
+    assert [(d, cells) for d, cells in read if not set(cells) <= set(graph[d])] == []
+    counts = {1: (4, 1), 2: (10, 2), 3: (29, 5), 4: (83, 13), 5: (214, 25)}
+    assert (len(sourced), len(read)) == counts[n]
 
 
 def test_a_cell_read_off_a_shifted_diagonal_names_it(monkeypatch):

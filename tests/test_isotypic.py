@@ -12,6 +12,8 @@ from superdelta.coinvariants import (
     ModuleSideResult,
     check_diagonals,
     designated_cells,
+    diagonal,
+    diagonal_fault,
     YoungCharacter,
     YoungSystem,
     component_characters,
@@ -111,6 +113,36 @@ def test_the_trace_method_has_the_diagonal_relations(n, pairs):
     assert components == result.components
     reference = ModuleSideResult(n, result.series, components, result.rows)
     assert result.closed and check_diagonals(reference) == pairs
+
+
+def sampled_n4_diagonals(read):
+    """Two n = 4 fermionic diagonals that hold a cell of read and two that
+    hold none, each as its diagonal(4, d) cells, drawn with a fixed seed from
+    those whose every cell has ambient dimension <= 600."""
+    diagonals = [diagonal(4, TriDegree(k, b, 0)) for b in range(16) for k in range(1, 16)]
+    small = [cells for cells in diagonals if all(component_dimension(4, p) <= 600 for p in cells)]
+    rng = random.Random(20190109)
+    return (rng.sample([cells for cells in small if read.intersection(cells)], 2)
+            + rng.sample([cells for cells in small if not read.intersection(cells)], 2))
+
+
+def test_the_trace_method_has_the_diagonal_relations_on_sampled_n4_diagonals(monkeypatch):
+    # the test above at n = 4, on sampled diagonals: every cell recomputed by
+    # the trace method, the relations hold for every lam, and each cell that
+    # frobenius_module(4) read off its diagonal is its trace-method value
+    result, inferred = inferred_cells(monkeypatch, 4)
+    read = set(read_off(result, inferred))
+    for cells in sampled_n4_diagonals(read):
+        references = [reference_characters(4, p) for p in cells]
+        mults = [reference_multiplicities(4, chars) for _, _, chars in references]
+        for lam in partitions_of(4):
+            column = [mult[lam] for mult in mults]
+            assert all(m == int(m) for m in column), (cells, lam)
+            assert diagonal_fault(cells, [int(m) for m in column]) is None, (cells, lam)
+        for p, reference in zip(cells, references):
+            if p in read:
+                comp = result.components[p]
+                assert (comp.dim, comp.rank, comp.chars) == reference, p
 
 
 def excluded_by_the_kronecker_bounds(n, d, steps=((1, 0, 0), (0, 1, 0))):
@@ -957,7 +989,7 @@ def test_a_solve_above_its_bound_is_caught():
     support = {lam: m for lam, m in comp.mult.items() if m}
     assert component_characters(4, d, support) == comp
     with pytest.raises(ConsistencyError,
-                       match=r"at TriDegree\(a=2, b=1, c=1\): multiplicity of s_\(1, 1, 1, 1\) "
+                       match=r"at \(2, 1, 1\): multiplicity of s_\(1, 1, 1, 1\) "
                              r"is 2, above its bound 1"):
         component_characters(4, d, support | {(1, 1, 1, 1): 1})
 

@@ -14,7 +14,6 @@ import superdelta.coinvariants as coinvariants
 from superdelta.cli import build_parser, main as cli_main
 from superdelta.coinvariants import (
     ComponentCharacters,
-    bounding_cells,
     component_characters,
     designated_cells,
     frobenius_module,
@@ -647,7 +646,7 @@ def test_a_wrong_cached_lower_cell_is_a_differ(tmp_path, threads):
     ComponentCache(tmp_path).put(component_characters(4, TriDegree(1, 0, 1)))
     inner = component_characters(4, TriDegree(1, 1, 0))
     above = TriDegree(2, 1, 0)
-    bounds = [support_bound(4, above, bounding_cells(above, below), below)
+    bounds = [support_bound(4, above, below)[1]
               for below in ({true.degree: wrong, inner.degree: inner},
                             {true.degree: true, inner.degree: inner})]
     assert bounds[0] != bounds[1]
@@ -671,8 +670,9 @@ def test_a_wrong_cached_cell_on_a_diagonal_is_named(tmp_path, threads):
     ComponentCache(tmp_path).put(wrong)
     with pytest.raises(ConsistencyError, match=r"^at \(1, 0, 1\), read off its fermionic diagonal, "
                        r"s_\(2, 1, 1\): .* above its bound 1; inferred from the cells "
-                       r"\(0, 0, 2\), \(2, 0, 0\), "):
+                       r"\(0, 0, 2\), \(2, 0, 0\), ") as error:
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+    assert "TriDegree(" not in str(error.value)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -685,9 +685,10 @@ def test_a_wrong_cached_cell_that_breaks_a_bound_is_named(tmp_path, threads):
     assert (true.mult[(3, 1)], true.mult[(2, 1, 1)]) == (1, 1)
     wrong = {**true.mult, (3, 1): 0, (2, 1, 1): 2}
     ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, wrong))
-    with pytest.raises(ConsistencyError, match=r"at TriDegree\(a=2, b=1, c=0\): .* "
-                       r"bounds set by the cells \(1, 1, 0\), \(2, 0, 0\),"):
+    with pytest.raises(ConsistencyError, match=r"at \(2, 1, 0\): .* "
+                       r"bounds set by the cells \(1, 1, 0\), \(2, 0, 0\),") as error:
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+    assert "TriDegree(" not in str(error.value)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -704,10 +705,11 @@ def test_a_wrong_cached_cell_behind_a_frontier_error_is_named(tmp_path, threads)
     assert (true.mult[(4,)], true.mult[(1, 1, 1, 1)]) == (1, 0)
     wrong = {**true.mult, (4,): 0, (1, 1, 1, 1): 1}
     ComponentCache(tmp_path).put(ComponentCharacters(4, true.degree, wrong))
-    with pytest.raises(ConsistencyError, match=r"zero frontier at (\(0, 2\), c=0; .* \(0, 1, 0\)|"
-                       r"\(0, 1\), c=1; .* \(0, 0, 1\)), \(1, 0, 0\), \(0, 0, 0\), "
-                       r"so one of them may be wrong"):
+    with pytest.raises(ConsistencyError, match=r"zero frontier at (\(0, 2, 0\); .* \(0, 1, 0\)|"
+                       r"\(0, 1, 1\); .* \(0, 0, 1\)), \(1, 0, 0\), \(0, 0, 0\), "
+                       r"so one of them may be wrong") as error:
         verify_conjecture(4, threads=threads, cache_dir=tmp_path)
+    assert "TriDegree(" not in str(error.value)
 
 
 def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
@@ -722,7 +724,7 @@ def test_the_frontier_law_reaches_every_cell_verify_computes(monkeypatch):
         return comp
 
     monkeypatch.setattr(coinvariants, "component_characters", zero_at_100)
-    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 1\), c=1"):
+    with pytest.raises(ConsistencyError, match=r"zero frontier at \(0, 1, 1\)"):
         verify_conjecture(3)
 
 
