@@ -85,19 +85,22 @@ in its band.
 Derived cells.  So a cell d has a source, source(d): its mirror (b, a, c)
 when a < b, its inner neighbour (a - 1, b + 1, c) when a - b >= 2; the
 cells with a - b <= 1 have none and are solved, unless read off their
-fermionic diagonal (below).  When Plan opens a band, a cell that is not in
-the cache waits on its source when that source is a cell of the same band,
-so each band is solved from its middle out.  Once the source is in hand
-(solved, read from the cache or itself derived), an a < b cell is a copy of
-it, and an outer cell is a zero of its ambient dimension when the source is
-zero and is queued for a solve, or read off its diagonal, when it is not.
-A derived cell costs no budget and is cached like a solved one, so the
-cache files do not depend on which cells were solved; a cell whose source
-was not finished is missing, like one not computed.  A cell whose source is
-no cell of its band is solved (for an a < b cell only a wrong but valid
-cached zero brings that about).  Such a cached zero spreads to the cells
-derived from it, and the comparison with the delta side, which like the
-frontier law sees every cell, sees the terms it lost.
+fermionic diagonal (below).  When Plan opens a band, each cell that is not
+in the cache gets its one wait: on its source when that source is a cell
+of the same band, so each band is solved from its middle out, and for a
+designated cell (below) also on the rest of its diagonal; a cell with
+nothing to wait on is queued for a solve.  Once every cell it waits on is
+settled, Plan.derive decides the cell: an a < b cell is a copy of its
+source, an outer cell is a zero of its ambient dimension when its source
+is zero, a designated cell is otherwise read off its diagonal, and any
+other cell is queued for a solve.  A derived cell costs no budget and
+is cached like a solved one, so the cache files do not depend on which
+cells were solved; a cell waiting on one that was not finished is missing,
+like one not computed.  A cell whose source is no cell of its band is
+solved (for an a < b cell only a wrong but valid cached zero brings that
+about).  Such a cached zero spreads to the cells derived from it, and the
+comparison with the delta side, which like the frontier law sees every
+cell, sees the terms it lost.
 
 Fermionic diagonals.  D = sum_i theta_i d/dx_i and D' = sum_i x_i d/dtheta_i
 are odd derivations of Q[x, y, theta] that commute with S_n (cf. Kim and
@@ -121,28 +124,30 @@ the multiplicity of s_lam in P_(j+1,b,k-j-1), so >= 0, and
 m(i) <= m(i - 1) + m(i + 1).  check_diagonals tests all three on every
 diagonal whose rows closed.  One cell of a diagonal is thus the alternating
 sum of the others.  designated_cells(n) chooses at most one a >= b cell per
-diagonal, the dearest by ambient dimension first, and Plan reads it off its
-diagonal once every other cell of the diagonal is settled, instead of
-solving it: every m_lam must be >= 0 with every partial sum, and within the
+diagonal, the dearest by ambient dimension first, and Plan reads it off the
+diagonal it waits on (above) instead of solving it, unless its source is
+zero: every m_lam must be >= 0 with every partial sum, and within the
 support bound below.  A cell read off costs no budget and is cached like a
-copy.  A designated cell of the extra band is solved all the same, so the
-vanishing-law test stays as strong, and so is one whose diagonal reaches a
-band beyond max_ab.
+copy.  A designated cell of the extra band waits on no diagonal and is
+solved all the same, so the vanishing-law test stays as strong, and so is
+one whose diagonal reaches a band beyond max_ab.
 
 A designated cell waits on cells of other rows, so a careless choice
 deadlocks: at n = 4, (4,2,0) waits on its inner neighbour (3,3,0), which,
 designated, would wait on (2,3,1), a copy of (3,2,1), which, designated,
 would wait on (4,2,0).  So the choice is made on a static wait graph,
-built from the two rules Plan waits on: a cell waits on its source(d) and
-a designated cell on every other cell of its diagonal(n, d), and a cell is
-designated only if the graph stays acyclic.  Every wait joins cells of one
-total degree a + b + c, and a row reaches a band only through its bands
-below, of lower total degree.  Suppose cells were left unsettled with no
-solve queued or running, and take one of least total degree T.  Its row
-has opened its band (else the band the row has open, below it, holds an
-unsettled cell of lower degree), so it waits, on an unsettled cell of
-degree T, which waits in turn; following the waits closes a cycle in the
-static graph, which has none.
+built from the one rule Plan waits by: a cell waits on its source(d), and
+a designated cell also on every other cell of its diagonal(n, d); a cell
+is designated only if the graph stays acyclic.  The wait Plan sets when a
+band opens is a subset of the cell's edges in this graph, and Plan derives
+a waiting cell as soon as every cell it waits on is settled.  Every wait
+joins cells of one total degree a + b + c, and a row reaches a band only
+through its bands below, of lower total degree.  Suppose cells were left
+unsettled with no solve queued or running, and take one of least total
+degree T.  Its row has opened its band (else the band the row has open,
+below it, holds an unsettled cell of lower degree), so it waits, on an
+unsettled cell of degree T, which waits in turn; following the waits
+closes a cycle in the static graph, which has none.
 
 Support bound.  M = R/I_n is generated by 1, and p_{1,0} = sum_i x_i and
 p_{0,1} = sum_i y_i lie in I_n.  For a >= 1 every monomial of degree
@@ -207,6 +212,7 @@ import marshal
 import os
 import time
 from collections import deque, namedtuple
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cache, cached_property, lru_cache
 from itertools import product
@@ -756,23 +762,27 @@ def diagonal(n: int, d: TriDegree) -> list[TriDegree]:
     return [TriDegree(a, d.b, k - a) for a in range(max(0, k - n), k + 1)]
 
 
+def top_band(n: int) -> int:
+    """The last band a + b a run explores when no max_ab is given."""
+    return n * (n - 1) + 2
+
+
 @cache
 def designated_cells(n: int) -> frozenset[TriDegree]:
     """The cells read off their fermionic diagonals, at most one per diagonal.
 
-    The a >= b cells of total degree a + b + c <= n(n - 1) + 2 (the default
+    The a >= b cells of total degree a + b + c <= top_band(n) (the default
     max_ab) on a diagonal with k = a + c >= 1 are taken by descending ambient
     dimension, ties by ascending degree.  One is designated for its diagonal,
     which then has none yet, unless it would close a cycle in the static
-    wait graph, built from the rules Plan waits on: a cell waits on its
-    source, and a designated cell on every other cell of its diagonal.  So
-    the graph stays acyclic (the Fermionic diagonals paragraph of the module
-    docstring says why that rules out a deadlock).  A pure function of n,
-    kept per process.
+    wait graph, built from the rule Plan waits by: a cell waits on its
+    source, and a designated cell also on every other cell of its diagonal.
+    So the graph stays acyclic (the Fermionic diagonals paragraph of the
+    module docstring says why that rules out a deadlock).  A pure function
+    of n, kept per process.
     """
-    top = n * (n - 1) + 2
     waits = {}  # cell -> the cells it may wait on: its source, and its diagonal once designated
-    for total in range(top + 1):
+    for total in range(top_band(n) + 1):
         for c in range(min(total, n) + 1):
             for a in range(total - c + 1):
                 d = TriDegree(a, total - c - a, c)
@@ -870,12 +880,16 @@ class ForkedWorkers:
         self.busy = {}  # result fd -> (worker, the solve it runs)
 
     def submit(self, args) -> None:
-        """Start the solve args = (n, degree, support) on a free worker."""
+        """Start the solve args = (n, degree, support) on a free worker.  A
+        worker that died idle raises, naming the degree, as in wait."""
         free = [w for w in self.workers if w.results.fileno() not in self.busy]
         worker = free[0] if free else self._fork()
         n, d, support = args
-        marshal.dump((n, tuple(d), support), worker.tasks)
-        worker.tasks.flush()
+        try:
+            marshal.dump((n, tuple(d), support), worker.tasks)
+            worker.tasks.flush()
+        except BrokenPipeError:
+            raise self._died(worker, d) from None
         self.busy[worker.results.fileno()] = (worker, args)
 
     def wait(self) -> list[tuple]:
@@ -890,8 +904,7 @@ class ForkedWorkers:
             try:
                 done.append((args, marshal.load(worker.results)))
             except EOFError:
-                raise RuntimeError(f"the worker solving {args[1]} died with exit status "
-                                   f"{self._reap(worker)}") from None
+                raise self._died(worker, args[1]) from None
         return done
 
     def close(self) -> None:
@@ -905,10 +918,16 @@ class ForkedWorkers:
         for worker in list(self.workers):
             self._reap(worker)
 
+    def _died(self, worker, d) -> RuntimeError:
+        # reap the dead worker that was given the solve at d: the error naming both
+        return RuntimeError(f"the worker solving {d} died with exit status {self._reap(worker)}")
+
     def _reap(self, worker) -> int:
-        # close the worker's pipes and wait for it: its exit code
+        # close the worker's pipes and wait for it: its exit code; the task pipe
+        # of a dead worker still holding an unsent task fails to flush, but closes
         self.workers.remove(worker)
-        worker.tasks.close()
+        with suppress(BrokenPipeError):
+            worker.tasks.close()
         worker.results.close()
         return os.waitstatus_to_exitcode(os.waitpid(worker.pid, 0)[1])
 
@@ -1014,9 +1033,9 @@ def check_module_arguments(
 
 
 class Plan:
-    """The degree lattice of one run: the cells in hand, the cells waiting
-    on a source or on their diagonal and the solves queued, oldest first.
-    It reads no clock and starts no solve; frobenius_module starts the queued
+    """The degree lattice of one run: the cells in hand, each waiting cell
+    with the cells it waits on, and the solves queued, oldest first.  It
+    reads no clock and starts no solve; frobenius_module starts the queued
     ones and hands each finished one to accept.
 
     Each theta row c = 0..n goes through its own bands a + b = 0, 1, 2, ....
@@ -1025,24 +1044,25 @@ class Plan:
     nonzero support.  A row closes at its first band without such a cell,
     and is final: the vanishing law makes every cell beyond it zero; one
     that needs a band beyond max_ab stays open.  A row's next band opens as
-    soon as its band is in hand: its cache hits are kept, a cell whose
-    source is a cell of the band waits on it (the Derived cells paragraph
-    of the module docstring), and the others are queued, largest first,
-    behind the solves already queued (so no row waits for a slower one),
-    each for the support that the cells below it in hand allow
-    (support_bound).  A designated cell (designated_cells) that would be
-    queued waits on its diagonal instead, unless it lies in the extra band
-    (its level is above 0: no computed lower neighbour is nonzero) or its
-    diagonal reaches a band beyond max_ab; those are solved.  Once every
-    other cell of its diagonal is settled (in hand, or a zero of a band its
-    row opened without it or passed), it is kept as their alternating sum,
-    like a copy.  A nonzero cell strictly beyond a zero breaks the vanishing
-    law, a solve can fail its checks within its support, and a cell read off
-    its diagonal can break the diagonal's relations or its support: each
-    raises ConsistencyError, naming the cells below the cell (or the cells
-    of its diagonal), then the cells that shaped them in turn (a copy or an
-    inferred zero is shaped by its source), since a wrong cached one among
-    them can cause it.
+    soon as its band is in hand.  Its cache hits are kept, and start gives
+    each other cell its one wait (the Derived cells paragraph of the module
+    docstring): on its source when that is a cell of the band, and for a
+    designated cell (designated_cells) of level 0 (outside the extra band:
+    some computed lower neighbour is nonzero) whose diagonal lies within
+    max_ab, also on every other cell of its diagonal.  A cell with nothing
+    to wait on is queued at once, largest first, behind the solves already
+    queued (so no row waits for a slower one), for the support that the
+    cells below it in hand allow (support_bound).  Once every cell it waits
+    on is settled (in hand, or a zero of a band its row opened without it or
+    passed), derive makes a waiting cell a copy of its mirror, a zero beyond
+    a zero inner neighbour, the alternating sum of the rest of its diagonal,
+    or a queued solve.  A nonzero cell strictly beyond a zero breaks the
+    vanishing law, a solve can fail its checks within its support, and a
+    cell read off its diagonal can break the diagonal's relations or its
+    support: each raises ConsistencyError, naming the cells below the cell
+    (or the cells of its diagonal), then the cells that shaped them in turn
+    (a copy or an inferred zero is shaped by its source), since a wrong
+    cached one among them can cause it.
     """
 
     def __init__(self, n: int, extra_band: int, max_ab: int, component_cache=None):
@@ -1050,8 +1070,7 @@ class Plan:
         self.components: dict[TriDegree, ComponentCharacters] = {}  # survives a budget overrun
         self.rows: dict[int, bool] = {}  # c -> closed; False while open or stopped at max_ab
         self.cells: dict[int, dict[TriDegree, int]] = {}  # c -> its band's cells -> level
-        self.waiting: dict[TriDegree, list[TriDegree]] = {}  # source -> the cells derived from it
-        self.unread: list[TriDegree] = []  # designated cells waiting on their diagonals
+        self.waiting: dict[TriDegree, list[TriDegree]] = {}  # cell -> the cells it waits on
         self.queued = deque()  # (n, degree, support) of the solves not started, oldest first
         self.shaped: dict[TriDegree, list] = {}  # queued or kept cell -> the cells that shaped it
         for c in range(n + 1):
@@ -1081,34 +1100,33 @@ class Plan:
 
     def queue(self, todo):
         # solve these cells, largest first, behind those already queued, each
-        # for the lams that the cells below it in hand allow; a designated cell
-        # of level 0 (outside the extra band), whose diagonal lies within
-        # max_ab, waits on its diagonal instead
+        # for the lams that the cells below it in hand allow
         for d in sorted(todo, key=lambda d: -component_dimension(self.n, d)):
-            if (d in designated_cells(self.n) and not self.cells[d.c][d]
-                    and d.a + d.b + d.c <= self.max_ab):
-                self.unread.append(d)
-                continue
             cells, support = support_bound(self.n, d, self.components)
             self.shaped[d] = self.behind(cells)
             self.queued.append((self.n, d, support))
 
     def keep(self, comp, put=True):
-        # in hand (solved, read from the cache, copied or inferred): kept, cached
-        # unless it was read from there, and the cells waiting on it derived
+        # in hand (solved, read from the cache, copied, inferred or read off):
+        # kept, and cached unless it was read from there
         self.components[comp.degree] = comp
         self.shaped.setdefault(comp.degree, [])  # a cache hit rests on no cell
         if put and self.cache is not None:
             self.cache.put(comp)
-        for d in self.waiting.pop(comp.degree, ()):
-            if comp.dim_quotient and d.a >= d.b:  # nonzero inside: solve it
-                self.queue([d])
-                continue
-            self.shaped[d] = self.behind([comp.degree])
-            if d.a < d.b:  # a copy of its mirror
-                self.keep(ComponentCharacters(self.n, d, dict(comp.mult)))
-            else:  # zero inside, so zero beyond
-                self.keep(ComponentCharacters(self.n, d, dict.fromkeys(comp.mult, 0)))
+
+    def derive(self, d, cells):
+        # every cell d waited on is settled: copy its mirror, keep a zero beyond
+        # a zero inner neighbour, read it off its diagonal, or solve it
+        p = source(d)
+        if p in cells and (d.a < d.b or not self.components[p].dim_quotient):
+            self.shaped[d] = self.behind([p])
+            comp = self.components[p]
+            mult = dict(comp.mult) if d.a < d.b else dict.fromkeys(comp.mult, 0)
+            self.keep(ComponentCharacters(self.n, d, mult))
+        elif any(q.c != d.c for q in cells):  # it waited on its diagonal, which crosses the rows
+            self.infer(d)
+        else:
+            self.queue([d])
 
     def settled(self, p):
         # in hand, or a zero: a cell of a band its row opened without it, or
@@ -1144,10 +1162,10 @@ class Plan:
         self.keep(ComponentCharacters(n, d, mult))
 
     def start(self, c, band):
-        # open row c's band: stop the row, or queue the cells it solves at once,
-        # let the others wait on their source and keep its cache hits; a cell's
-        # level is 0 above a nonzero lower neighbour, else one more than the
-        # least level of its lower neighbours, which are cells of the band below
+        # open row c's band: stop the row, or keep its cache hits, give each
+        # other cell its one wait and queue those with nothing to wait on; a
+        # cell's level is 0 above a nonzero lower neighbour, else one more than
+        # the least level of its lower neighbours, which are cells of the band below
         below, row = self.cells.get(c, {}), {}
         for a in range(band + 1):
             d = TriDegree(a, band - a, c)
@@ -1158,33 +1176,33 @@ class Plan:
                 row[d] = lvl
         self.rows[c] = not row
         self.cells[c] = {} if band > self.max_ab else row  # no cell: the row stopped
-        hits, todo = [], []
-        for d in self.cells[c]:
+        todo = []
+        for d, lvl in self.cells[c].items():
             comp = self.cache.get(self.n, d) if self.cache is not None else None
             if comp is not None:
-                hits.append(comp)
-            elif (p := source(d)) in row:
-                self.waiting.setdefault(p, []).append(d)
+                self.keep(comp, put=False)
+                continue
+            waits = [p] if (p := source(d)) in row else []
+            if d in designated_cells(self.n) and not lvl and band + c <= self.max_ab:
+                waits += [q for q in diagonal(self.n, d) if q != d]
+            if waits:
+                self.waiting[d] = waits
             else:
                 todo.append(d)
         self.queue(todo)
-        for comp in hits:
-            self.keep(comp, put=False)
 
     def advance(self):
-        # until nothing moves: read each waiting designated cell off its settled
-        # diagonal, and for each open row whose band is in hand check the
+        # until nothing moves: derive each waiting cell once every cell it waits
+        # on is settled, and for each open row whose band is in hand check the
         # frontier law, then open its next band
         while True:
-            ready = [d for d in self.unread
-                     if all(self.settled(p) for p in diagonal(self.n, d) if p != d)]
+            ready = [d for d, cells in self.waiting.items() if all(map(self.settled, cells))]
             rows = [c for c, cells in self.cells.items()
                     if cells and all(d in self.components for d in cells)]
             if not ready and not rows:
                 return
             for d in ready:
-                self.unread.remove(d)
-                self.infer(d)
+                self.derive(d, self.waiting.pop(d))
             for c in rows:
                 for d, lvl in self.cells[c].items():
                     if lvl > 0 and self.components[d].dim_quotient:  # its lower cells are zeros
@@ -1207,20 +1225,21 @@ def frobenius_module(
     """Compute the qtz-graded Frobenius series of the quotient module.
 
     A Plan of the rows c = 0..n, their bands a + b <= max_ab and extra_band
-    extra bands queues the solves, reading and filling component_cache, which
-    when given must provide get(n, degree) and put(component).  One loop runs
-    them whatever threads is: the oldest queued solve starts as soon as one
-    of min(threads, cores) workers is free, and completions are taken as they
-    come.  One worker is the calling process (InProcess); more are forked
-    from it on demand (ForkedWorkers), so threads > 1 needs os.fork.  Both
-    hand _solve's reply to Plan.accept, so a failing solve raises the same
-    error at every threads.  A worker freed by a finished solve is given the
-    oldest queued one before the finished one is kept.  No solve starts
-    after the deadline, so a cell whose source finishes nonzero after it is
-    not solved, and a solve running at the deadline is finished and kept.
-    A run stops within one component of its deadline, every component it
-    solved is in the result, with the cells derived from them, and rows[c]
-    is False for every row it cut short.
+    extra bands queues the solves and derives the other cells, reading and
+    filling component_cache, which when given must provide get(n, degree)
+    and put(component).  One loop runs the solves whatever threads is: the
+    oldest queued solve starts as soon as one of min(threads, cores) workers
+    is free, and completions are taken as they come.  One worker is the
+    calling process (InProcess); more are forked from it on demand
+    (ForkedWorkers), so threads > 1 needs os.fork.  Both hand _solve's reply
+    to Plan.accept, so a failing solve raises the same error at every
+    threads.  A worker freed by a finished solve is given the oldest queued
+    one before the finished one is kept.  No solve starts after the
+    deadline, so a cell whose source finishes nonzero after it is not
+    solved, and a solve running at the deadline is finished and kept.  A run
+    stops within one component of its deadline, every component it solved is
+    in the result, with the cells derived from them, and rows[c] is False for
+    every row it cut short.
 
     The result is returned as computed; check_gl2_shape and check_diagonals
     test its closed rows.  The CLI's module-side commands run them on the
@@ -1240,7 +1259,7 @@ def frobenius_module(
             pool.submit(plan.queued.popleft())
 
     try:
-        plan = Plan(n, extra_band, n * (n - 1) + 2 if max_ab is None else max_ab, component_cache)
+        plan = Plan(n, extra_band, top_band(n) if max_ab is None else max_ab, component_cache)
         refill()
         while pool.busy:
             done = pool.wait()

@@ -22,7 +22,6 @@ from superdelta.coinvariants import (
     check_gl2_shape,
     component_characters,
     designated_cells,
-    diagonal,
     frobenius_module,
     ideal_component,
     spanning_vectors,
@@ -356,17 +355,18 @@ def test_both_paths_solve_the_same_cells(monkeypatch):
 
 # The serial schedule of frobenius_module(4) with a cache that never hits:
 # "s" and a degree abc is a solve, a bare degree a cache put.  A solve is
-# put at once; a copy (a < b) or an inferred zero is put when its source is
-# in hand, and a cell read off its diagonal when the rest of the diagonal is
-# settled (001 after 100, 101 after 200).  What a budget-cut run keeps
-# depends on this order.
+# put at once; a copy (a < b), an inferred zero or a cell read off its
+# diagonal is put once every cell it waits on is settled, and cells that
+# become ready together are put in the order they began to wait (001, which
+# waits on its diagonal from band 0, before 010, which waits on 100 from
+# band 1).  What a budget-cut run keeps depends on this order.
 SERIAL_SCHEDULE_N4 = """
-s000 000 s002 002 s003 003 s004 004 s100 100 010 001 s102 102 012 s103 103 013 s104 104
+s000 000 s002 002 s003 003 s004 004 s100 100 001 010 s102 102 012 s103 103 013 s104 104
 014 s110 110 s112 112 s113 113 203 023 s200 200 020 101 011 s202 202 022 s210 210 120
 111 s212 212 122 s300 300 030 201 021 s302 302 032 s220 220 s222 222 312 132 402 042
 s310 310 130 211 121 s322 322 232 412 142 502 052 s400 400 040 301 031 s320 320 230 221
 s410 410 140 311 131 s500 500 050 401 041 s330 330 s420 420 240 321 231 s510 510 150 411
-141 s600 600 060 501 051 s430 430 340 520 250 610 160 700 070 331 421 241 511 151 601
+141 s600 600 060 501 051 s430 430 340 520 331 250 610 421 160 700 241 511 070 151 601
 061 s440 440 530 350 620 260 710 170 800 080 s431 431 341 521 251 611 161 701 071
 """.split()
 
@@ -412,13 +412,17 @@ class DeferredPool:
         pass
 
 
+def cache_files(directory):
+    """The bytes of every file under directory, by its path there."""
+    return {p.relative_to(directory): p.read_bytes()
+            for p in Path(directory).rglob("*") if p.is_file()}
+
+
 def run_with_cache(n, directory, threads=1):
     """frobenius_module(n) on a fresh cache in directory: its components, its
     rows and the bytes of every cache file, by path."""
     result = frobenius_module(n, threads=threads, component_cache=ComponentCache(directory))
-    files = {p.relative_to(directory): p.read_bytes()
-             for p in Path(directory).rglob("*") if p.is_file()}
-    return result.components, result.rows, files
+    return result.components, result.rows, cache_files(directory)
 
 
 @cache
@@ -545,6 +549,34 @@ def test_a_budget_stops_the_simulated_pool_within_one_solve(monkeypatch):
     assert all(tick <= deadline for _, _, tick in pool.starts)
     assert {d for d, _, _ in pool.starts} <= set(partial.components)
     assert deadline < pool.now <= deadline + max(cost for _, cost, _ in pool.starts)
+
+
+@cache
+def cold_verify(n):
+    """verify_conjecture(n) on a fresh cache: its report without the timing
+    and the bytes of every cache file, by path."""
+    with tempfile.TemporaryDirectory() as directory:
+        report = verify_conjecture(n, cache_dir=directory)
+        return report.to_json_dict(include_timing=False), cache_files(directory)
+
+
+@pytest.mark.parametrize("cut", [
+    {"max_ab": 1}, {"max_ab": 3}, {"max_ab": 6},
+    {"budget_seconds": MAKESPAN_N4 // 8}, {"budget_seconds": MAKESPAN_N4 // 3},
+], ids=["max_ab=1", "max_ab=3", "max_ab=6", "deadline/8", "deadline/3"])
+def test_a_cut_run_resumes_to_the_cold_result(tmp_path, monkeypatch, cut):
+    # a run cut short by max_ab or by a deadline on the simulated two-worker
+    # pool leaves what it kept in its cache; a rerun without the cut on that
+    # cache ends with the cold run's report and its 111 cache files, byte for byte
+    threads = 1
+    if "budget_seconds" in cut:
+        SimulatedPool(monkeypatch)
+        threads = 2
+    partial = frobenius_module(4, threads=threads, component_cache=ComponentCache(tmp_path), **cut)
+    assert not partial.closed and 0 < len(cache_files(tmp_path)) < 111
+    report = verify_conjecture(4, cache_dir=tmp_path)
+    report, files = report.to_json_dict(include_timing=False), cache_files(tmp_path)
+    assert len(files) == 111 and (report, files) == cold_verify(4)
 
 
 def test_the_pool_submits_nothing_after_the_deadline(monkeypatch):
@@ -693,6 +725,32 @@ def test_a_failing_worker_fails_the_run_and_leaves_no_process(monkeypatch, failu
     assert time.monotonic() - start < 5
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_died_idle_fails_the_next_submit_and_is_reaped():
+    # two workers each finish a solve, then one is killed while idle: the next
+    # solve it is given raises the error of a worker that died busy, naming
+    # the degree and the signal, and close reaps both workers
+    import signal
+
+    pool = coinvariants.ForkedWorkers()
+    for d in ((0, 0, 0), (1, 0, 0)):
+        pool.submit((3, TriDegree(*d), None))
+    while pool.busy:
+        pool.wait()
+    pids = [w.pid for w in pool.workers]
+    assert len(pids) == 2
+    os.kill(pids[0], signal.SIGKILL)
+    # wait for the kill to land, leaving the worker unreaped, so that its task
+    # pipe has no reader when the task is written
+    os.waitid(os.P_PID, pids[0], os.WEXITED | os.WNOWAIT)
+    died = r"^the worker solving \(0, 0, 2\) died with exit status -9$"
+    with pytest.raises(RuntimeError, match=died):
+        pool.submit((3, TriDegree(0, 0, 2), None))
+    pool.close()
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, 0)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -964,22 +1022,24 @@ def test_every_run_closes_with_no_cell_waiting(monkeypatch, n, pool):
 def test_plan_waits_only_along_the_static_wait_graph(monkeypatch, n, pool):
     # every wait Plan makes is an edge of static_wait_graph(n), so that
     # graph's acyclicity covers the waits Plan really makes.  A wait is
-    # recorded as Plan ends it: keep takes the cells in Plan.waiting on the
-    # source it keeps, and infer reads a cell that waited in Plan.unread off
-    # its diagonal.  Each run closes, so every wait it made has ended (a
-    # snapshot around Plan.advance could miss one made and ended within one call)
-    sourced, read = [], []  # (cell, source) and (cell, the other cells of its diagonal)
-    keep, infer = Plan.keep, Plan.infer
+    # recorded where it ends: Plan.derive takes a cell with the cells it
+    # waited on, all settled, and Plan.infer reads a cell off its diagonal.
+    # Each run closes, so every wait it made has ended (a snapshot around
+    # Plan.advance could miss one made and ended within one call), and none is
+    # left waiting or queued
+    waits, read, plans = [], [], []  # (cell, the cells it waited on); cells read off
+    derive, infer = Plan.derive, Plan.infer
 
-    def recorded_keep(self, comp, put=True):
-        sourced.extend((d, comp.degree) for d in self.waiting.get(comp.degree, ()))
-        keep(self, comp, put)
+    def recorded_derive(self, d, cells):
+        plans.append(self)
+        waits.append((d, list(cells)))
+        derive(self, d, cells)
 
     def recorded_infer(self, d):
-        read.append((d, [p for p in diagonal(n, d) if p != d]))
+        read.append(d)
         infer(self, d)
 
-    monkeypatch.setattr(Plan, "keep", recorded_keep)
+    monkeypatch.setattr(Plan, "derive", recorded_derive)
     monkeypatch.setattr(Plan, "infer", recorded_infer)
     if n == 5:
         monkeypatch.setattr(coinvariants, "_component_worker", delta_side_worker(5))
@@ -987,10 +1047,15 @@ def test_plan_waits_only_along_the_static_wait_graph(monkeypatch, n, pool):
         SimulatedPool(monkeypatch)
     assert frobenius_module(n, threads=1 if pool == "threads=1" else 2).closed
     graph = static_wait_graph(n)
-    assert [(d, p) for d, p in sourced if p not in graph[d]] == []
-    assert [(d, cells) for d, cells in read if not set(cells) <= set(graph[d])] == []
-    counts = {1: (4, 1), 2: (10, 2), 3: (29, 5), 4: (83, 13), 5: (214, 25)}
-    assert (len(sourced), len(read)) == counts[n]
+    assert [(d, cells) for d, cells in waits if not set(cells) <= set(graph[d])] == []
+    # (waits, waits on a diagonal, cells read off): a designated outer cell
+    # whose inner neighbour is zero waits on its diagonal too, and is kept as
+    # a zero (2 at n = 4)
+    crossed = [d for d, cells in waits if any(p.c != d.c for p in cells)]
+    counts = {1: (5, 1, 1), 2: (12, 2, 2), 3: (33, 6, 5), 4: (90, 15, 13), 5: (224, 29, 25)}
+    assert (len(waits), len(crossed), len(read)) == counts[n]
+    plan, = set(plans)
+    assert not plan.waiting and not plan.queued
 
 
 def test_a_cell_read_off_a_shifted_diagonal_names_it(monkeypatch):
